@@ -64,6 +64,7 @@ from .energies import (
     initial_data_bound_check,
     klainerman_energies,
     klainerman_ratio,
+    klainerman_record,
     lifespan_T0,
     make_report,
     nonlinear_energy_alpha,

@@ -27,7 +27,7 @@ from .config import (
     serialize_config,
     with_overrides,
 )
-from .dynamics import SimState
+from .dynamics import SimState, effective_coefficients
 from .energies import energy_m, lifespan_T0, thresholds
 from .errors import ConfigError, GuardViolation, KuzlabError
 from .experiments import (
@@ -292,6 +292,7 @@ def _cmd_linreg(cfg: RunConfig) -> int:
 
 def _cmd_check_thresholds(cfg: RunConfig) -> int:
     p = cfg.params
+    alpha_eff, _, _ = effective_coefficients(p, cfg.model)
     record = thresholds(p, cfg.envelope)
     u0, u1 = initial_data(cfg)
     m0 = cfg.grid.n // 2 + 2
@@ -308,7 +309,7 @@ def _cmd_check_thresholds(cfg: RunConfig) -> int:
         "r_star (fixed-point radius)": record.r_star,
         "w(r_star)": record.w(record.r_star),
         "sup-norm guard 1/(2 alpha eps)": (
-            1.0 / (2.0 * p.alpha * p.eps) if p.alpha > 0.0 else math.inf
+            1.0 / (2.0 * alpha_eff * p.eps) if alpha_eff > 0.0 else math.inf
         ),
         "||u1||_inf of configured data": linf_norm(u1),
     }

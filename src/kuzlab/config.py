@@ -19,10 +19,9 @@ import numpy as np
 from .dynamics import ModelKind, PhysicalParams, Scheme, SimState, support_radius
 from .energies import EnvelopeParams, energy_half_m, energy_m, thresholds
 from .errors import ConfigError
+from .experiments import DEFAULT_SUPPORT_FRACTION
 from .fields import Field, Grid
 from .jets import build_jet
-
-DEFAULT_SUPPORT_FRACTION = 0.4
 
 
 @dataclass(frozen=True)

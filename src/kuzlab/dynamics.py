@@ -16,27 +16,23 @@ to (gamma+1)/c^2, and the full model keeps all terms.
 Two integrators are provided: classic explicit RK4 under a CFL restriction,
 and an exponential integrating-factor Heun scheme (IMEX) that advances the
 stiff linear part c^2 Lap u + nu*eps Lap u_t with the exact per-mode 2x2
-propagator and treats the quasilinear remainder explicitly.
+propagator and treats the quasilinear remainder explicitly. Both call one
+spectral acceleration kernel and start each step from the previous step's
+end-of-step evaluation (FSAL), which a rebuilt state reproduces bitwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import HyperbolicityBreakdown, StepRejected
-from .fields import (
-    Field,
-    FloatArray,
-    Grid,
-    dealias_values,
-    gradient_values,
-    laplacian_values,
-)
+from .fields import ComplexArray, Field, FloatArray, Grid, _gradient_from_spectrum, _to_physical
 
 DEFAULT_CFL = 0.4
 DEFAULT_HYP_FLOOR = 0.1
@@ -127,6 +123,21 @@ def effective_coefficients(p: PhysicalParams, kind: ModelKind) -> tuple[float, f
     return p.alpha, p.beta, p.nu
 
 
+@dataclass(frozen=True, eq=False)
+class _Accel:
+    """One kernel evaluation under (p, kind); the scalars are NaN unless full."""
+
+    p: PhysicalParams
+    kind: ModelKind
+    u_hat: ComplexArray
+    v_hat: ComplexArray
+    acc: FloatArray | None  # dropped from an IMEX carry, which never reads it
+    rem_hat: ComplexArray | None = None  # the IMEX remainder, when requested
+    acc_sup: float = math.nan
+    lap_sup: float = math.nan
+    fnu: float = math.nan
+
+
 @dataclass(frozen=True)
 class SimState:
     """Solution pair (u, v = u_t) at time t plus running time integrals.
@@ -134,7 +145,9 @@ class SimState:
     fnu_accum carries beta*eps * int_0^t int u_tt |grad u|^2, the accumulated
     part of the F_nu functional; div_accum carries
     int_0^t (||u_tt||_inf + ||Lap u||_inf) d tau, the divergence-criterion
-    integrand whose steep growth evidences breakdown.
+    integrand whose steep growth evidences breakdown. _fsal, the evaluation
+    the next step starts from, is a pure function of the state, so equality,
+    repr and checkpoints ignore it.
     """
 
     u: Field
@@ -142,6 +155,7 @@ class SimState:
     t: float = 0.0
     fnu_accum: float = 0.0
     div_accum: float = 0.0
+    _fsal: _Accel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.u.grid != self.v.grid:
@@ -163,55 +177,93 @@ def hyperbolicity_factor(
     return Field(v.grid, values), float(values.min())
 
 
-def _acceleration_full(
-    grid: Grid,
-    u: FloatArray,
-    v: FloatArray,
-    p: PhysicalParams,
-    kind: ModelKind,
-    t: float | None = None,
-) -> tuple[FloatArray, FloatArray]:
-    """Acceleration and Lap u (reused by monitors) at the array level."""
+def _accel_kernel(
+    grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, v: FloatArray,
+    p: PhysicalParams, kind: ModelKind, t: float | None = None,
+    *, quad: FloatArray | None = None, full: bool = False, remainder: bool = False,
+) -> _Accel:
+    """u_tt from the spectra of (u, v) and physical v: the one acceleration kernel.
+
+    c^2 Lap u + nu*eps Lap v + P(quad), P the 2/3 rule and quad = beta*eps
+    grad u . grad v unless the jet cascade passes its Leibniz sums, is built
+    in spectral space, inverted once and divided by 1 - alpha*eps*v, raising
+    HyperbolicityBreakdown at the floor. full adds sup |u_tt|, sup |Lap u| and
+    the F_nu integrand beta*eps int u_tt |grad u|^2; remainder adds the IMEX
+    remainder: the transform of u_tt minus its linear part.
+    """
     alpha_eff, beta_eff, nu_eff = effective_coefficients(p, kind)
-    lap_u = laplacian_values(grid, u)
-    acc = p.c**2 * lap_u
-    if nu_eff > 0.0:
-        acc = acc + nu_eff * p.eps * laplacian_values(grid, v)
-    if beta_eff != 0.0:
-        grad_u = gradient_values(grid, u)
-        grad_v = gradient_values(grid, v)
-        prod = grad_u[0] * grad_v[0]
-        for i in range(1, grid.n):
-            prod += grad_u[i] * grad_v[i]
-        acc = acc + beta_eff * p.eps * dealias_values(grid, prod)
+    factor = None
     if alpha_eff != 0.0:
         factor = 1.0 - alpha_eff * p.eps * v
         fmin = float(factor.min())
         if fmin <= p.hyp_floor:
             raise HyperbolicityBreakdown(fmin, p.hyp_floor, t)
-        acc = acc / factor
-    return acc, lap_u
+    grad_sq = None
+    if quad is None and beta_eff != 0.0:
+        grad_u = _gradient_from_spectrum(grid, u_hat)
+        quad = np.zeros(grid.shape)
+        for g, mult in zip(grad_u, grid.derivative_multipliers):
+            quad += g * _to_physical(grid, v_hat * mult)
+        quad *= beta_eff * p.eps
+        if full:
+            grad_sq = sum(g * g for g in grad_u)
+        del grad_u
+    lin_hat = p.c**2 * u_hat
+    if nu_eff > 0.0:
+        lin_hat += nu_eff * p.eps * v_hat
+    lin_hat *= -grid.k_squared
+    num_hat = lin_hat if quad is None else lin_hat + grid.dealias_mask * np.fft.rfftn(quad)
+    acc = _to_physical(grid, num_hat)
+    if factor is not None:
+        acc /= factor
+    rem_hat = None
+    if remainder:
+        rem_hat = num_hat - lin_hat if factor is None else np.fft.rfftn(acc) - lin_hat
+    if not full:
+        return _Accel(p, kind, u_hat, v_hat, acc, rem_hat)
+    fnu = 0.0 if grad_sq is None else float(np.sum(acc * grad_sq))
+    fnu *= beta_eff * p.eps * grid.cell_volume
+    acc_sup = float(np.max(np.abs(acc)))
+    lap_sup = float(np.max(np.abs(_to_physical(grid, -grid.k_squared * u_hat))))
+    return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, acc_sup, lap_sup, fnu)
 
 
-def acceleration_values(
-    grid: Grid,
-    u: FloatArray,
-    v: FloatArray,
-    p: PhysicalParams,
-    kind: ModelKind,
-    t: float | None = None,
-) -> FloatArray:
-    return _acceleration_full(grid, u, v, p, kind, t)[0]
+def _spectra(state: SimState) -> tuple[ComplexArray, ComplexArray]:
+    """Transforms of (u, v): the carried ones when the state has them."""
+    if state._fsal is not None:
+        return state._fsal.u_hat, state._fsal.v_hat
+    return np.fft.rfftn(state.u.values), np.fft.rfftn(state.v.values)
+
+
+def _carried(state: SimState, p: PhysicalParams, kind: ModelKind, scheme: Scheme) -> _Accel:
+    """The state's full evaluation as a step of scheme reads it: carried or fresh.
+
+    Both start from the transforms of the state's own arrays, so they agree
+    bitwise. An IMEX step reads the spectra and the remainder, not u_tt.
+    """
+    ev = state._fsal
+    imex = scheme is Scheme.IMEX
+    if ev is None or ev.p != p or ev.kind is not kind or (ev.rem_hat if imex else ev.acc) is None:
+        ev = _accel_kernel(
+            state.grid, *_spectra(state), state.v.values, p, kind, state.t,
+            full=True, remainder=imex,
+        )
+        if imex:
+            ev = replace(ev, acc=None)
+    return ev
 
 
 def acceleration(state: SimState, p: PhysicalParams, kind: ModelKind) -> Field:
     """u_tt solved from the quasilinear form, quadratic products dealiased.
 
-    Raises HyperbolicityBreakdown if the factor 1 - alpha*eps*v reaches the
-    configured floor anywhere on the grid.
+    A state carrying an explicit step's evaluation under (p, kind) returns
+    its u_tt. Raises HyperbolicityBreakdown if the factor 1 - alpha*eps*v
+    reaches the configured floor anywhere on the grid.
     """
-    values = acceleration_values(state.grid, state.u.values, state.v.values, p, kind, state.t)
-    return Field(state.grid, values)
+    ev = state._fsal
+    if ev is None or ev.acc is None or ev.p != p or ev.kind is not kind:
+        ev = _accel_kernel(state.grid, *_spectra(state), state.v.values, p, kind, state.t)
+    return Field(state.grid, ev.acc)
 
 
 def cfl_dt(grid: Grid, c: float, cfl: float = DEFAULT_CFL) -> float:
@@ -224,35 +276,11 @@ def stiffness_ratio(grid: Grid, p: PhysicalParams, dt: float) -> float:
     return p.nu * p.eps * dt / min(grid.spacings) ** 2
 
 
-def _fnu_integrand(
-    grid: Grid, u: FloatArray, acc: FloatArray, beta_eff: float, eps: float
-) -> float:
-    if beta_eff == 0.0:
-        return 0.0
-    grad_u = gradient_values(grid, u)
-    grad_sq = grad_u[0] ** 2
-    for i in range(1, grid.n):
-        grad_sq += grad_u[i] ** 2
-    return beta_eff * eps * grid.cell_volume * float(np.sum(acc * grad_sq))
-
-
-def _div_integrand(acc: FloatArray, lap_u: FloatArray) -> float:
-    return float(np.max(np.abs(acc))) + float(np.max(np.abs(lap_u)))
-
-
-# Exact per-mode propagators for the linear block d/dt (u, v) = A (u, v),
-# A = [[0, 1], [-c^2 k^2, -nu*eps*k^2]], cached per (grid, dt, c, nu*eps).
-
-_PROPAGATOR_CACHE: dict[tuple, tuple[FloatArray, FloatArray, FloatArray, FloatArray]] = {}
-
-
+@lru_cache(maxsize=64)
 def _linear_propagator(
     grid: Grid, dt: float, c: float, nu_eps: float
 ) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    key = (grid, dt, c, nu_eps)
-    hit = _PROPAGATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Exact per-mode propagator of d/dt (u, v) = [[0, 1], [-c^2 k^2, -nu*eps*k^2]] (u, v)."""
     k2 = grid.k_squared
     a = nu_eps * k2
     b = c**2 * k2
@@ -268,32 +296,7 @@ def _linear_propagator(
     e01 = (pref * dt * sinhc).real
     e10 = (pref * (-b) * dt * sinhc).real
     e11 = (pref * (cosh_h - 0.5 * a * dt * sinhc)).real
-    result = (e00, e01, e10, e11)
-    if len(_PROPAGATOR_CACHE) > 64:
-        _PROPAGATOR_CACHE.pop(next(iter(_PROPAGATOR_CACHE)))
-    _PROPAGATOR_CACHE[key] = result
-    return result
-
-
-def _nonlinear_remainder(
-    grid: Grid,
-    u: FloatArray,
-    v: FloatArray,
-    p: PhysicalParams,
-    kind: ModelKind,
-    t: float | None,
-) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """(acc_full, lap_u, remainder = acc_full - linear part)."""
-    alpha_eff, beta_eff, nu_eff = effective_coefficients(p, kind)
-    acc, lap_u = _acceleration_full(grid, u, v, p, kind, t)
-    lin = p.c**2 * lap_u
-    if nu_eff > 0.0:
-        lin = lin + nu_eff * p.eps * laplacian_values(grid, v)
-    if alpha_eff == 0.0 and beta_eff == 0.0:
-        remainder = np.zeros_like(acc)
-    else:
-        remainder = acc - lin
-    return acc, lap_u, remainder
+    return e00, e01, e10, e11
 
 
 def step(
@@ -315,61 +318,59 @@ def step(
         raise ValueError("dt must be finite and nonnegative")
     if dt == 0.0:
         return state
+    if scheme not in (Scheme.EXPLICIT_RK4, Scheme.IMEX):
+        raise ValueError(f"unknown scheme {scheme!r}")
     grid = state.grid
     if scheme is Scheme.EXPLICIT_RK4:
         dt = min(dt, cfl_dt(grid, p.c, cfl))
-    _, beta_eff, _ = effective_coefficients(p, kind)
+    start = _carried(state, p, kind, scheme)
     u0, v0, t0 = state.u.values, state.v.values, state.t
+    u_hat, v_hat = start.u_hat, start.v_hat
 
     if scheme is Scheme.EXPLICIT_RK4:
-        a1, lap_u0 = _acceleration_full(grid, u0, v0, p, kind, t0)
-        k1u, k1v = v0, a1
-        k2u = v0 + 0.5 * dt * k1v
-        k2v = acceleration_values(grid, u0 + 0.5 * dt * k1u, k2u, p, kind, t0)
-        k3u = v0 + 0.5 * dt * k2v
-        k3v = acceleration_values(grid, u0 + 0.5 * dt * k2u, k3u, p, kind, t0)
-        k4u = v0 + dt * k3v
-        k4v = acceleration_values(grid, u0 + dt * k3u, k4u, p, kind, t0)
-        u1 = u0 + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v1 = v0 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        acc_start = a1
-    elif scheme is Scheme.IMEX:
-        acc_start, lap_u0, n1 = _nonlinear_remainder(grid, u0, v0, p, kind, t0)
-        e00, e01, e10, e11 = _linear_propagator(grid, dt, p.c, p.nu * p.eps)
-        u_hat = np.fft.rfftn(u0)
-        v_hat = np.fft.rfftn(v0)
-        n1_hat = np.fft.rfftn(n1)
-        up_hat = e00 * u_hat + e01 * (v_hat + dt * n1_hat)
-        vp_hat = e10 * u_hat + e11 * (v_hat + dt * n1_hat)
-        up = np.fft.irfftn(up_hat, s=grid.shape, axes=tuple(range(grid.n)))
-        vp = np.fft.irfftn(vp_hat, s=grid.shape, axes=tuple(range(grid.n)))
-        n2 = _nonlinear_remainder(grid, up, vp, p, kind, t0 + dt)[2]
-        n2_hat = np.fft.rfftn(n2)
-        half = 0.5 * dt
-        u1_hat = e00 * u_hat + e01 * (v_hat + half * n1_hat)
-        v1_hat = e10 * u_hat + e11 * (v_hat + half * n1_hat) + half * n2_hat
-        u1 = np.fft.irfftn(u1_hat, s=grid.shape, axes=tuple(range(grid.n)))
-        v1 = np.fft.irfftn(v1_hat, s=grid.shape, axes=tuple(range(grid.n)))
+        # Stage displacements are linear in known spectra; only velocities are transformed.
+        a1 = start.acc
+        k2u = v0 + 0.5 * dt * a1
+        k2u_hat = np.fft.rfftn(k2u)
+        a2 = _accel_kernel(grid, u_hat + 0.5 * dt * v_hat, k2u_hat, k2u, p, kind, t0).acc
+        k3u = v0 + 0.5 * dt * a2
+        k3u_hat = np.fft.rfftn(k3u)
+        a3 = _accel_kernel(grid, u_hat + 0.5 * dt * k2u_hat, k3u_hat, k3u, p, kind, t0).acc
+        k4u = v0 + dt * a3
+        a4 = _accel_kernel(grid, u_hat + dt * k3u_hat, np.fft.rfftn(k4u), k4u, p, kind, t0).acc
+        u1 = u0 + dt / 6.0 * (v0 + 2.0 * k2u + 2.0 * k3u + k4u)
+        v1 = v0 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        e00, e01, e10, e11 = _linear_propagator(grid, dt, p.c, p.nu * p.eps)
+        n1_hat = start.rem_hat
+        base = v_hat + dt * n1_hat
+        up_hat = e00 * u_hat + e01 * base
+        vp_hat = e10 * u_hat + e11 * base
+        vp = _to_physical(grid, vp_hat)
+        n2_hat = _accel_kernel(grid, up_hat, vp_hat, vp, p, kind, t0 + dt, remainder=True).rem_hat
+        del up_hat, vp_hat, vp
+        half = 0.5 * dt
+        base = v_hat + half * n1_hat
+        u1 = _to_physical(grid, e00 * u_hat + e01 * base)
+        v1 = _to_physical(grid, e10 * u_hat + e11 * base + half * n2_hat)
 
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(v1))):
         raise StepRejected(f"non-finite fields after step from t = {t0:.6g}")
 
-    # End-of-step acceleration both validates the accepted state and closes
-    # the trapezoid rule for the two running integrals.
-    acc_end, lap_u1 = _acceleration_full(grid, u1, v1, p, kind, t0 + dt)
-    fnu_start = _fnu_integrand(grid, u0, acc_start, beta_eff, p.eps)
-    fnu_end = _fnu_integrand(grid, u1, acc_end, beta_eff, p.eps)
-    div_start = _div_integrand(acc_start, lap_u0)
-    div_end = _div_integrand(acc_end, lap_u1)
-    return SimState(
-        u=Field(grid, u1),
-        v=Field(grid, v1),
-        t=t0 + dt,
-        fnu_accum=state.fnu_accum + 0.5 * dt * (fnu_start + fnu_end),
+    # The end-of-step evaluation validates the accepted state, closes the
+    # trapezoid rule for both running integrals and, carried on the new
+    # state, is the next step's first stage.
+    new = SimState(u=Field(grid, u1), v=Field(grid, v1), t=t0 + dt)
+    end = _carried(new, p, kind, scheme)
+    div_start = start.acc_sup + start.lap_sup
+    div_end = end.acc_sup + end.lap_sup
+    new = replace(
+        new,
+        fnu_accum=state.fnu_accum + 0.5 * dt * (start.fnu + end.fnu),
         div_accum=state.div_accum + 0.5 * dt * (div_start + div_end),
     )
+    object.__setattr__(new, "_fsal", end)
+    return new
 
 
 def spectral_tail_fraction(state: SimState, p: PhysicalParams) -> float:
@@ -385,8 +386,7 @@ def spectral_tail_fraction(state: SimState, p: PhysicalParams) -> float:
     quantities.
     """
     grid = state.grid
-    u_hat = np.fft.rfftn(state.u.values)
-    v_hat = np.fft.rfftn(state.v.values)
+    u_hat, v_hat = _spectra(state)
     density = grid.hermitian_weight * grid.k_squared * (
         p.c**2 * grid.k_squared * np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2
     )
@@ -494,31 +494,31 @@ def solve_linear_forced(
     def l2_sq(values: FloatArray) -> float:
         return cell * float(np.sum(values**2))
 
-    def lhs_now(u_arr: FloatArray, v_arr: FloatArray, diss: float) -> float:
-        grad_v = gradient_values(grid, v_arr)
-        grad_sq = sum(l2_sq(g) for g in grad_v)
-        lap_sq = l2_sq(laplacian_values(grid, u_arr))
-        return 0.5 * (grad_sq + p.c**2 * lap_sq) + 0.5 * nu_eps * diss
+    def grad_sq(spec: ComplexArray) -> float:
+        return sum(l2_sq(g) for g in _gradient_from_spectrum(grid, spec))
 
-    u = np.array(u0.values)
-    v = np.array(u1.values)
+    def lap_sq(spec: ComplexArray) -> float:
+        return l2_sq(_to_physical(grid, -grid.k_squared * spec))
+
+    def lhs_now(u_hat: ComplexArray, v_hat: ComplexArray, diss: float) -> float:
+        return 0.5 * (grad_sq(v_hat) + p.c**2 * lap_sq(u_hat)) + 0.5 * nu_eps * diss
+
+    u_hat = np.fft.rfftn(u0.values)
+    v_hat = np.fft.rfftn(u1.values)
     diss_int = 0.0
     force_int = 0.0
-    lap_sq_prev = l2_sq(laplacian_values(grid, u))
+    lap_sq_prev = lap_sq(u_hat)
     f_prev = f(0.0)
     f_sq_prev = l2_sq(f_prev.values)
-    rhs0 = 0.5 * sum(l2_sq(g) for g in gradient_values(grid, u1.values)) + 0.5 * lap_sq_prev
+    f1_hat = np.fft.rfftn(f_prev.values)
+    rhs0 = 0.5 * grad_sq(v_hat) + 0.5 * lap_sq_prev
 
     times = [0.0]
-    lhs_series = [lhs_now(u, v, 0.0)]
+    lhs_series = [lhs_now(u_hat, v_hat, 0.0)]
     rhs_series = [rhs0]
-
-    u_hat = np.fft.rfftn(u)
-    v_hat = np.fft.rfftn(v)
     half = 0.5 * dt
     for i in range(steps):
         t_next = (i + 1) * dt
-        f1_hat = np.fft.rfftn(f_prev.values)
         f_next = f(t_next)
         f2_hat = np.fft.rfftn(f_next.values)
         base_v = v_hat + half * f1_hat
@@ -526,16 +526,14 @@ def solve_linear_forced(
             e00 * u_hat + e01 * base_v,
             e10 * u_hat + e11 * base_v + half * f2_hat,
         )
-        u = np.fft.irfftn(u_hat, s=grid.shape, axes=tuple(range(grid.n)))
-        v = np.fft.irfftn(v_hat, s=grid.shape, axes=tuple(range(grid.n)))
-        lap_sq_now = l2_sq(laplacian_values(grid, u))
+        lap_sq_now = lap_sq(u_hat)
         f_sq_now = l2_sq(f_next.values)
         diss_int += half * (lap_sq_prev + lap_sq_now)
         force_int += half * (f_sq_prev + f_sq_now)
-        lap_sq_prev, f_sq_prev, f_prev = lap_sq_now, f_sq_now, f_next
+        lap_sq_prev, f_sq_prev, f1_hat = lap_sq_now, f_sq_now, f2_hat
         if (i + 1) % report_every == 0 or i == steps - 1:
             times.append(t_next)
-            lhs_series.append(lhs_now(u, v, diss_int))
+            lhs_series.append(lhs_now(u_hat, v_hat, diss_int))
             rhs_series.append(rhs0 + force_int / (2.0 * nu_eps))
 
     for t_i, lhs_i, rhs_i in zip(times, lhs_series, rhs_series):
@@ -544,5 +542,6 @@ def solve_linear_forced(
                 f"maximal-regularity inequality violated at t = {t_i:.6g}: "
                 f"lhs {lhs_i:.12e} > rhs {rhs_i:.12e} * (1 + {tol})"
             )
+    u, v = _to_physical(grid, u_hat), _to_physical(grid, v_hat)
     final = SimState(u=Field(grid, u), v=Field(grid, v), t=horizon)
     return LinearForcedResult(tuple(times), tuple(lhs_series), tuple(rhs_series), final)

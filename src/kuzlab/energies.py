@@ -138,18 +138,20 @@ def s_half_m(jet: Jet, m: int) -> float:
     return total
 
 
-def _klainerman_pass(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float, float]:
+def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float, float, float]:
     """One sweep over words of length <= m_sum.
 
-    Returns E_{1,m_sum} and E_{inf,m_sup}, the sup restricted to words of
-    length <= m_sup; m_sup <= m_sum.  Mixed-derivative evaluations are
-    memoized per shifted jet.
+    Returns E_{1,m_sum}, then E_{1,m_sup} and E_{inf,m_sup}, which restrict
+    the sum and the sup to words of length <= m_sup; m_sup <= m_sum.
+    Mixed-derivative evaluations are memoized per shifted jet.
     """
     grid = jet.grid
-    e_1 = 0.0
+    e_1 = e_1_sup = 0.0
     density_sup = np.zeros(grid.shape)
     jet_t = jet.shift_time(1)
-    jets_x = [jet.shift_space(axis) for axis in range(grid.n)]
+    # A word of length <= m_sum takes at most m_sum time derivatives.
+    low = Jet(grid, jet.layers[: m_sum + 1])
+    jets_x = [low.shift_space(axis) for axis in range(grid.n)]
     memo_t: dict[tuple[int, ...], np.ndarray] = {}
     memos_x: list[dict[tuple[int, ...], np.ndarray]] = [{} for _ in range(grid.n)]
     for word in gamma_words(grid.n, m_sum):
@@ -158,10 +160,18 @@ def _klainerman_pass(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float,
         for jx, memo in zip(jets_x, memos_x):
             gx = apply_gamma(jx, t, word, memo)
             density = density + gx.values**2
-        e_1 += grid.cell_volume * float(np.sum(density))
+        energy = grid.cell_volume * float(np.sum(density))
+        e_1 += energy
         if len(word.word) <= m_sup:
+            e_1_sup += energy
             np.maximum(density_sup, density, out=density_sup)
-    return e_1, float(np.max(density_sup))
+    return e_1, e_1_sup, float(np.max(density_sup))
+
+
+def _klainerman_pass(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float, float]:
+    """E_{1,m_sum} and E_{inf,m_sup} from one sweep."""
+    e_1, _, e_inf = _klainerman_sweep(jet, t, m_sum, m_sup)
+    return e_1, e_inf
 
 
 def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
@@ -175,12 +185,10 @@ def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
     return _klainerman_pass(jet, t, m, m)
 
 
-def klainerman_ratio(jet: Jet, t: float, m: int, n_star: int | None = None) -> float:
-    """sqrt(E_{inf,m}) / [(1+t)^{(1-n)/2} sqrt(E_{1,m+n*})], n* = [n/2 + 1].
-
-    Returns 0 for identically zero fields; raises on the ill-posed case of a
-    vanishing right side with a nonvanishing left side.
-    """
+def klainerman_record(
+    jet: Jet, t: float, m: int, n_star: int | None = None
+) -> tuple[float, float, float]:
+    """(ratio, E_{1,m}, E_{inf,m}) from one word sweep; see klainerman_ratio."""
     n = jet.grid.n
     if n_star is None:
         n_star = n // 2 + 1
@@ -188,13 +196,22 @@ def klainerman_ratio(jet: Jet, t: float, m: int, n_star: int | None = None) -> f
         raise ValueError(
             f"ratio at m = {m}, n* = {n_star} needs words of length {m + n_star} > 2"
         )
-    e_1, e_inf = _klainerman_pass(jet, t, m + n_star, m)
+    e_1, e_1m, e_inf = _klainerman_sweep(jet, t, m + n_star, m)
     weight = (1.0 + t) ** ((1 - n) / 2.0)
     if e_1 <= 0.0:
         if e_inf <= 0.0:
-            return 0.0
+            return 0.0, e_1m, e_inf
         raise ZeroDivisionError("E_{1,m+n*} vanished while E_{inf,m} did not")
-    return math.sqrt(e_inf) / (weight * math.sqrt(e_1))
+    return math.sqrt(e_inf) / (weight * math.sqrt(e_1)), e_1m, e_inf
+
+
+def klainerman_ratio(jet: Jet, t: float, m: int, n_star: int | None = None) -> float:
+    """sqrt(E_{inf,m}) / [(1+t)^{(1-n)/2} sqrt(E_{1,m+n*})], n* = [n/2 + 1].
+
+    Returns 0 for identically zero fields; raises on the ill-posed case of a
+    vanishing right side with a nonvanishing left side.
+    """
+    return klainerman_record(jet, t, m, n_star)[0]
 
 
 @dataclass(frozen=True)

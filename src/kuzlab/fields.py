@@ -31,6 +31,7 @@ import numpy.typing as npt
 from .errors import NonFiniteFieldError
 
 FloatArray = npt.NDArray[np.float64]
+ComplexArray = npt.NDArray[np.complex128]
 
 MAX_SOBOLEV_ORDER = 12.0
 MAX_DERIVATIVE_ORDER = 4
@@ -201,6 +202,14 @@ class Grid:
             masks.append(self._spectral_axis_view(off, axis))
         return tuple(masks)
 
+    @cached_property
+    def derivative_multipliers(self) -> tuple[ComplexArray, ...]:
+        """Per-axis first-derivative multipliers 1j*k_axis, zero on the axis Nyquist mode."""
+        return tuple(
+            self._spectral_axis_view(1j * self.wavenumbers(axis), axis) * self.nyquist_masks[axis]
+            for axis in range(self.n)
+        )
+
 
 @dataclass(frozen=True)
 class SobolevOrder:
@@ -254,6 +263,15 @@ def _check_finite(values: FloatArray) -> None:
 # these so that cross-module consistency is exact, not merely approximate.
 
 
+def _to_physical(grid: Grid, spec: ComplexArray) -> FloatArray:
+    """Inverse real transform of a half-spectrum back to grid values."""
+    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.n)))
+
+
+def _gradient_from_spectrum(grid: Grid, spec: ComplexArray) -> list[FloatArray]:
+    return [_to_physical(grid, spec * mult) for mult in grid.derivative_multipliers]
+
+
 def derivative_values(grid: Grid, values: FloatArray, axis: int, order: int) -> FloatArray:
     if not 0 <= axis < grid.n:
         raise IndexError(f"axis {axis} out of range for dimension {grid.n}")
@@ -262,36 +280,28 @@ def derivative_values(grid: Grid, values: FloatArray, axis: int, order: int) -> 
     if order == 0:
         return np.array(values, dtype=np.float64)
     spec = np.fft.rfftn(values)
-    k = grid.wavenumbers(axis)
-    mult = (1j * k) ** order
-    spec *= grid._spectral_axis_view(mult, axis)
     if order % 2 == 1:
         # The Nyquist mode carries no sign information for odd derivatives.
-        spec *= grid.nyquist_masks[axis]
-    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.n)))
+        spec *= grid.derivative_multipliers[axis] ** order
+    else:
+        spec *= grid._spectral_axis_view((1j * grid.wavenumbers(axis)) ** order, axis)
+    return _to_physical(grid, spec)
 
 
 def laplacian_values(grid: Grid, values: FloatArray) -> FloatArray:
     spec = np.fft.rfftn(values)
     spec *= -grid.k_squared
-    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.n)))
+    return _to_physical(grid, spec)
 
 
 def gradient_values(grid: Grid, values: FloatArray) -> list[FloatArray]:
-    spec = np.fft.rfftn(values)
-    out = []
-    for axis in range(grid.n):
-        k = grid.wavenumbers(axis)
-        comp = spec * grid._spectral_axis_view(1j * k, axis)
-        comp *= grid.nyquist_masks[axis]
-        out.append(np.fft.irfftn(comp, s=grid.shape, axes=tuple(range(grid.n))))
-    return out
+    return _gradient_from_spectrum(grid, np.fft.rfftn(values))
 
 
 def dealias_values(grid: Grid, values: FloatArray) -> FloatArray:
     spec = np.fft.rfftn(values)
     spec *= grid.dealias_mask
-    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.n)))
+    return _to_physical(grid, spec)
 
 
 def sobolev_norm_values(grid: Grid, values: FloatArray, s: float) -> float:

@@ -9,7 +9,7 @@ Leibniz rule isolates the highest layer:
 
 so every layer above the first is computable from the two evolved fields.
 The cascade is exact for the linear models and shares its kernels with the
-dynamics right-hand side, making layer 2 bit-compatible with acceleration.
+dynamics right-hand side; layer 2 is the acceleration kernel's output.
 """
 
 from __future__ import annotations
@@ -17,17 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import ModelKind, PhysicalParams, SimState, effective_coefficients
-from .errors import HyperbolicityBreakdown
-from .fields import (
-    Field,
-    FloatArray,
-    Grid,
-    dealias_values,
-    derivative_values,
-    gradient_values,
-    laplacian_values,
+import numpy as np
+
+from .dynamics import (
+    ModelKind,
+    PhysicalParams,
+    SimState,
+    _accel_kernel,
+    _spectra,
+    acceleration,
+    effective_coefficients,
 )
+from .fields import Field, FloatArray, Grid, _gradient_from_spectrum, derivative_values
 
 MAX_JET_ORDER = 6
 
@@ -110,54 +111,39 @@ def build_jet(
 ) -> Jet:
     """Reconstruct layers u^(0)..u^(K) from the state by the cascade.
 
-    Quadratic Leibniz sums are dealiased before the pointwise division by
+    Every layer above the first is one call of the dynamics acceleration
+    kernel: assembled in spectral space, its quadratic Leibniz sums
+    dealiased, brought back by one inverse transform and divided by
     1 - alpha*eps u^(1), which raises HyperbolicityBreakdown at the floor.
     """
     if not 0 <= K <= MAX_JET_ORDER:
         raise ValueError(f"jet order must be 0..{MAX_JET_ORDER}, got {K}")
     grid = state.grid
-    alpha_eff, beta_eff, nu_eff = effective_coefficients(p, kind)
     layers: list[FloatArray] = [state.u.values, state.v.values][: K + 1]
+    if K < 2:
+        return Jet(grid, tuple(Field(grid, arr) for arr in layers))
+    alpha_eff, beta_eff, _ = effective_coefficients(p, kind)
+    v, t = state.v.values, state.t
+    spectra = list(_spectra(state))
+    layers.append(acceleration(state, p, kind).values)
     gradients: list[list[FloatArray]] = []
-    if beta_eff != 0.0:
-        gradients = [gradient_values(grid, arr) for arr in layers]
-
-    factor: FloatArray | None = None
-    if alpha_eff != 0.0 and K >= 2:
-        factor = 1.0 - alpha_eff * p.eps * state.v.values
-        fmin = float(factor.min())
-        if fmin <= p.hyp_floor:
-            raise HyperbolicityBreakdown(fmin, p.hyp_floor, state.t)
-
-    for i in range(K - 1):
-        # Layer i + 2 from layers 0..i+1; mirrors the acceleration kernel at
-        # i = 0 term for term so the two agree to roundoff.
-        rhs = p.c**2 * laplacian_values(grid, layers[i])
-        if nu_eff > 0.0:
-            rhs = rhs + nu_eff * p.eps * laplacian_values(grid, layers[i + 1])
+    for i in range(1, K - 1):
+        # Layer i + 2: the kernel on the spectra of layers i and i + 1, with
+        # the Leibniz sums over layers 0..i+1 as its quadratic term.
+        spectra.append(np.fft.rfftn(layers[i + 1]))
+        quad = None
         if beta_eff != 0.0:
-            prod = None
-            for k in range(i + 1):
-                coeff = float(math.comb(i, k))
-                ga, gb = gradients[i - k], gradients[k + 1]
-                term = ga[0] * gb[0]
-                for axis in range(1, grid.n):
-                    term = term + ga[axis] * gb[axis]
-                prod = coeff * term if prod is None else prod + coeff * term
-            rhs = rhs + beta_eff * p.eps * dealias_values(grid, prod)
+            gradients += [_gradient_from_spectrum(grid, s) for s in spectra[len(gradients) :]]
+            quad = beta_eff * p.eps * sum(
+                math.comb(i, k) * sum(x * y for x, y in zip(gradients[i - k], gradients[k + 1]))
+                for k in range(i + 1)
+            )
         if alpha_eff != 0.0:
-            if i >= 1:
-                acc = None
-                for k in range(i):
-                    coeff = float(math.comb(i, k))
-                    term = layers[i - k + 1] * layers[k + 2]
-                    acc = coeff * term if acc is None else acc + coeff * term
-                rhs = rhs + alpha_eff * p.eps * dealias_values(grid, acc)
-            rhs = rhs / factor
-        layers.append(rhs)
-        if beta_eff != 0.0:
-            gradients.append(gradient_values(grid, rhs))
-
+            cubic = alpha_eff * p.eps * sum(
+                math.comb(i, k) * layers[i - k + 1] * layers[k + 2] for k in range(i)
+            )
+            quad = cubic if quad is None else quad + cubic
+        layers.append(_accel_kernel(grid, spectra[i], spectra[i + 1], v, p, kind, t, quad=quad).acc)
     return Jet(grid, tuple(Field(grid, arr) for arr in layers))
 
 

@@ -353,6 +353,16 @@ class TestCli:
         data = json.loads((out / "thresholds.json").read_text())
         assert data["B"] == pytest.approx(10.0)
 
+    def test_check_thresholds_guard_uses_model_alpha(self, tmp_path, capsys) -> None:
+        """Westervelt's guard uses (gamma + 1)/c^2 = alpha + 2/c^2, as the drivers do."""
+        payload = {"model": "westervelt", "params": {"eps": 0.2}, "grid": {"n": 1, "points": 64}}
+        cfg = _write_config(tmp_path, "thr.json", payload)
+        out = tmp_path / "res"
+        assert main(["check-thresholds", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        data = json.loads((out / "thresholds.json").read_text())
+        assert data["sup-norm guard 1/(2 alpha eps)"] == pytest.approx(1.0 / (2.0 * 3.0 * 0.2))
+
     def test_decay_run(self, tmp_path, capsys) -> None:
         payload = {
             "params": {"nu": 1.0, "eps": 0.1},

@@ -200,6 +200,90 @@ class TestStep:
         assert out.div_accum > 0.0
 
 
+class TestFsal:
+    """The end-of-step evaluation carried into the next step (FSAL)."""
+
+    @staticmethod
+    def _count_ffts(monkeypatch) -> dict[str, int]:
+        counts = {"rfftn": 0, "irfftn": 0}
+        for name in counts:
+            original = getattr(np.fft, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "scheme,nu", [(Scheme.EXPLICIT_RK4, 0.0), (Scheme.IMEX, 0.5)]
+    )
+    def test_warm_step_fft_count(self, monkeypatch, n: int, scheme: Scheme, nu: float) -> None:
+        """A warm step costs at most 4(2n+4)+1 FFTs under RK4 and 4n+12 under IMEX."""
+        grid = Grid.cube(n, 16)
+        p = PhysicalParams(nu=nu, eps=0.1)
+        rng = np.random.default_rng(11)
+        state = SimState(band_limited_field(grid, rng, 0.2), band_limited_field(grid, rng, 0.2))
+        dt = cfl_dt(grid, p.c)
+        state = step(state, dt, p, ModelKind.KUZNETSOV, scheme)
+        counts = self._count_ffts(monkeypatch)
+        step(state, dt, p, ModelKind.KUZNETSOV, scheme)
+        limit = 4 * (2 * n + 4) + 1 if scheme is Scheme.EXPLICIT_RK4 else 4 * n + 12
+        assert counts["rfftn"] + counts["irfftn"] <= limit
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_warm_step_equals_cold_step_bitwise(self, kind: ModelKind, scheme: Scheme) -> None:
+        """Stepping a carried state and a fresh copy of it gives the same bits."""
+        grid = Grid.cube(2, 16)
+        p = PhysicalParams(nu=0.3, eps=0.1)
+        rng = np.random.default_rng(13)
+        state = SimState(band_limited_field(grid, rng, 0.2), band_limited_field(grid, rng, 0.2))
+        dt = 0.5 * cfl_dt(grid, p.c)
+        carried = step(state, dt, p, kind, scheme)
+        fresh = SimState(
+            Field(grid, carried.u.values.copy()),
+            Field(grid, carried.v.values.copy()),
+            carried.t,
+            carried.fnu_accum,
+            carried.div_accum,
+        )
+        warm = step(carried, dt, p, kind, scheme)
+        cold = step(fresh, dt, p, kind, scheme)
+        np.testing.assert_array_equal(warm.u.values, cold.u.values)
+        np.testing.assert_array_equal(warm.v.values, cold.v.values)
+        assert warm.fnu_accum == cold.fnu_accum
+        assert warm.div_accum == cold.div_accum
+
+
+    @staticmethod
+    def _carried_and_fresh(kind: ModelKind, scheme: Scheme) -> tuple[SimState, SimState, PhysicalParams]:
+        grid = Grid.cube(1, 64)
+        p = PhysicalParams(nu=0.3, eps=0.1)
+        rng = np.random.default_rng(19)
+        state = SimState(band_limited_field(grid, rng, 0.2), band_limited_field(grid, rng, 0.2))
+        carried = step(state, 0.01, p, kind, scheme)
+        fresh = SimState(Field(grid, carried.u.values.copy()), Field(grid, carried.v.values.copy()), carried.t)
+        return carried, fresh, p
+
+    def test_carry_from_other_parameters_is_not_reused(self) -> None:
+        carried, fresh, p = self._carried_and_fresh(ModelKind.WESTERVELT, Scheme.EXPLICIT_RK4)
+        for q, kind in ((p, ModelKind.KUZNETSOV), (PhysicalParams(nu=0.3, eps=0.2), ModelKind.WESTERVELT)):
+            warm = step(carried, 0.01, q, kind, Scheme.EXPLICIT_RK4)
+            cold = step(fresh, 0.01, q, kind, Scheme.EXPLICIT_RK4)
+            np.testing.assert_array_equal(warm.v.values, cold.v.values)
+        np.testing.assert_array_equal(
+            acceleration(carried, p, ModelKind.KUZNETSOV).values,
+            acceleration(fresh, p, ModelKind.KUZNETSOV).values,
+        )
+
+    def test_tail_fraction_reads_carried_spectra(self) -> None:
+        carried, fresh, p = self._carried_and_fresh(ModelKind.KUZNETSOV, Scheme.IMEX)
+        assert spectral_tail_fraction(carried, p) == spectral_tail_fraction(fresh, p)
+
+
 class TestMonitors:
     def test_tail_fraction_near_zero_for_smooth_state(self) -> None:
         grid = Grid.cube(1, 128)

@@ -36,6 +36,7 @@ from kuzlab import (
     initial_data_bound_check,
     klainerman_energies,
     klainerman_ratio,
+    klainerman_record,
     lifespan_T0,
     make_report,
     nonlinear_energy_alpha,
@@ -280,6 +281,18 @@ class TestKlainerman:
         assert klainerman_ratio(jet, t, 0) == pytest.approx(
             math.sqrt(einf) / math.sqrt(e1), rel=1e-12
         )
+
+    def test_record_matches_ratio_and_energies_bitwise(self) -> None:
+        """One sweep yields the ratio and the report's E_{1,m}, E_{inf,m} exactly."""
+        grid = Grid.cube(2, 32, length=8.0, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        rng = np.random.default_rng(17)
+        state = SimState(band_limited_field(grid, rng, 0.1), band_limited_field(grid, rng, 0.1))
+        jet = build_jet(state, p, 3, ModelKind.KUZNETSOV)
+        t = 0.7
+        ratio, e_1m, e_inf_m = klainerman_record(jet, t, 0)
+        assert ratio == klainerman_ratio(jet, t, 0)
+        assert (e_1m, e_inf_m) == klainerman_energies(jet, t, 0)
 
     def test_ratio_validation(self) -> None:
         grid = Grid.cube(2, 16, origin_centered=True)
