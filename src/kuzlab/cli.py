@@ -25,6 +25,7 @@ from .config import (
     initial_data,
     parse_config,
     serialize_config,
+    sine_phase,
     with_overrides,
 )
 from .dynamics import SimState, effective_coefficients
@@ -137,10 +138,7 @@ def _perturbed_data(cfg: RunConfig, u0: Field, u1: Field) -> tuple[Field, Field]
         mode = opts.perturbation_mode
         if len(mode) != grid.n:
             raise ConfigError("stability.perturbation_mode", f"{len(mode)} components for a {grid.n}d grid")
-        phase = np.zeros(grid.shape)
-        for axis in range(grid.n):
-            phase = phase + (2.0 * math.pi * mode[axis] / grid.lengths[axis]) * grid.coordinate_mesh(axis)
-        delta = opts.perturbation_amplitude * np.sin(phase)
+        delta = opts.perturbation_amplitude * np.sin(sine_phase(grid, mode))
     else:
         rng = np.random.default_rng(cfg.seed)
         noise = dealias_values(grid, rng.standard_normal(grid.shape))
@@ -245,10 +243,7 @@ def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:
     grid = cfg.grid
     if len(opts.forcing_mode) != grid.n:
         raise ConfigError("linreg.forcing_mode", f"{len(opts.forcing_mode)} components for a {grid.n}d grid")
-    phase = np.zeros(grid.shape)
-    for axis in range(grid.n):
-        phase = phase + (2.0 * math.pi * opts.forcing_mode[axis] / grid.lengths[axis]) * grid.coordinate_mesh(axis)
-    profile = np.sin(phase)
+    profile = np.sin(sine_phase(grid, opts.forcing_mode))
 
     def f(t: float) -> Field:
         return Field(grid, opts.forcing_amplitude * math.cos(opts.forcing_omega * t) * profile)
@@ -257,6 +252,8 @@ def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:
 
 
 def _cmd_linreg(cfg: RunConfig) -> int:
+    if cfg.params.nu <= 0.0:
+        raise ConfigError("params.nu", "linreg solves the damped linear problem and needs nu > 0")
     u0, u1 = initial_data(cfg)
     result = linear_regularity_experiment(
         u0,

@@ -1,18 +1,23 @@
 """Run configuration: strict JSON schema, presets, threshold-relative data.
 
-One human-readable format (JSON) with a fully documented schema; parsing is
-strict (unknown keys are rejected with a field-path message) and total
-(every field has a documented default), and ``parse_config`` composed with
-``serialize_config`` is the identity on configs.
+The dataclasses below are the schema: one walker (``_decode``/``_encode``)
+reads each field's annotation, rejects unknown keys by dotted path and gives
+absent keys the field default. Only ``Grid`` (scalar-or-list ``points`` and
+``lengths``) and ``Preset`` (tagged by ``kind``) have their own shapes.
+Numbers that must be positive are listed by dotted path in ``_POSITIVE_PATHS``;
+other preconditions live in each section's ``__post_init__``.
+``parse_config`` composed with ``serialize_config`` is the identity on configs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Mapping
+from types import UnionType
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -20,8 +25,8 @@ from .dynamics import ModelKind, PhysicalParams, Scheme, SimState, support_radiu
 from .energies import EnvelopeParams, energy_half_m, energy_m, thresholds
 from .errors import ConfigError
 from .experiments import DEFAULT_SUPPORT_FRACTION
-from .fields import Field, Grid
-from .jets import build_jet
+from .fields import Field, FloatArray, Grid
+from .jets import MAX_JET_ORDER, build_jet
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,13 @@ class EnergySelection:
 
     e_m_orders: tuple[int, ...] = ()
     half_m: int | None = None
-    klainerman_m: int | None = None
+
+    def __post_init__(self) -> None:
+        top = MAX_JET_ORDER - 1  # E_m needs a jet of order m + 1
+        if any(not 0 <= order <= top for order in self.e_m_orders):
+            raise ValueError(f"e_m_orders entries must lie in 0..{top}, got {list(self.e_m_orders)}")
+        if self.half_m is not None and not (0 <= self.half_m <= 2 * top and self.half_m % 2 == 0):
+            raise ValueError(f"half_m must be even and in 0..{2 * top}, got {self.half_m}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,12 @@ class SweepOptions:
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
     workers: int = 1
     tail_threshold: float = 0.01
+
+    def __post_init__(self) -> None:
+        if not self.eps_list:
+            raise ValueError("eps_list is empty")
+        if len(set(self.eps_list)) != len(self.eps_list):
+            raise ValueError(f"eps_list contains duplicates: {list(self.eps_list)}")
 
 
 @dataclass(frozen=True)
@@ -126,11 +143,20 @@ class DecayOptions:
     m: int = 4
     slack_rel: float = 1e-8
 
+    def __post_init__(self) -> None:
+        top = 2 * (MAX_JET_ORDER - 1)  # the half-m tower needs a jet of order m/2 + 1
+        if not (2 <= self.m <= top and self.m % 2 == 0):
+            raise ValueError(f"m must be even and in 2..{top}, got {self.m}")
+
 
 @dataclass(frozen=True)
 class KlainermanOptions:
     m: int = 0
     support_fraction: float = DEFAULT_SUPPORT_FRACTION
+
+    def __post_init__(self) -> None:
+        if self.m not in (0, 1, 2):
+            raise ValueError(f"m must be 0, 1 or 2, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -176,257 +202,135 @@ class RunConfig:
     linreg: LinregOptions = field(default_factory=LinregOptions)
 
 
-class _Section:
-    """Strict view over one JSON object: every key must be consumed."""
+#: Dotted paths whose numbers must be > 0; list items inherit their list's entry.
+_POSITIVE_PATHS = frozenset({
+    "cfl", "dt", "horizon", "grid.lengths", "preset.width", "sweep.eps_list",
+    "sweep.tail_threshold", "stability.c2_cap", "decay.slack_rel",
+    "klainerman.support_fraction", "linreg.tol",
+})
 
-    def __init__(self, data: Any, path: str):
-        if not isinstance(data, Mapping):
-            raise ConfigError(path, f"expected an object, got {type(data).__name__}")
-        self._data = dict(data)
-        self._path = path
-
-    def child(self, key: str) -> str:
-        return f"{self._path}.{key}" if self._path else key
-
-    def take(self, key: str, parser: Callable[[Any, str], Any], default: Any) -> Any:
-        if key not in self._data:
-            return default
-        value = self._data.pop(key)
-        return parser(value, self.child(key))
-
-    def has(self, key: str) -> bool:
-        return key in self._data
-
-    def finish(self) -> None:
-        if self._data:
-            stray = self.child(sorted(self._data)[0])
-            raise ConfigError(stray, "unknown key")
+_PRESET_NAMES = {cls: name for name, cls in _PRESET_KINDS.items()}
 
 
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _as_positive(value: Any, path: str) -> float:
-    out = _as_float(value, path)
-    if out <= 0.0:
-        raise ConfigError(path, f"must be positive, got {out}")
-    return out
+def _object(value: Any, path: str) -> dict[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
+    return dict(value)
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    return value
+def _reject_unknown(data: Mapping[str, Any], path: str) -> None:
+    if data:
+        raise ConfigError(_join(path, sorted(data)[0]), "unknown key")
 
 
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true/false, got {value!r}")
-    return value
-
-
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {value!r}")
-    return value
-
-
-def _as_enum(enum_cls: type[Enum]) -> Callable[[Any, str], Enum]:
-    def parse(value: Any, path: str) -> Enum:
-        name = _as_str(value, path)
-        try:
-            return enum_cls(name)
-        except ValueError:
-            valid = ", ".join(e.value for e in enum_cls)
-            raise ConfigError(path, f"{name!r} is not one of: {valid}") from None
-
-    return parse
-
-
-def _as_tuple(item: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
-    def parse(value: Any, path: str) -> tuple:
-        if not isinstance(value, list):
-            raise ConfigError(path, f"expected a list, got {value!r}")
-        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-    return parse
-
-
-def _as_optional(item: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
-    def parse(value: Any, path: str) -> Any:
-        return None if value is None else item(value, path)
-
-    return parse
-
-
-def _build(path: str, factory: Callable[[], Any], **kwargs: Any) -> Any:
+def _build(path: str, cls: type, **kwargs: Any) -> Any:
     try:
-        return factory(**kwargs) if kwargs else factory()
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_params(value: Any, path: str) -> PhysicalParams:
-    section = _Section(value, path)
+def _decode(tp: Any, value: Any, path: str) -> Any:
+    """Validate one JSON value against an annotation, recursing into sections."""
+    if tp is Grid:
+        return _decode_grid(value, path)
+    if tp == Preset:
+        data = _object(value, path)
+        kind = _decode(str, data.pop("kind", "sine_mode"), _join(path, "kind"))
+        if kind not in _PRESET_KINDS:
+            valid = ", ".join(sorted(_PRESET_KINDS))
+            raise ConfigError(_join(path, "kind"), f"{kind!r} is not one of: {valid}")
+        return _decode_object(_PRESET_KINDS[kind], data, path)
+    origin = get_origin(tp)
+    if origin is UnionType:
+        (item,) = (arg for arg in get_args(tp) if arg is not type(None))
+        return None if value is None else _decode(item, value, path)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        return tuple(_decode(get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(tp):
+        return _decode_object(tp, value, path)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        name = _decode(str, value, path)
+        try:
+            return tp(name)
+        except ValueError:
+            valid = ", ".join(e.value for e in tp)
+            raise ConfigError(path, f"{name!r} is not one of: {valid}") from None
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(path, f"expected a number, got {value!r}")
+        if path.partition("[")[0] in _POSITIVE_PATHS and value <= 0:
+            raise ConfigError(path, f"must be positive, got {float(value)}")
+        return float(value)
+    if tp is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    if tp is bool and not isinstance(value, bool):
+        raise ConfigError(path, f"expected true/false, got {value!r}")
+    if tp is str and not isinstance(value, str):
+        raise ConfigError(path, f"expected a string, got {value!r}")
+    return value
+
+
+def _decode_object(cls: type, value: Any, path: str) -> Any:
+    """A section: strict keys, absent keys take the dataclass default."""
+    data = _object(value, path)
+    hints = get_type_hints(cls)
     kwargs = {
-        name: section.take(name, _as_float, default)
-        for name, default in (
-            ("c", 1.0),
-            ("nu", 0.0),
-            ("eps", 0.1),
-            ("alpha", 1.0),
-            ("beta", 2.0),
-            ("hyp_floor", 0.1),
-        )
+        f.name: _decode(hints[f.name], data.pop(f.name), _join(path, f.name))
+        for f in dataclasses.fields(cls)
+        if f.name in data
     }
-    section.finish()
-    return _build(path, PhysicalParams, **kwargs)
+    _reject_unknown(data, path)
+    return _build(path, cls, **kwargs)
 
 
-def _parse_grid(value: Any, path: str) -> Grid:
-    section = _Section(value, path)
-    n = section.take("n", _as_int, None)
-    points = section.take("points", lambda v, p: v, None)
-    lengths = section.take("lengths", lambda v, p: v, 2.0 * math.pi)
-    centered = section.take("origin_centered", _as_bool, False)
-    section.finish()
+def _decode_grid(value: Any, path: str) -> Grid:
+    """``points`` and ``lengths`` are a list or a scalar repeated ``n`` times."""
+    data = _object(value, path)
+    n = _decode(int, data.pop("n"), _join(path, "n")) if "n" in data else None
+    points = data.pop("points", None)
+    lengths = data.pop("lengths", 2.0 * math.pi)
+    centered = _decode(bool, data.pop("origin_centered", False), _join(path, "origin_centered"))
+    _reject_unknown(data, path)
     if points is None:
-        raise ConfigError(section.child("points"), "required")
+        raise ConfigError(_join(path, "points"), "required")
     if isinstance(points, list):
-        points_t = _as_tuple(_as_int)(points, section.child("points"))
-        if n is not None and n != len(points_t):
-            raise ConfigError(section.child("n"), f"n = {n} but {len(points_t)} point counts given")
+        points = _decode(tuple[int, ...], points, _join(path, "points"))
+        if n is not None and n != len(points):
+            raise ConfigError(_join(path, "n"), f"n = {n} but {len(points)} point counts given")
+    elif n is None:
+        raise ConfigError(_join(path, "n"), "required when points is a scalar")
     else:
-        if n is None:
-            raise ConfigError(section.child("n"), "required when points is a scalar")
-        points_t = (_as_int(points, section.child("points")),) * n
+        points = (_decode(int, points, _join(path, "points")),) * n
     if isinstance(lengths, list):
-        lengths_t = _as_tuple(_as_positive)(lengths, section.child("lengths"))
-        if len(lengths_t) != len(points_t):
-            raise ConfigError(section.child("lengths"), "length count does not match points")
+        lengths = _decode(tuple[float, ...], lengths, _join(path, "lengths"))
+        if len(lengths) != len(points):
+            raise ConfigError(_join(path, "lengths"), "length count does not match points")
     else:
-        lengths_t = (_as_positive(lengths, section.child("lengths")),) * len(points_t)
-    return _build(path, Grid, lengths=lengths_t, points=points_t, origin_centered=centered)
+        lengths = (_decode(float, lengths, _join(path, "lengths")),) * len(points)
+    return _build(path, Grid, lengths=lengths, points=points, origin_centered=centered)
 
 
-def _parse_preset(value: Any, path: str) -> Preset:
-    section = _Section(value, path)
-    kind = section.take("kind", _as_str, "sine_mode")
-    if kind not in _PRESET_KINDS:
-        raise ConfigError(section.child("kind"), f"{kind!r} is not one of: " + ", ".join(sorted(_PRESET_KINDS)))
-    amplitude = section.take("amplitude", _as_float, 0.01)
-    if kind in ("gaussian_bump", "zero_velocity_gaussian"):
-        center = section.take("center", _as_tuple(_as_float), ())
-        width = section.take("width", _as_positive, 1.0)
-        section.finish()
-        return _build(path, _PRESET_KINDS[kind], center=center, width=width, amplitude=amplitude)
-    mode = section.take("mode", _as_tuple(_as_int), (1,))
-    section.finish()
-    return _build(path, _PRESET_KINDS[kind], mode=mode, amplitude=amplitude)
-
-
-def _parse_energies(value: Any, path: str) -> EnergySelection:
-    section = _Section(value, path)
-    out = EnergySelection(
-        e_m_orders=section.take("e_m_orders", _as_tuple(_as_int), ()),
-        half_m=section.take("half_m", _as_optional(_as_int), None),
-        klainerman_m=section.take("klainerman_m", _as_optional(_as_int), None),
-    )
-    section.finish()
-    return out
-
-
-_ENVELOPE_FIELDS = (
-    "B",
-    "C_m",
-    "C_m0",
-    "D_m",
-    "C_inf",
-    "C1_stab",
-    "C2_stab",
-    "C_n_klainerman",
-    "c0",
-    "c_embed",
-)
-
-
-def _parse_envelope(value: Any, path: str) -> EnvelopeParams:
-    section = _Section(value, path)
-    kwargs: dict[str, Any] = {}
-    for name in _ENVELOPE_FIELDS:
-        parser = _as_optional(_as_float) if name == "B" else _as_float
-        default = None if name == "B" else 1.0
-        kwargs[name] = section.take(name, parser, default)
-    section.finish()
-    return _build(path, EnvelopeParams, **kwargs)
-
-
-def _parse_sweep(value: Any, path: str) -> SweepOptions:
-    section = _Section(value, path)
-    out = _build(
-        path,
-        SweepOptions,
-        eps_list=section.take("eps_list", _as_tuple(_as_positive), SweepOptions.eps_list),
-        workers=section.take("workers", _as_int, 1),
-        tail_threshold=section.take("tail_threshold", _as_positive, 0.01),
-    )
-    section.finish()
-    return out
-
-
-def _parse_stability(value: Any, path: str) -> StabilityOptions:
-    section = _Section(value, path)
-    out = _build(
-        path,
-        StabilityOptions,
-        perturbation=section.take("perturbation", _as_str, "sine"),
-        perturbation_amplitude=section.take("perturbation_amplitude", _as_float, 1e-3),
-        perturbation_mode=section.take("perturbation_mode", _as_tuple(_as_int), (2,)),
-        c2_cap=section.take("c2_cap", _as_positive, 100.0),
-    )
-    section.finish()
-    return out
-
-
-def _parse_decay(value: Any, path: str) -> DecayOptions:
-    section = _Section(value, path)
-    out = _build(
-        path,
-        DecayOptions,
-        m=section.take("m", _as_int, 4),
-        slack_rel=section.take("slack_rel", _as_positive, 1e-8),
-    )
-    section.finish()
-    return out
-
-
-def _parse_klainerman(value: Any, path: str) -> KlainermanOptions:
-    section = _Section(value, path)
-    out = _build(
-        path,
-        KlainermanOptions,
-        m=section.take("m", _as_int, 0),
-        support_fraction=section.take("support_fraction", _as_positive, DEFAULT_SUPPORT_FRACTION),
-    )
-    section.finish()
-    return out
-
-
-def _parse_linreg(value: Any, path: str) -> LinregOptions:
-    section = _Section(value, path)
-    out = _build(
-        path,
-        LinregOptions,
-        forcing_amplitude=section.take("forcing_amplitude", _as_float, 1.0),
-        forcing_mode=section.take("forcing_mode", _as_tuple(_as_int), (1,)),
-        forcing_omega=section.take("forcing_omega", _as_float, 1.0),
-        tol=section.take("tol", _as_positive, 0.01),
-    )
-    section.finish()
-    return out
+def _encode(value: Any) -> Any:
+    """Canonical JSON form of a decoded value; the inverse of ``_decode``."""
+    if isinstance(value, Grid):
+        points, lengths = list(value.points), list(value.lengths)
+        return {"n": value.n, "points": points, "lengths": lengths, "origin_centered": value.origin_centered}
+    if dataclasses.is_dataclass(value):
+        out = {"kind": _PRESET_NAMES[type(value)]} if type(value) in _PRESET_NAMES else {}
+        out.update((f.name, _encode(getattr(value, f.name))) for f in dataclasses.fields(value))
+        return out
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -440,113 +344,24 @@ def parse_config(text: str) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON: {exc}") from exc
-    section = _Section(data, "")
-    cfg = RunConfig(
-        model=section.take("model", _as_enum(ModelKind), ModelKind.KUZNETSOV),
-        params=section.take("params", _parse_params, PhysicalParams()),
-        grid=section.take("grid", _parse_grid, Grid.cube(1, 256)),
-        preset=section.take("preset", _parse_preset, SineMode()),
-        scheme=section.take("scheme", _as_enum(Scheme), Scheme.EXPLICIT_RK4),
-        cfl=section.take("cfl", _as_positive, 0.4),
-        dt=section.take("dt", _as_optional(_as_positive), None),
-        horizon=section.take("horizon", _as_positive, 10.0),
-        report_every=section.take("report_every", _as_int, 10),
-        energies=section.take("energies", _parse_energies, EnergySelection()),
-        envelope=section.take("envelope", _parse_envelope, EnvelopeParams()),
-        experiment=section.take("experiment", _as_enum(ExperimentKind), ExperimentKind.SIMULATE),
-        out_dir=section.take("out_dir", _as_optional(_as_str), None),
-        seed=section.take("seed", _as_int, 0),
-        relative_to_threshold=section.take("relative_to_threshold", _as_bool, False),
-        sweep=section.take("sweep", _parse_sweep, SweepOptions()),
-        stability=section.take("stability", _parse_stability, StabilityOptions()),
-        decay=section.take("decay", _parse_decay, DecayOptions()),
-        klainerman=section.take("klainerman", _parse_klainerman, KlainermanOptions()),
-        linreg=section.take("linreg", _parse_linreg, LinregOptions()),
-    )
-    section.finish()
+    cfg = _decode(RunConfig, data, "")
     if cfg.report_every < 1:
         raise ConfigError("report_every", "must be >= 1")
-    if isinstance(cfg.preset, (SineMode, MeanZeroPeriodic)) and len(cfg.preset.mode) != cfg.grid.n:
-        raise ConfigError("preset.mode", f"mode has {len(cfg.preset.mode)} components, grid has {cfg.grid.n}")
-    if (
-        isinstance(cfg.preset, (GaussianBump, ZeroVelocityGaussian))
-        and cfg.preset.center
-        and len(cfg.preset.center) != cfg.grid.n
-    ):
-        raise ConfigError("preset.center", f"center has {len(cfg.preset.center)} components, grid has {cfg.grid.n}")
+    _check_preset_arity(cfg.preset, cfg.grid)
     return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render a config back to its canonical JSON text."""
-    preset: dict[str, Any]
-    if isinstance(cfg.preset, (GaussianBump, ZeroVelocityGaussian)):
-        kind = "gaussian_bump" if isinstance(cfg.preset, GaussianBump) else "zero_velocity_gaussian"
-        preset = {
-            "kind": kind,
-            "center": list(cfg.preset.center),
-            "width": cfg.preset.width,
-            "amplitude": cfg.preset.amplitude,
-        }
-    else:
-        kind = "sine_mode" if isinstance(cfg.preset, SineMode) else "mean_zero_periodic"
-        preset = {"kind": kind, "mode": list(cfg.preset.mode), "amplitude": cfg.preset.amplitude}
-    data = {
-        "model": cfg.model.value,
-        "params": {
-            "c": cfg.params.c,
-            "nu": cfg.params.nu,
-            "eps": cfg.params.eps,
-            "alpha": cfg.params.alpha,
-            "beta": cfg.params.beta,
-            "hyp_floor": cfg.params.hyp_floor,
-        },
-        "grid": {
-            "n": cfg.grid.n,
-            "points": list(cfg.grid.points),
-            "lengths": list(cfg.grid.lengths),
-            "origin_centered": cfg.grid.origin_centered,
-        },
-        "preset": preset,
-        "scheme": cfg.scheme.value,
-        "cfl": cfg.cfl,
-        "dt": cfg.dt,
-        "horizon": cfg.horizon,
-        "report_every": cfg.report_every,
-        "energies": {
-            "e_m_orders": list(cfg.energies.e_m_orders),
-            "half_m": cfg.energies.half_m,
-            "klainerman_m": cfg.energies.klainerman_m,
-        },
-        "envelope": {name: getattr(cfg.envelope, name) for name in _ENVELOPE_FIELDS},
-        "experiment": cfg.experiment.value,
-        "out_dir": cfg.out_dir,
-        "seed": cfg.seed,
-        "relative_to_threshold": cfg.relative_to_threshold,
-        "sweep": {
-            "eps_list": list(cfg.sweep.eps_list),
-            "workers": cfg.sweep.workers,
-            "tail_threshold": cfg.sweep.tail_threshold,
-        },
-        "stability": {
-            "perturbation": cfg.stability.perturbation,
-            "perturbation_amplitude": cfg.stability.perturbation_amplitude,
-            "perturbation_mode": list(cfg.stability.perturbation_mode),
-            "c2_cap": cfg.stability.c2_cap,
-        },
-        "decay": {"m": cfg.decay.m, "slack_rel": cfg.decay.slack_rel},
-        "klainerman": {
-            "m": cfg.klainerman.m,
-            "support_fraction": cfg.klainerman.support_fraction,
-        },
-        "linreg": {
-            "forcing_amplitude": cfg.linreg.forcing_amplitude,
-            "forcing_mode": list(cfg.linreg.forcing_mode),
-            "forcing_omega": cfg.linreg.forcing_omega,
-            "tol": cfg.linreg.tol,
-        },
-    }
-    return json.dumps(data, indent=2) + "\n"
+    return json.dumps(_encode(cfg), indent=2) + "\n"
+
+
+def _check_preset_arity(preset: Preset, grid: Grid) -> None:
+    """A sine mode, and a Gaussian center when one is given, need one component per axis."""
+    name = "center" if isinstance(preset, (GaussianBump, ZeroVelocityGaussian)) else "mode"
+    count = len(getattr(preset, name))
+    if count != grid.n and (count or name == "mode"):
+        raise ConfigError(f"preset.{name}", f"{name} has {count} components, grid has {grid.n}")
 
 
 def _box_center(grid: Grid) -> tuple[float, ...]:
@@ -563,14 +378,17 @@ def _gaussian_values(grid: Grid, center: tuple[float, ...], width: float, amplit
     return amplitude * np.exp(-r2 / (2.0 * width**2))
 
 
-def _sine_values(grid: Grid, mode: tuple[int, ...], amplitude: float):
+def sine_phase(grid: Grid, mode: tuple[int, ...]) -> FloatArray:
+    """k.x on the grid for the box wave vector k_axis = 2 pi mode[axis] / L_axis."""
     phase = np.zeros(grid.shape)
-    k_norm_sq = 0.0
     for axis in range(grid.n):
-        k_axis = 2.0 * math.pi * mode[axis] / grid.lengths[axis]
-        phase = phase + k_axis * grid.coordinate_mesh(axis)
-        k_norm_sq += k_axis**2
-    k_norm = math.sqrt(k_norm_sq)
+        phase = phase + (2.0 * math.pi * mode[axis] / grid.lengths[axis]) * grid.coordinate_mesh(axis)
+    return phase
+
+
+def _sine_values(grid: Grid, mode: tuple[int, ...], amplitude: float):
+    phase = sine_phase(grid, mode)
+    k_norm = math.sqrt(sum((2.0 * math.pi * m / length) ** 2 for m, length in zip(mode, grid.lengths)))
     return amplitude * np.sin(phase), -amplitude * k_norm * np.cos(phase)
 
 
@@ -581,9 +399,8 @@ def materialize_preset(preset: Preset, grid: Grid) -> tuple[Field, Field]:
     active region (relative level 1e-8) must stay inside the admissible
     fraction of the smallest box side, else ConfigError.
     """
+    _check_preset_arity(preset, grid)
     if isinstance(preset, (GaussianBump, ZeroVelocityGaussian)):
-        if preset.center and len(preset.center) != grid.n:
-            raise ConfigError("preset.center", f"{len(preset.center)} components for a {grid.n}d grid")
         bump = _gaussian_values(grid, preset.center, preset.width, preset.amplitude)
         u0 = Field(grid, bump)
         u1 = Field(grid, bump.copy()) if isinstance(preset, GaussianBump) else Field.zeros(grid)
@@ -596,8 +413,6 @@ def materialize_preset(preset: Preset, grid: Grid) -> tuple[Field, Field]:
                 f"{limit:.4g}; widen the box or narrow the bump",
             )
         return u0, u1
-    if len(preset.mode) != grid.n:
-        raise ConfigError("preset.mode", f"{len(preset.mode)} components for a {grid.n}d grid")
     u0_vals, u1_vals = _sine_values(grid, preset.mode, preset.amplitude)
     return Field(grid, u0_vals), Field(grid, u1_vals)
 
@@ -657,12 +472,8 @@ def with_overrides(
     workers: int | None = None,
 ) -> RunConfig:
     """Apply CLI-level overrides, returning a new config."""
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
-    if horizon is not None:
-        cfg = replace(cfg, horizon=horizon)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    top = {"out_dir": out_dir, "horizon": horizon, "seed": seed}
+    cfg = replace(cfg, **{key: value for key, value in top.items() if value is not None})
     if workers is not None:
         cfg = replace(cfg, sweep=replace(cfg.sweep, workers=workers))
     return cfg

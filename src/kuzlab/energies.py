@@ -289,25 +289,19 @@ class EnvelopeParams:
 
     B = None resolves to the closed form (3 + 2c^2)/min(1/2, c^2) at the
     sound speed in use.  c0 and c_embed feed the fixed-point radius r_* and
-    gain w(r); the others scale the Gronwall, stability, and decay bounds.
+    gain w(r); C_m0 scales the lifespan floor T_0, C_inf the inviscid
+    smallness threshold and C_m the viscous ones.
     """
 
     B: float | None = None
     C_m: float = 1.0
     C_m0: float = 1.0
-    D_m: float = 1.0
     C_inf: float = 1.0
-    C1_stab: float = 1.0
-    C2_stab: float = 1.0
-    C_n_klainerman: float = 1.0
     c0: float = 1.0
     c_embed: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "C_m", "C_m0", "D_m", "C_inf", "C1_stab", "C2_stab",
-            "C_n_klainerman", "c0", "c_embed",
-        ):
+        for name in ("C_m", "C_m0", "C_inf", "c0", "c_embed"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.B is not None and self.B <= 0:
@@ -539,7 +533,6 @@ def make_report(
     kind: ModelKind = ModelKind.KUZNETSOV,
     e_m_orders: tuple[int, ...] = (),
     half_m: int | None = None,
-    klainerman_m: int | None = None,
     jet: Jet | None = None,
 ) -> EnergyReport:
     """Evaluate the enabled functionals on one state, building a jet if needed."""
@@ -548,8 +541,6 @@ def make_report(
         needed = max(needed, max(e_m_orders) + 1)
     if half_m is not None:
         needed = max(needed, half_m // 2 + 1)
-    if klainerman_m is not None:
-        needed = max(needed, klainerman_m + 1)
     if jet is None and needed > 0:
         jet = build_jet(state, p, needed, kind)
 
@@ -560,9 +551,6 @@ def make_report(
     if half_m is not None:
         e_half = energy_half_m(jet, half_m)
         s_half = s_half_m(jet, half_m)
-    e_1m = e_inf_m = math.nan
-    if klainerman_m is not None:
-        e_1m, e_inf_m = klainerman_energies(jet, state.t, klainerman_m)
     _, min_hyp = hyperbolicity_factor(state.v, p, kind)
     return EnergyReport(
         t=state.t,
@@ -572,8 +560,6 @@ def make_report(
         e_m=tuple(e_m_rows),
         e_half_m=e_half,
         s_half_m=s_half,
-        e_1m=e_1m,
-        e_inf_m=e_inf_m,
         min_hyp=min_hyp,
         div_accum=state.div_accum,
         support_radius=support_radius(state),

@@ -254,11 +254,6 @@ class Field:
         return cls(grid, np.asarray(fn(*coords), dtype=np.float64))
 
 
-def _check_finite(values: FloatArray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteFieldError("non-finite input field")
-
-
 # Array-level kernels.  Public Field operations and the time integrators share
 # these so that cross-module consistency is exact, not merely approximate.
 
@@ -321,19 +316,16 @@ def spatial_derivative(f: Field, axis: int, order: int = 1) -> Field:
     Fourier coefficients are multiplied by (i k_axis)^order; for odd orders
     the axis Nyquist mode is zeroed so the result is real.
     """
-    _check_finite(f.values)
     return Field(f.grid, derivative_values(f.grid, f.values, axis, order))
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: multiplier -|k|^2."""
-    _check_finite(f.values)
     return Field(f.grid, laplacian_values(f.grid, f.values))
 
 
 def gradient(f: Field) -> list[Field]:
     """All first spatial derivatives of f, one Field per axis."""
-    _check_finite(f.values)
     return [Field(f.grid, g) for g in gradient_values(f.grid, f.values)]
 
 
@@ -344,7 +336,6 @@ def sobolev_norm(f: Field, s: float | SobolevOrder) -> float:
     nondecreasing in s.
     """
     order = s if isinstance(s, SobolevOrder) else SobolevOrder(float(s))
-    _check_finite(f.values)
     return sobolev_norm_values(f.grid, f.values, order.s)
 
 
@@ -352,20 +343,16 @@ def l2_inner(f: Field, g: Field) -> float:
     """Box-measure-weighted discrete L^2 inner product."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    _check_finite(f.values)
-    _check_finite(g.values)
     return f.grid.cell_volume * float(np.sum(f.values * g.values))
 
 
 def l2_norm(f: Field) -> float:
     """Quadrature L^2 norm, sqrt(l2_inner(f, f))."""
-    _check_finite(f.values)
     return math.sqrt(f.grid.cell_volume * float(np.sum(f.values**2)))
 
 
 def linf_norm(f: Field) -> float:
     """Grid maximum of |f|."""
-    _check_finite(f.values)
     if f.values.size == 0:
         return 0.0
     return float(np.max(np.abs(f.values)))
@@ -376,7 +363,6 @@ def dealias(f: Field) -> Field:
 
     Idempotent and L^2-contractive.
     """
-    _check_finite(f.values)
     return Field(f.grid, dealias_values(f.grid, f.values))
 
 
@@ -389,7 +375,6 @@ def mean_zero_project(f: Field, axis: int = 0) -> Field:
     """
     if not 0 <= axis < f.grid.n:
         raise IndexError(f"axis {axis} out of range for dimension {f.grid.n}")
-    _check_finite(f.values)
     return Field(f.grid, f.values - f.values.mean(axis=axis, keepdims=True))
 
 
@@ -409,7 +394,6 @@ def poincare_check(
     ValueError
         If f is not mean-zero along the axis (relative to its amplitude).
     """
-    _check_finite(f.values)
     scale = float(np.max(np.abs(f.values), initial=0.0))
     mean = float(np.max(np.abs(f.values.mean(axis=axis))))
     if mean > mean_tol * max(scale, 1.0):

@@ -7,13 +7,14 @@ Formats (all versioned, all readable back by this module):
   ``origin_centered`` and ``values`` (row-major float64 samples).
 * Checkpoint: ``.npz`` archive with keys ``format`` (``kuzlab-checkpoint``),
   ``version``, the two field arrays ``u`` and ``v``, the grid metadata as in
-  a snapshot, scalars ``t``, ``fnu_accum``, ``div_accum``, the physical
-  parameters and the model kind. Loading reproduces the exact float64 bits,
-  so a resumed run emits identical reports.
+  a snapshot, scalars ``t``, ``fnu_accum``, ``div_accum``, one scalar per
+  ``PhysicalParams`` field and the model kind. Loading reproduces the exact
+  float64 bits, so a resumed run emits identical reports.
 * Energy report CSV: first line the comment ``# kuzlab-energy-report v1``,
-  then a standard CSV header and rows. The tower columns ``e_m_<order>``
-  vary with the run configuration; all other columns are fixed. A JSON-lines
-  twin carries the same rows with a leading metadata object.
+  then a standard CSV header and rows. The columns are ``EnergyReport``'s
+  fields in order, with ``e_m`` expanded in place as one ``e_m_<order>``
+  column per tower order in the run. A JSON-lines twin carries the same rows
+  with a leading metadata object.
 * Generic table CSV (sweep rows, stability series, inequality margins):
   first line ``# kuzlab-table v1 <name>``, then a CSV header and rows.
 
@@ -44,19 +45,7 @@ REPORT_FORMAT = "kuzlab-energy-report"
 TABLE_FORMAT = "kuzlab-table"
 FORMAT_VERSION = 1
 
-_REPORT_BASE_COLUMNS = (
-    "t",
-    "e_wave",
-    "e_nonl",
-    "f_nu",
-    "e_half_m",
-    "s_half_m",
-    "e_1m",
-    "e_inf_m",
-    "min_hyp",
-    "div_accum",
-    "support_radius",
-)
+_SCALAR_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyReport) if f.name != "e_m")
 
 
 def _grid_payload(grid: Grid) -> dict[str, Any]:
@@ -121,12 +110,7 @@ def save_checkpoint(
         t=np.float64(state.t),
         fnu_accum=np.float64(state.fnu_accum),
         div_accum=np.float64(state.div_accum),
-        c=np.float64(p.c),
-        nu=np.float64(p.nu),
-        eps=np.float64(p.eps),
-        alpha=np.float64(p.alpha),
-        beta=np.float64(p.beta),
-        hyp_floor=np.float64(p.hyp_floor),
+        **{f.name: np.float64(getattr(p, f.name)) for f in dataclasses.fields(PhysicalParams)},
         kind=kind.value,
         **_grid_payload(state.grid),
     )
@@ -145,42 +129,26 @@ def load_checkpoint(path: str | Path) -> tuple[SimState, PhysicalParams, ModelKi
             fnu_accum=float(data["fnu_accum"]),
             div_accum=float(data["div_accum"]),
         )
-        p = PhysicalParams(
-            c=float(data["c"]),
-            nu=float(data["nu"]),
-            eps=float(data["eps"]),
-            alpha=float(data["alpha"]),
-            beta=float(data["beta"]),
-            hyp_floor=float(data["hyp_floor"]),
-        )
+        p = PhysicalParams(**{f.name: float(data[f.name]) for f in dataclasses.fields(PhysicalParams)})
         kind = ModelKind(str(np.asarray(data["kind"])))
     return state, p, kind
 
 
 def report_columns(reports: Sequence[EnergyReport]) -> list[str]:
-    """Fixed column order for a report stream: t, energies, towers, monitors."""
+    """EnergyReport's fields in order, with e_m expanded in place as e_m_<order>."""
     orders = sorted({order for r in reports for order, _ in r.e_m})
-    columns = list(_REPORT_BASE_COLUMNS[:4])
-    columns.extend(f"e_m_{order}" for order in orders)
-    columns.extend(_REPORT_BASE_COLUMNS[4:])
+    columns: list[str] = []
+    for f in dataclasses.fields(EnergyReport):
+        if f.name == "e_m":
+            columns.extend(f"e_m_{order}" for order in orders)
+        else:
+            columns.append(f.name)
     return columns
 
 
 def _report_row(report: EnergyReport, columns: Sequence[str]) -> list[float]:
-    values = dict(
-        zip(_REPORT_BASE_COLUMNS[:4], (report.t, report.e_wave, report.e_nonl, report.f_nu))
-    )
-    for order, value in report.e_m:
-        values[f"e_m_{order}"] = value
-    values.update(
-        e_half_m=report.e_half_m,
-        s_half_m=report.s_half_m,
-        e_1m=report.e_1m,
-        e_inf_m=report.e_inf_m,
-        min_hyp=report.min_hyp,
-        div_accum=report.div_accum,
-        support_radius=report.support_radius,
-    )
+    values = {name: getattr(report, name) for name in _SCALAR_REPORT_FIELDS}
+    values.update((f"e_m_{order}", value) for order, value in report.e_m)
     return [values.get(col, math.nan) for col in columns]
 
 
@@ -191,20 +159,7 @@ def _report_from_row(columns: Sequence[str], row: Sequence[float]) -> EnergyRepo
         for col in columns
         if col.startswith("e_m_")
     )
-    return EnergyReport(
-        t=values["t"],
-        e_wave=values["e_wave"],
-        e_nonl=values["e_nonl"],
-        f_nu=values["f_nu"],
-        e_m=e_m,
-        e_half_m=values["e_half_m"],
-        s_half_m=values["s_half_m"],
-        e_1m=values["e_1m"],
-        e_inf_m=values["e_inf_m"],
-        min_hyp=values["min_hyp"],
-        div_accum=values["div_accum"],
-        support_radius=values["support_radius"],
-    )
+    return EnergyReport(e_m=e_m, **{name: values[name] for name in _SCALAR_REPORT_FIELDS})
 
 
 def write_reports_csv(path: str | Path, reports: Sequence[EnergyReport]) -> Path:

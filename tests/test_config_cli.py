@@ -36,6 +36,188 @@ from kuzlab.io import read_reports_csv, read_table_csv
 from kuzlab.jets import build_jet
 
 
+_DEFAULT_TEXT = """\
+{
+  "model": "kuznetsov",
+  "params": {
+    "c": 1.0,
+    "nu": 0.0,
+    "eps": 0.1,
+    "alpha": 1.0,
+    "beta": 2.0,
+    "hyp_floor": 0.1
+  },
+  "grid": {
+    "n": 1,
+    "points": [
+      256
+    ],
+    "lengths": [
+      6.283185307179586
+    ],
+    "origin_centered": false
+  },
+  "preset": {
+    "kind": "sine_mode",
+    "mode": [
+      1
+    ],
+    "amplitude": 0.01
+  },
+  "scheme": "rk4",
+  "cfl": 0.4,
+  "dt": null,
+  "horizon": 10.0,
+  "report_every": 10,
+  "energies": {
+    "e_m_orders": [],
+    "half_m": null
+  },
+  "envelope": {
+    "B": null,
+    "C_m": 1.0,
+    "C_m0": 1.0,
+    "C_inf": 1.0,
+    "c0": 1.0,
+    "c_embed": 1.0
+  },
+  "experiment": "simulate",
+  "out_dir": null,
+  "seed": 0,
+  "relative_to_threshold": false,
+  "sweep": {
+    "eps_list": [
+      0.2,
+      0.1,
+      0.05,
+      0.025
+    ],
+    "workers": 1,
+    "tail_threshold": 0.01
+  },
+  "stability": {
+    "perturbation": "sine",
+    "perturbation_amplitude": 0.001,
+    "perturbation_mode": [
+      2
+    ],
+    "c2_cap": 100.0
+  },
+  "decay": {
+    "m": 4,
+    "slack_rel": 1e-08
+  },
+  "klainerman": {
+    "m": 0,
+    "support_fraction": 0.4
+  },
+  "linreg": {
+    "forcing_amplitude": 1.0,
+    "forcing_mode": [
+      1
+    ],
+    "forcing_omega": 1.0,
+    "tol": 0.01
+  }
+}
+"""
+
+
+def _positive_path_config(path: str, value: float) -> dict:
+    """The smallest config that puts value at the given dotted path."""
+    if path == "grid.lengths[0]":
+        return {"grid": {"points": [64], "lengths": [value]}}
+    if path == "grid.lengths":
+        return {"grid": {"n": 1, "points": 64, "lengths": value}}
+    if path == "sweep.eps_list[1]":
+        return {"sweep": {"eps_list": [0.1, value]}}
+    if path == "preset.width":
+        return {"preset": {"kind": "gaussian_bump", "width": value}}
+    section, _, key = path.rpartition(".")
+    return {section: {key: value}} if section else {key: value}
+
+
+@st.composite
+def _configs(draw) -> dict:
+    """A schema-valid config that sets a value in every section."""
+    pos = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 100))
+    num = st.one_of(st.floats(-1e3, 1e3), st.integers(-100, 100))
+    n = draw(st.integers(1, 3))
+    modes = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    mode = draw(modes)
+    kind = draw(st.sampled_from(["gaussian_bump", "sine_mode", "zero_velocity_gaussian", "mean_zero_periodic"]))
+    if kind in ("gaussian_bump", "zero_velocity_gaussian"):
+        center = draw(st.one_of(st.just([]), st.lists(num, min_size=n, max_size=n)))
+        preset = {"kind": kind, "center": center, "width": draw(pos), "amplitude": draw(num)}
+    else:
+        if kind == "mean_zero_periodic":
+            mode[0] = draw(st.sampled_from([-2, -1, 1, 3]))
+        preset = {"kind": kind, "mode": mode, "amplitude": draw(num)}
+    points = draw(st.lists(st.sampled_from([8, 16, 32, 64, 256]), min_size=n, max_size=n))
+    return {
+        "model": draw(st.sampled_from([k.value for k in ModelKind])),
+        "params": {
+            "c": draw(st.floats(0.1, 10.0)),
+            "nu": draw(st.one_of(st.just(0), st.floats(0.0, 5.0))),
+            "eps": draw(st.floats(0.01, 1.0)),
+            "alpha": draw(pos),
+            "beta": draw(pos),
+            "hyp_floor": draw(st.floats(0.01, 0.99)),
+        },
+        "grid": draw(
+            st.one_of(
+                st.just({"n": n, "points": points[0], "lengths": 2.0}),
+                st.builds(
+                    lambda lengths, centered: {"points": points, "lengths": lengths, "origin_centered": centered},
+                    st.lists(pos, min_size=n, max_size=n),
+                    st.booleans(),
+                ),
+            )
+        ),
+        "preset": preset,
+        "scheme": draw(st.sampled_from([s.value for s in Scheme])),
+        "cfl": draw(pos),
+        "dt": draw(st.one_of(st.none(), pos)),
+        "horizon": draw(pos),
+        "report_every": draw(st.integers(1, 50)),
+        "energies": {
+            "e_m_orders": draw(st.lists(st.integers(0, 5), max_size=3)),
+            "half_m": draw(st.one_of(st.none(), st.sampled_from([0, 2, 4, 10]))),
+        },
+        "envelope": {
+            "B": draw(st.one_of(st.none(), pos)),
+            "C_m": draw(pos),
+            "C_m0": draw(pos),
+            "C_inf": draw(pos),
+            "c0": draw(pos),
+            "c_embed": draw(pos),
+        },
+        "experiment": draw(st.sampled_from([e.value for e in ExperimentKind])),
+        "out_dir": draw(st.one_of(st.none(), st.text(max_size=8))),
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "relative_to_threshold": draw(st.booleans()),
+        "sweep": {
+            "eps_list": draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True)),
+            "workers": draw(st.integers(1, 4)),
+            "tail_threshold": draw(pos),
+        },
+        "stability": {
+            "perturbation": draw(st.sampled_from(["sine", "noise"])),
+            "perturbation_amplitude": draw(num),
+            "perturbation_mode": draw(st.lists(st.integers(0, 4), max_size=3)),
+            "c2_cap": draw(pos),
+        },
+        "decay": {"m": draw(st.sampled_from([2, 4, 6, 10])), "slack_rel": draw(pos)},
+        "klainerman": {"m": draw(st.integers(0, 2)), "support_fraction": draw(pos)},
+        "linreg": {
+            "forcing_amplitude": draw(num),
+            "forcing_mode": draw(st.lists(st.integers(-3, 3), max_size=3)),
+            "forcing_omega": draw(num),
+            "tol": draw(pos),
+        },
+    }
+
+
 class TestParseSerialize:
     def test_empty_config_is_all_defaults(self) -> None:
         cfg = parse_config("{}")
@@ -77,25 +259,24 @@ class TestParseSerialize:
             cfg = parse_config(text)
             assert parse_config(serialize_config(cfg)) == cfg
 
-    @given(
-        c=st.floats(0.5, 3.0),
-        eps=st.floats(0.01, 1.0),
-        horizon=st.floats(0.1, 100.0),
-        seed=st.integers(0, 2**31 - 1),
-        report_every=st.integers(1, 50),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_property(self, c, eps, horizon, seed, report_every) -> None:
-        text = json.dumps(
-            {
-                "params": {"c": c, "eps": eps},
-                "horizon": horizon,
-                "seed": seed,
-                "report_every": report_every,
-            }
-        )
-        cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
+    def test_default_canonical_text(self) -> None:
+        assert serialize_config(RunConfig()) == _DEFAULT_TEXT
+        assert serialize_config(parse_config("{}")) == _DEFAULT_TEXT
+
+    def test_integers_in_number_fields_serialize_as_floats(self) -> None:
+        text = '{"cfl": 1, "params": {"c": 2}, "grid": {"n": 1, "points": 64, "lengths": 3}}'
+        data = json.loads(serialize_config(parse_config(text)))
+        assert data["cfl"] == 1.0 and isinstance(data["cfl"], float)
+        assert isinstance(data["params"]["c"], float)
+        assert data["grid"]["lengths"] == [3.0] and isinstance(data["grid"]["lengths"][0], float)
+
+    @given(data=_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, data) -> None:
+        cfg = parse_config(json.dumps(data))
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
 
     def test_invalid_json_rejected(self) -> None:
         with pytest.raises(ConfigError, match="invalid JSON"):
@@ -110,6 +291,65 @@ class TestParseSerialize:
             parse_config('{"params": {"mass": 1.0}}')
         with pytest.raises(ConfigError, match=r"sweep\.epss"):
             parse_config('{"sweep": {"epss": [0.1]}}')
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("energies", "klainerman_m"),
+            ("envelope", "D_m"),
+            ("envelope", "C1_stab"),
+            ("envelope", "C2_stab"),
+            ("envelope", "C_n_klainerman"),
+        ],
+    )
+    def test_retired_keys_are_unknown(self, section, key) -> None:
+        with pytest.raises(ConfigError, match="unknown key") as info:
+            parse_config(json.dumps({section: {key: 1}}))
+        assert info.value.path == f"{section}.{key}"
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "cfl",
+            "dt",
+            "horizon",
+            "grid.lengths",
+            "grid.lengths[0]",
+            "preset.width",
+            "sweep.eps_list[1]",
+            "sweep.tail_threshold",
+            "stability.c2_cap",
+            "decay.slack_rel",
+            "klainerman.support_fraction",
+            "linreg.tol",
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, 0.0, -1.5])
+    def test_positive_paths_reject_nonpositive(self, path, value) -> None:
+        with pytest.raises(ConfigError, match="must be positive") as info:
+            parse_config(json.dumps(_positive_path_config(path, value)))
+        assert info.value.path == path
+        parse_config(json.dumps(_positive_path_config(path, 0.5)))
+
+    def test_error_paths(self) -> None:
+        cases = {
+            '{"grid": {"points": 64}}': "grid.n",
+            '{"grid": {"n": 1}}': "grid.points",
+            '{"grid": {"n": 1, "points": 64, "zz": 1}}': "grid.zz",
+            '{"preset": {"kind": "box"}}': "preset.kind",
+            '{"grid": {"n": 2, "points": 32}, "preset": {"mode": [1, 1.5]}}': "preset.mode[1]",
+            '{"preset": {"kind": "gaussian_bump", "width": "a"}}': "preset.width",
+            '{"preset": {"kind": "sine_mode", "width": 1.0}}': "preset.width",
+            '{"seed": 1.5}': "seed",
+            '{"seed": true}': "seed",
+            '{"energies": {"e_m_orders": [1, 0.5]}}': "energies.e_m_orders[1]",
+            '{"params": {"eps": 2.0}}': "params",
+            "[1, 2]": "",
+        }
+        for text, path in cases.items():
+            with pytest.raises(ConfigError) as info:
+                parse_config(text)
+            assert info.value.path == path, text
 
     def test_type_errors_are_config_errors(self) -> None:
         with pytest.raises(ConfigError, match="horizon"):
@@ -264,7 +504,30 @@ _FAST_SIM = {
 }
 
 
+_KLAINERMAN_GRID = {"n": 1, "points": 128, "lengths": [12.566370614359172], "origin_centered": True}
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            ("decay", {"params": {"nu": 1.0}, "decay": {"m": 3}}, "decay: m "),
+            ("decay", {"params": {"nu": 1.0}, "decay": {"m": 12}}, "decay: m "),
+            ("simulate", {"energies": {"half_m": 3}}, "energies: half_m "),
+            ("simulate", {"energies": {"e_m_orders": [-1]}}, "energies: e_m_orders "),
+            ("simulate", {"energies": {"e_m_orders": [6]}}, "energies: e_m_orders "),
+            ("klainerman", {"grid": _KLAINERMAN_GRID, "klainerman": {"m": 5}}, "klainerman: m "),
+            ("sweep", {"sweep": {"eps_list": [0.1, 0.1]}}, "sweep: eps_list "),
+            ("sweep", {"sweep": {"eps_list": []}}, "sweep: eps_list "),
+            ("linreg", {}, "params.nu: "),
+        ],
+    )
+    def test_schema_valid_preconditions_exit_2(self, tmp_path, capsys, command, payload, named) -> None:
+        """Driver preconditions fail as config errors naming the key, not as tracebacks."""
+        cfg = _write_config(tmp_path, "bad.json", {**_FAST_SIM, **payload})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {named}" in capsys.readouterr().err
+
     def test_no_arguments_is_usage_error(self, capsys) -> None:
         assert main([]) == 2
         capsys.readouterr()

@@ -112,6 +112,18 @@ class TestCheckpoint:
         np.testing.assert_array_equal(direct.v.values, resumed.v.values)
         assert direct.fnu_accum == resumed.fnu_accum
 
+    def test_archive_keys(self, tmp_path) -> None:
+        grid = Grid.cube(1, 16)
+        state = SimState(Field.zeros(grid), Field.zeros(grid))
+        path = save_checkpoint(tmp_path / "ckpt.npz", state, PhysicalParams(nu=0.25), ModelKind.WAVE)
+        with np.load(path) as data:
+            assert list(data.keys()) == [
+                "format", "version", "u", "v", "t", "fnu_accum", "div_accum",
+                "c", "nu", "eps", "alpha", "beta", "hyp_floor", "kind",
+                "lengths", "points", "origin_centered",
+            ]
+            assert float(data["nu"]) == 0.25
+
     def test_wrong_format_rejected(self, tmp_path) -> None:
         grid = Grid.cube(1, 16)
         path = save_field(tmp_path / "field.npz", Field.zeros(grid))
@@ -125,6 +137,11 @@ class TestReportTables:
         assert columns[:4] == ["t", "e_wave", "e_nonl", "f_nu"]
         assert "e_m_0" in columns and "e_m_2" in columns
         assert columns.index("e_m_0") < columns.index("e_m_2")
+        assert columns == [
+            "t", "e_wave", "e_nonl", "f_nu", "e_m_0", "e_m_2", "e_half_m", "s_half_m",
+            "e_1m", "e_inf_m", "min_hyp", "div_accum", "support_radius",
+        ]
+        assert report_columns([])[4] == "e_half_m"
 
     def test_csv_round_trip_exact(self, tmp_path) -> None:
         reports = _sample_reports()
