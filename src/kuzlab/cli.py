@@ -112,7 +112,6 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         dt=cfg.dt,
         cfl=cfg.cfl,
         tail_threshold=cfg.sweep.tail_threshold,
-        workers=cfg.sweep.workers,
     )
     rows = [(r.eps, r.t_star, r.cause.value, r.scaled) for r in result.rows]
     directory = write_experiment_dir(
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} driver")
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument("--workers", type=int, default=None, help="sweep worker pool size")
         cmd.add_argument("--horizon", type=float, default=None, help="override the run horizon")
         cmd.add_argument("--seed", type=int, default=None, help="override the random seed")
     return parser
@@ -363,7 +361,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             out_dir=args.out,
             horizon=args.horizon,
             seed=args.seed,
-            workers=args.workers,
         )
         if args.command != "check-thresholds":
             cfg = replace(cfg, experiment=ExperimentKind(args.command))

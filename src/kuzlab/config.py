@@ -116,7 +116,6 @@ class EnergySelection:
 @dataclass(frozen=True)
 class SweepOptions:
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    workers: int = 1
     tail_threshold: float = 0.01
 
     def __post_init__(self) -> None:
@@ -469,11 +468,7 @@ def with_overrides(
     out_dir: str | None = None,
     horizon: float | None = None,
     seed: int | None = None,
-    workers: int | None = None,
 ) -> RunConfig:
     """Apply CLI-level overrides, returning a new config."""
     top = {"out_dir": out_dir, "horizon": horizon, "seed": seed}
-    cfg = replace(cfg, **{key: value for key, value in top.items() if value is not None})
-    if workers is not None:
-        cfg = replace(cfg, sweep=replace(cfg.sweep, workers=workers))
-    return cfg
+    return replace(cfg, **{key: value for key, value in top.items() if value is not None})

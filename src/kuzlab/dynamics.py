@@ -19,6 +19,10 @@ stiff linear part c^2 Lap u + nu*eps Lap u_t with the exact per-mode 2x2
 propagator and treats the quasilinear remainder explicitly. Both call one
 spectral acceleration kernel and start each step from the previous step's
 end-of-step evaluation (FSAL), which a rebuilt state reproduces bitwise.
+The kernel and the stepper also take ensembles: fields stacked along a
+leading member axis, transformed over the trailing grid axes, with one
+perturbation scale per member and every check and reduction per member,
+so that each member's row is bitwise its own single-state step.
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import HyperbolicityBreakdown, StepRejected
-from .fields import ComplexArray, Field, FloatArray, Grid, _gradient_from_spectrum, _to_physical
+from .fields import (
+    ComplexArray,
+    Field,
+    FloatArray,
+    Grid,
+    _gradient_from_spectrum,
+    _to_physical,
+    _to_spectral,
+)
 
 DEFAULT_CFL = 0.4
 DEFAULT_HYP_FLOOR = 0.1
@@ -125,7 +137,11 @@ def effective_coefficients(p: PhysicalParams, kind: ModelKind) -> tuple[float, f
 
 @dataclass(frozen=True, eq=False)
 class _Accel:
-    """One kernel evaluation under (p, kind); the scalars are NaN unless full."""
+    """One kernel evaluation under (p, kind); the scalars are NaN unless full.
+
+    For member-stacked fields, evaluated with one eps per member in place of
+    p.eps, the scalars hold one value per member.
+    """
 
     p: PhysicalParams
     kind: ModelKind
@@ -133,9 +149,9 @@ class _Accel:
     v_hat: ComplexArray
     acc: FloatArray | None  # dropped from an IMEX carry, which never reads it
     rem_hat: ComplexArray | None = None  # the IMEX remainder, when requested
-    acc_sup: float = math.nan
-    lap_sup: float = math.nan
-    fnu: float = math.nan
+    acc_sup: float | FloatArray = math.nan
+    lap_sup: float | FloatArray = math.nan
+    fnu: float | FloatArray = math.nan
 
 
 @dataclass(frozen=True)
@@ -180,7 +196,8 @@ def hyperbolicity_factor(
 def _accel_kernel(
     grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, v: FloatArray,
     p: PhysicalParams, kind: ModelKind, t: float | None = None,
-    *, quad: FloatArray | None = None, full: bool = False, remainder: bool = False,
+    *, eps: float | FloatArray | None = None, quad: FloatArray | None = None,
+    full: bool = False, remainder: bool = False,
 ) -> _Accel:
     """u_tt from the spectra of (u, v) and physical v: the one acceleration kernel.
 
@@ -190,41 +207,49 @@ def _accel_kernel(
     HyperbolicityBreakdown at the floor. full adds sup |u_tt|, sup |Lap u| and
     the F_nu integrand beta*eps int u_tt |grad u|^2; remainder adds the IMEX
     remainder: the transform of u_tt minus its linear part.
+
+    The fields may carry leading member axes ahead of the grid axes; eps then
+    holds one perturbation scale per member in place of p.eps, the floor is
+    checked and the scalars are reduced per member.
     """
     alpha_eff, beta_eff, nu_eff = effective_coefficients(p, kind)
+    if eps is None:
+        eps = p.eps
+    eps_col = np.reshape(eps, np.shape(eps) + (1,) * grid.n)
     factor = None
     if alpha_eff != 0.0:
-        factor = 1.0 - alpha_eff * p.eps * v
-        fmin = float(factor.min())
-        if fmin <= p.hyp_floor:
-            raise HyperbolicityBreakdown(fmin, p.hyp_floor, t)
+        factor = 1.0 - alpha_eff * eps_col * v
+        fmin = factor.min(axis=grid.axes)
+        tripped = fmin <= p.hyp_floor
+        if tripped.any():
+            raise HyperbolicityBreakdown(np.asarray(fmin)[tripped].min(), p.hyp_floor, t, tripped)
     grad_sq = None
     if quad is None and beta_eff != 0.0:
         grad_u = _gradient_from_spectrum(grid, u_hat)
-        quad = np.zeros(grid.shape)
+        quad = np.zeros(v.shape)
         for g, mult in zip(grad_u, grid.derivative_multipliers):
             quad += g * _to_physical(grid, v_hat * mult)
-        quad *= beta_eff * p.eps
+        quad *= beta_eff * eps_col
         if full:
             grad_sq = sum(g * g for g in grad_u)
         del grad_u
     lin_hat = p.c**2 * u_hat
     if nu_eff > 0.0:
-        lin_hat += nu_eff * p.eps * v_hat
+        lin_hat += nu_eff * eps_col * v_hat
     lin_hat *= -grid.k_squared
-    num_hat = lin_hat if quad is None else lin_hat + grid.dealias_mask * np.fft.rfftn(quad)
+    num_hat = lin_hat if quad is None else lin_hat + grid.dealias_mask * _to_spectral(grid, quad)
     acc = _to_physical(grid, num_hat)
     if factor is not None:
         acc /= factor
     rem_hat = None
     if remainder:
-        rem_hat = num_hat - lin_hat if factor is None else np.fft.rfftn(acc) - lin_hat
+        rem_hat = num_hat - lin_hat if factor is None else _to_spectral(grid, acc) - lin_hat
     if not full:
         return _Accel(p, kind, u_hat, v_hat, acc, rem_hat)
-    fnu = 0.0 if grad_sq is None else float(np.sum(acc * grad_sq))
-    fnu *= beta_eff * p.eps * grid.cell_volume
-    acc_sup = float(np.max(np.abs(acc)))
-    lap_sup = float(np.max(np.abs(_to_physical(grid, -grid.k_squared * u_hat))))
+    fnu = 0.0 if grad_sq is None else np.sum(acc * grad_sq, axis=grid.axes)
+    fnu *= beta_eff * np.asarray(eps) * grid.cell_volume
+    acc_sup = np.max(np.abs(acc), axis=grid.axes)
+    lap_sup = np.max(np.abs(_to_physical(grid, -grid.k_squared * u_hat)), axis=grid.axes)
     return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, acc_sup, lap_sup, fnu)
 
 
@@ -232,24 +257,31 @@ def _spectra(state: SimState) -> tuple[ComplexArray, ComplexArray]:
     """Transforms of (u, v): the carried ones when the state has them."""
     if state._fsal is not None:
         return state._fsal.u_hat, state._fsal.v_hat
-    return np.fft.rfftn(state.u.values), np.fft.rfftn(state.v.values)
+    grid = state.grid
+    return _to_spectral(grid, state.u.values), _to_spectral(grid, state.v.values)
+
+
+def _evaluate(
+    grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, v: FloatArray, t: float,
+    p: PhysicalParams, kind: ModelKind, scheme: Scheme, eps: float | FloatArray,
+) -> _Accel:
+    """The full evaluation a step of scheme starts from. An IMEX step reads
+    the spectra and the remainder, not u_tt."""
+    imex = scheme is Scheme.IMEX
+    ev = _accel_kernel(grid, u_hat, v_hat, v, p, kind, t, eps=eps, full=True, remainder=imex)
+    return replace(ev, acc=None) if imex else ev
 
 
 def _carried(state: SimState, p: PhysicalParams, kind: ModelKind, scheme: Scheme) -> _Accel:
     """The state's full evaluation as a step of scheme reads it: carried or fresh.
 
     Both start from the transforms of the state's own arrays, so they agree
-    bitwise. An IMEX step reads the spectra and the remainder, not u_tt.
+    bitwise.
     """
     ev = state._fsal
     imex = scheme is Scheme.IMEX
     if ev is None or ev.p != p or ev.kind is not kind or (ev.rem_hat if imex else ev.acc) is None:
-        ev = _accel_kernel(
-            state.grid, *_spectra(state), state.v.values, p, kind, state.t,
-            full=True, remainder=imex,
-        )
-        if imex:
-            ev = replace(ev, acc=None)
+        ev = _evaluate(state.grid, *_spectra(state), state.v.values, state.t, p, kind, scheme, p.eps)
     return ev
 
 
@@ -269,6 +301,11 @@ def acceleration(state: SimState, p: PhysicalParams, kind: ModelKind) -> Field:
 def cfl_dt(grid: Grid, c: float, cfl: float = DEFAULT_CFL) -> float:
     """Largest admissible explicit time step cfl * min(dx_i) / c."""
     return cfl * min(grid.spacings) / c
+
+
+def _admissible_dt(grid: Grid, c: float, dt: float, scheme: Scheme, cfl: float) -> float:
+    """dt, shrunk to the CFL limit under the explicit scheme."""
+    return min(dt, cfl_dt(grid, c, cfl)) if scheme is Scheme.EXPLICIT_RK4 else dt
 
 
 def stiffness_ratio(grid: Grid, p: PhysicalParams, dt: float) -> float:
@@ -299,6 +336,15 @@ def _linear_propagator(
     return e00, e01, e10, e11
 
 
+@lru_cache(maxsize=8)
+def _stacked_propagator(
+    grid: Grid, dt: float, c: float, nu_eps: tuple[float, ...]
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Each member's exact propagator, stacked along a leading member axis."""
+    per_member = [_linear_propagator(grid, dt, c, x) for x in nu_eps]
+    return tuple(np.stack(entries) for entries in zip(*per_member))
+
+
 def step(
     state: SimState,
     dt: float,
@@ -321,56 +367,98 @@ def step(
     if scheme not in (Scheme.EXPLICIT_RK4, Scheme.IMEX):
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = state.grid
-    if scheme is Scheme.EXPLICIT_RK4:
-        dt = min(dt, cfl_dt(grid, p.c, cfl))
+    dt = _admissible_dt(grid, p.c, dt, scheme, cfl)
     start = _carried(state, p, kind, scheme)
-    u0, v0, t0 = state.u.values, state.v.values, state.t
+    u1, v1, end = _advance(
+        grid, state.u.values, state.v.values, state.t, start, dt, p, kind, scheme, p.eps
+    )
+    # The end-of-step evaluation closes the trapezoid rule for both running
+    # integrals and, carried on the new state, is the next step's first stage.
+    new = SimState(
+        u=Field(grid, u1),
+        v=Field(grid, v1),
+        t=state.t + dt,
+        fnu_accum=float(state.fnu_accum + 0.5 * dt * (start.fnu + end.fnu)),
+        div_accum=float(
+            state.div_accum
+            + 0.5 * dt * ((start.acc_sup + start.lap_sup) + (end.acc_sup + end.lap_sup))
+        ),
+    )
+    object.__setattr__(new, "_fsal", end)
+    return new
+
+
+def _advance(
+    grid: Grid, u0: FloatArray, v0: FloatArray, t0: float, start: _Accel | None, dt: float,
+    p: PhysicalParams, kind: ModelKind, scheme: Scheme, eps: float | FloatArray,
+) -> tuple[FloatArray, FloatArray, _Accel]:
+    """One RK4 or IMEX step of (u, v) from their full evaluation: the one stepper.
+
+    The fields may be stacked along leading member axes with eps one scale
+    per member (see _accel_kernel); each member's row comes out bitwise as
+    its own step would give it. start, when None, is evaluated here. Returns
+    the new fields and their full evaluation, which validates them and is
+    the next step's start. Raises StepRejected on non-finite fields and
+    HyperbolicityBreakdown from any evaluation, each marking its members.
+    """
+    def evaluate(u: FloatArray, v: FloatArray, t: float) -> _Accel:
+        return _evaluate(grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps)
+
+    if start is None:
+        start = evaluate(u0, v0, t0)
     u_hat, v_hat = start.u_hat, start.v_hat
 
     if scheme is Scheme.EXPLICIT_RK4:
         # Stage displacements are linear in known spectra; only velocities are transformed.
+        def stage(disp_hat: ComplexArray, vel: FloatArray, vel_hat: ComplexArray) -> FloatArray:
+            return _accel_kernel(grid, disp_hat, vel_hat, vel, p, kind, t0, eps=eps).acc
+
         a1 = start.acc
         k2u = v0 + 0.5 * dt * a1
-        k2u_hat = np.fft.rfftn(k2u)
-        a2 = _accel_kernel(grid, u_hat + 0.5 * dt * v_hat, k2u_hat, k2u, p, kind, t0).acc
+        k2u_hat = _to_spectral(grid, k2u)
+        a2 = stage(u_hat + 0.5 * dt * v_hat, k2u, k2u_hat)
         k3u = v0 + 0.5 * dt * a2
-        k3u_hat = np.fft.rfftn(k3u)
-        a3 = _accel_kernel(grid, u_hat + 0.5 * dt * k2u_hat, k3u_hat, k3u, p, kind, t0).acc
+        k3u_hat = _to_spectral(grid, k3u)
+        a3 = stage(u_hat + 0.5 * dt * k2u_hat, k3u, k3u_hat)
         k4u = v0 + dt * a3
-        a4 = _accel_kernel(grid, u_hat + dt * k3u_hat, np.fft.rfftn(k4u), k4u, p, kind, t0).acc
+        a4 = stage(u_hat + dt * k3u_hat, k4u, _to_spectral(grid, k4u))
         u1 = u0 + dt / 6.0 * (v0 + 2.0 * k2u + 2.0 * k3u + k4u)
         v1 = v0 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     else:
-        e00, e01, e10, e11 = _linear_propagator(grid, dt, p.c, p.nu * p.eps)
+        nu_eps = p.nu * eps
+        if np.ndim(nu_eps) == 0:
+            e00, e01, e10, e11 = _linear_propagator(grid, dt, p.c, nu_eps)
+        else:
+            e00, e01, e10, e11 = _stacked_propagator(grid, dt, p.c, tuple(nu_eps.tolist()))
         n1_hat = start.rem_hat
         base = v_hat + dt * n1_hat
         up_hat = e00 * u_hat + e01 * base
         vp_hat = e10 * u_hat + e11 * base
         vp = _to_physical(grid, vp_hat)
-        n2_hat = _accel_kernel(grid, up_hat, vp_hat, vp, p, kind, t0 + dt, remainder=True).rem_hat
+        n2_hat = _accel_kernel(
+            grid, up_hat, vp_hat, vp, p, kind, t0 + dt, eps=eps, remainder=True
+        ).rem_hat
         del up_hat, vp_hat, vp
         half = 0.5 * dt
         base = v_hat + half * n1_hat
         u1 = _to_physical(grid, e00 * u_hat + e01 * base)
         v1 = _to_physical(grid, e10 * u_hat + e11 * base + half * n2_hat)
 
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(v1))):
-        raise StepRejected(f"non-finite fields after step from t = {t0:.6g}")
+    finite = np.isfinite(u1).all(axis=grid.axes) & np.isfinite(v1).all(axis=grid.axes)
+    if not finite.all():
+        raise StepRejected(f"non-finite fields after step from t = {t0:.6g}", ~finite)
+    return u1, v1, evaluate(u1, v1, t0 + dt)
 
-    # The end-of-step evaluation validates the accepted state, closes the
-    # trapezoid rule for both running integrals and, carried on the new
-    # state, is the next step's first stage.
-    new = SimState(u=Field(grid, u1), v=Field(grid, v1), t=t0 + dt)
-    end = _carried(new, p, kind, scheme)
-    div_start = start.acc_sup + start.lap_sup
-    div_end = end.acc_sup + end.lap_sup
-    new = replace(
-        new,
-        fnu_accum=state.fnu_accum + 0.5 * dt * (start.fnu + end.fnu),
-        div_accum=state.div_accum + 0.5 * dt * (div_start + div_end),
+
+def _tail_fraction(grid: Grid, c: float, u_hat: ComplexArray, v_hat: ComplexArray) -> float | FloatArray:
+    """spectral_tail_fraction from the spectra; one value per member when stacked."""
+    density = grid.hermitian_weight * grid.k_squared * (
+        c**2 * grid.k_squared * np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2
     )
-    object.__setattr__(new, "_fsal", end)
-    return new
+    # Contiguous rows sum in the order one member's boolean-indexed sum takes.
+    total = np.ascontiguousarray(density[..., grid.dealias_mask]).sum(axis=-1)
+    tail = np.ascontiguousarray(density[..., grid.resolved_tail_mask]).sum(axis=-1)
+    return np.divide(tail, total, out=np.zeros_like(tail), where=~(total <= 0.0))
 
 
 def spectral_tail_fraction(state: SimState, p: PhysicalParams) -> float:
@@ -385,16 +473,7 @@ def spectral_tail_fraction(state: SimState, p: PhysicalParams) -> float:
     Values above ~0.01 flag spectral under-resolution of the breakdown
     quantities.
     """
-    grid = state.grid
-    u_hat, v_hat = _spectra(state)
-    density = grid.hermitian_weight * grid.k_squared * (
-        p.c**2 * grid.k_squared * np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2
-    )
-    total = float(np.sum(density[grid.dealias_mask]))
-    if total <= 0.0:
-        return 0.0
-    tail = float(np.sum(density[grid.resolved_tail_mask]))
-    return tail / total
+    return float(_tail_fraction(state.grid, p.c, *_spectra(state)))
 
 
 def support_radius(state: SimState, rel_tol: float = 1e-8) -> float:

@@ -16,13 +16,15 @@ class HyperbolicityBreakdown(KuzlabError, RuntimeError):
 
     Signals proximity to the degeneracy that the smallness conditions of the
     quasilinear theory are designed to exclude; the equation can no longer be
-    solved pointwise for u_tt.
+    solved pointwise for u_tt. For member-stacked fields, members marks the
+    members that reached the floor.
     """
 
-    def __init__(self, min_factor: float, floor: float, t: float | None = None):
+    def __init__(self, min_factor: float, floor: float, t: float | None = None, members=None):
         self.min_factor = float(min_factor)
         self.floor = float(floor)
         self.t = t
+        self.members = members
         where = f" at t = {t:.6g}" if t is not None else ""
         super().__init__(
             f"hyperbolicity factor min {min_factor:.6g} <= floor {floor:.6g}{where}"
@@ -30,7 +32,14 @@ class HyperbolicityBreakdown(KuzlabError, RuntimeError):
 
 
 class StepRejected(KuzlabError, RuntimeError):
-    """A time step produced non-finite field values."""
+    """A time step produced non-finite field values.
+
+    For member-stacked fields, members marks the members whose fields did.
+    """
+
+    def __init__(self, message: str, members=None):
+        self.members = members
+        super().__init__(message)
 
 
 class SupportMonitorTripped(KuzlabError, RuntimeError):

@@ -4,15 +4,16 @@ Each driver wires the dynamics and energy layers into one reproducible
 experiment: lifespan scaling of the breakdown time against epsilon, the
 exponential stability envelope for perturbed pairs, global viscous decay
 of the multi-index energy, boundedness of the weighted Klainerman ratio,
-and the linear maximal-regularity inequality. Drivers are deterministic
-given their arguments; persistence of configs and results lives in the
-io and cli layers.
+and the linear maximal-regularity inequality. The lifespan sweep steps all
+its epsilon points as one member-stacked batch through the same stepper a
+single run uses, so each row equals that point's own breakdown run bit for
+bit. Drivers are deterministic given their arguments; persistence of
+configs and results lives in the io and cli layers.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -26,7 +27,10 @@ from .dynamics import (
     PhysicalParams,
     Scheme,
     SimState,
+    _admissible_dt,
+    _advance,
     _carried,
+    _tail_fraction,
     cfl_dt,
     effective_coefficients,
     solve_linear_forced,
@@ -50,7 +54,7 @@ from .errors import (
     StepRejected,
     SupportMonitorTripped,
 )
-from .fields import Field, Grid, gradient_values, linf_norm
+from .fields import Field, Grid, _to_spectral, gradient_values, linf_norm
 from .jets import build_jet
 
 DEFAULT_TAIL_THRESHOLD = 0.01
@@ -63,6 +67,7 @@ class BreakdownCause(Enum):
     HYPERBOLICITY = "hyperbolicity_breakdown"
     SPECTRAL = "spectral_under_resolution"
     DIVERGENCE = "divergence_threshold"
+    NUMERICAL = "numerical_instability"
     HORIZON = "horizon_reached"
 
 
@@ -121,23 +126,57 @@ class SweepResult:
         return tuple(r for r in self.rows if r.cause is not BreakdownCause.HORIZON)
 
 
+def _rk4_amplification(grid: Grid, p: PhysicalParams, kind: ModelKind, dt: float) -> float:
+    """Largest |R(dt*lambda)| over the grid's modes, R the RK4 stability polynomial.
+
+    lambda runs over both eigenvalues of the linear part
+    [[0, 1], [-c^2 |k|^2, -nu_eff*eps |k|^2]] of the model at each |k|^2.
+    """
+    _, _, nu_eff = effective_coefficients(p, kind)
+    k2 = grid.k_squared
+    a = nu_eff * p.eps * k2
+    root = np.sqrt((a * a - 4.0 * p.c**2 * k2).astype(complex))
+    worst = 0.0
+    for lam in (0.5 * (-a + root), 0.5 * (-a - root)):
+        z = dt * lam
+        r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+        worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
+# Headroom over 1 for roundoff in |R| on the purely oscillatory modes, where
+# |R| sits a hair below 1; a genuine instability grows far beyond it.
+_AMPLIFICATION_SLACK = 1e-12
+
+
 def _resolve_step(
     grid: Grid,
     p: PhysicalParams,
+    kind: ModelKind,
     horizon: float,
     dt: float | None,
     scheme: Scheme,
     cfl: float,
 ) -> tuple[int, float]:
-    """Number of uniform steps and the step size landing exactly on horizon."""
+    """Number of uniform steps and the step size landing exactly on horizon.
+
+    Raises GuardViolation when the explicit scheme would amplify some mode
+    of the linear part: its run would end on a numerical instability that
+    the monitors cannot tell from a physical breakdown.
+    """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if dt is None:
-        dt = cfl_dt(grid, p.c, cfl)
-    elif scheme is Scheme.EXPLICIT_RK4:
-        dt = min(dt, cfl_dt(grid, p.c, cfl))
+    dt = cfl_dt(grid, p.c, cfl) if dt is None else _admissible_dt(grid, p.c, dt, scheme, cfl)
     steps = max(1, math.ceil(horizon / dt - 1e-12))
-    return steps, horizon / steps
+    dt = horizon / steps
+    if scheme is Scheme.EXPLICIT_RK4:
+        amplification = _rk4_amplification(grid, p, kind, dt)
+        if amplification > 1.0 + _AMPLIFICATION_SLACK:
+            raise GuardViolation(
+                f"explicit RK4 amplifies a linear mode by {amplification:.6g} "
+                f"per step at dt = {dt:.6g}; use scheme: \"imex\""
+            )
+    return steps, dt
 
 
 def _check_run_guards(
@@ -204,7 +243,7 @@ def run_until_breakdown(
     configured floor (including the solver raising mid-step), spectral tail
     fraction above tail_threshold, or, when div_threshold is set, the
     accumulated ||u_tt||_inf + ||Lap u||_inf integral crossing it. A step
-    producing non-finite values is recorded under the divergence cause at
+    producing non-finite values is recorded as a numerical instability at
     the last accepted time.
 
     Args:
@@ -219,13 +258,14 @@ def run_until_breakdown(
         accepted state.
 
     Raises:
-        GuardViolation: the data fail a guard before any stepping.
+        GuardViolation: the data fail a guard before any stepping, or the
+            explicit scheme is unstable on the stiff linear part.
     """
     u0, u1 = initial
     _check_run_guards(u0, u1, p, kind, m1, m2)
     if report_every < 1:
         raise ValueError("report_every must be >= 1")
-    steps, dt_eff = _resolve_step(u0.grid, p, horizon, dt, scheme, cfl)
+    steps, dt_eff = _resolve_step(u0.grid, p, kind, horizon, dt, scheme, cfl)
 
     state = SimState(u0, u1)
     reports = [_safe_report(state, p, kind, e_m_orders, half_m)]
@@ -249,7 +289,7 @@ def run_until_breakdown(
             cause = BreakdownCause.HYPERBOLICITY
             break
         except StepRejected:
-            cause = BreakdownCause.DIVERGENCE
+            cause = BreakdownCause.NUMERICAL
             break
         cause = monitor(state)
         if cause is None and (k + 1) % report_every == 0 and k + 1 < steps:
@@ -290,22 +330,25 @@ def lifespan_sweep(
     dt: float | None = None,
     cfl: float = DEFAULT_CFL,
     tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
-    workers: int = 1,
 ) -> SweepResult:
     """Measure the breakdown time across epsilon and fit its log-log slope.
 
     The data shape is held fixed (amplitude included) while epsilon varies,
-    so the measured slope isolates the epsilon scaling of the lifespan. Each
-    sweep point runs independently; rows are sorted by epsilon before the
-    fit so aggregation order cannot affect the result. Runs that reach the
-    horizon are reported but excluded from the fit.
+    so the measured slope isolates the epsilon scaling of the lifespan. Every
+    point shares one step size, so the points advance together as one batch:
+    their fields are stacked along a leading member axis, epsilon is a
+    per-member column, and a point leaves the batch when one of its monitors
+    trips. A step that trips the hyperbolicity floor or goes non-finite for
+    some points ends those at the last accepted time and is redone for the
+    rest. Each row equals the verdict of run_until_breakdown on that point
+    bit for bit. Rows are sorted by epsilon before the fit; runs that reach
+    the horizon are reported but excluded from the fit.
 
     Args:
-        data_shape: grid -> (u0, u1) factory, reused for every epsilon.
+        data_shape: grid -> (u0, u1) factory, shared by every epsilon.
         eps_list: epsilon values; duplicates rejected.
         p_base: parameters whose eps field is replaced per point.
         n: spatial dimension, fixing the default grid and scaled column.
-        workers: sweep points run on a bounded thread pool of this size.
     """
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
@@ -318,29 +361,53 @@ def lifespan_sweep(
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match n = {n}")
     u0, u1 = data_shape(grid)
+    for eps_i in eps_list:
+        p = replace(p_base, eps=eps_i)
+        _check_run_guards(u0, u1, p, kind, None, None)
+        # The step size depends on c, not on eps: every point gets the same.
+        steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
+    dt_eff = _admissible_dt(grid, p_base.c, dt_eff, scheme, cfl)  # as step() takes it
 
-    def run_one(eps: float) -> SweepRow:
-        p = replace(p_base, eps=eps)
-        steps, _ = _resolve_step(grid, p, horizon, dt, scheme, cfl)
-        cadence = max(1, -(-steps // 25))
-        _, verdict = run_until_breakdown(
-            (u0, u1),
-            p,
-            horizon,
-            cadence,
-            kind=kind,
-            scheme=scheme,
-            dt=dt,
-            cfl=cfl,
-            tail_threshold=tail_threshold,
-        )
-        return SweepRow(eps, verdict.t_star, verdict.cause, _scaled_lifespan(n, eps, verdict.t_star))
+    # The live points: their index into eps_list, stacked fields, their eps,
+    # and the evaluation the next step starts from (None: rebuilt from u, v).
+    live = np.arange(len(eps_list))
+    eps = np.array(eps_list, dtype=float)
+    u = np.stack([u0.values] * len(eps_list))
+    v = np.stack([u1.values] * len(eps_list))
+    start = None
+    ends: dict[int, tuple[float, BreakdownCause]] = {}
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, eps_list))
-    else:
-        rows = [run_one(eps) for eps in eps_list]
+    def drop(members: np.ndarray, t: float, cause: BreakdownCause) -> None:
+        nonlocal live, eps, u, v, start
+        if members.any():
+            for i in live[members]:
+                ends[int(i)] = (t, cause)
+            keep = ~members
+            live, eps, u, v, start = live[keep], eps[keep], u[keep], v[keep], None
+
+    def over_tail(u_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+        return _tail_fraction(grid, p_base.c, u_hat, v_hat) > tail_threshold
+
+    t = 0.0
+    drop(over_tail(_to_spectral(grid, u), _to_spectral(grid, v)), t, BreakdownCause.SPECTRAL)
+    k = 0
+    while k < steps and live.size:
+        try:
+            u, v, start = _advance(grid, u, v, t, start, dt_eff, p_base, kind, scheme, eps)
+        except HyperbolicityBreakdown as exc:
+            drop(exc.members, t, BreakdownCause.HYPERBOLICITY)
+            continue
+        except StepRejected as exc:
+            drop(exc.members, t, BreakdownCause.NUMERICAL)
+            continue
+        t += dt_eff
+        k += 1
+        drop(over_tail(start.u_hat, start.v_hat), t, BreakdownCause.SPECTRAL)
+
+    rows = []
+    for i, eps_i in enumerate(eps_list):
+        t_star, cause = ends.get(i, (None, BreakdownCause.HORIZON))
+        rows.append(SweepRow(eps_i, t_star, cause, _scaled_lifespan(n, eps_i, t_star)))
     rows.sort(key=lambda r: r.eps)
 
     clean = [r for r in rows if r.cause is not BreakdownCause.HORIZON and r.t_star and r.t_star > 0.0]
@@ -416,7 +483,7 @@ def stability_experiment(
         c1 = 3.0 + 2.0 * p.c**2
     if c1 < 1.0:
         raise ValueError(f"c1 must be >= 1 for the envelope to hold at t = 0, got {c1}")
-    steps, dt_eff = _resolve_step(grid, p, horizon, dt, scheme, cfl)
+    steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
 
     su = SimState(u_data[0], u_data[1])
     sv = SimState(v_data[0], v_data[1])
@@ -562,7 +629,7 @@ def viscous_decay_experiment(
                 f"viscous smallness threshold {threshold_value:.6g}"
             )
 
-    steps, dt_eff = _resolve_step(grid, p, horizon, dt, scheme, cfl)
+    steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
     times = [0.0]
     e_theorem = [theorem_45_energy(jet, m, p, kind)]
     e_half = [e_half_0]
@@ -670,7 +737,7 @@ def klainerman_experiment(
     limit = support_fraction * min(grid.lengths)
 
     state = SimState(u0, u1)
-    steps, dt_eff = _resolve_step(grid, p, horizon, dt, scheme, cfl)
+    steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
     times: list[float] = []
     ratios: list[float] = []
     radii: list[float] = []

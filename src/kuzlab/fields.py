@@ -91,6 +91,11 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.points
 
+    @cached_property
+    def axes(self) -> tuple[int, ...]:
+        """The trailing axes a field occupies when members are stacked ahead of it."""
+        return tuple(range(-self.n, 0))
+
     @property
     def spectral_shape(self) -> tuple[int, ...]:
         """Shape of the real-to-complex transform coefficient array."""
@@ -256,11 +261,23 @@ class Field:
 
 # Array-level kernels.  Public Field operations and the time integrators share
 # these so that cross-module consistency is exact, not merely approximate.
+# The transform pair acts on the trailing grid axes, so it also takes fields
+# stacked along leading member axes, each row transformed on its own.
+
+
+def _to_spectral(grid: Grid, values: FloatArray) -> ComplexArray:
+    """Real transform of grid values to the half-spectrum."""
+    if grid.n == 1:
+        # rfftn makes this one call after its axis bookkeeping; skip the bookkeeping.
+        return np.fft.rfft(values)
+    return np.fft.rfftn(values, axes=grid.axes)
 
 
 def _to_physical(grid: Grid, spec: ComplexArray) -> FloatArray:
     """Inverse real transform of a half-spectrum back to grid values."""
-    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.n)))
+    if grid.n == 1:
+        return np.fft.irfft(spec, grid.points[0])
+    return np.fft.irfftn(spec, s=grid.shape, axes=grid.axes)
 
 
 def _gradient_from_spectrum(grid: Grid, spec: ComplexArray) -> list[FloatArray]:

@@ -319,7 +319,6 @@ def test_criterion_07_lifespan_scaling_1d():
         n=1,
         grid=Grid.cube(1, 256),
         horizon=400.0,
-        workers=2,
     )
     elapsed = time.perf_counter() - started
     clean = len(result.clean_rows)
@@ -362,7 +361,6 @@ def test_criterion_08_lifespan_scaling_2d():
         grid=Grid.cube(2, 128, length=64.0, origin_centered=True),
         horizon=120.0,
         tail_threshold=0.04,
-        workers=3,
     )
     elapsed = time.perf_counter() - started
     clean = len(result.clean_rows)
@@ -531,7 +529,7 @@ def test_criterion_12_cascade_coefficients_and_initial_bound():
 
 
 def test_criterion_13_linear_maximal_regularity():
-    """The forced viscous inequality holds, tight at t = 0, within 1%."""
+    """The forced viscous inequality holds, tight at t = 0, within 1%, with slack after."""
     grid = Grid.cube(1, 128)
     x = grid.coordinate_mesh(0)
     u0, u1 = _sine_pair(grid, 0.1)
@@ -544,12 +542,15 @@ def test_criterion_13_linear_maximal_regularity():
         u0, u1, forcing, p, horizon=5.0, dt=0.05, tol=0.01
     )
     worst = result.worst_margin
-    ok = worst >= -0.01 and worst <= 0.01
+    # With c = 1 the margin at t = 0 is 0 for any data; the slack after it
+    # is what the run can lose.
+    later = min(result.margins[1:])
+    ok = worst >= -0.01 and worst <= 0.01 and later > 0.0
     assert _verdict(
         "criterion 13 linear maximal regularity",
         ok,
         f"worst relative margin = {worst:.6f} (within 1% of the bound, "
-        f"saturated at t = 0)",
+        f"saturated at t = 0); min margin over t > 0 = {later:.6f} (> 0)",
     )
 
 

@@ -92,7 +92,6 @@ _DEFAULT_TEXT = """\
       0.05,
       0.025
     ],
-    "workers": 1,
     "tail_threshold": 0.01
   },
   "stability": {
@@ -198,7 +197,6 @@ def _configs(draw) -> dict:
         "relative_to_threshold": draw(st.booleans()),
         "sweep": {
             "eps_list": draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True)),
-            "workers": draw(st.integers(1, 4)),
             "tail_threshold": draw(pos),
         },
         "stability": {
@@ -248,7 +246,7 @@ class TestParseSerialize:
             json.dumps(
                 {
                     "preset": {"kind": "mean_zero_periodic", "mode": [2], "amplitude": 0.03},
-                    "sweep": {"eps_list": [0.4, 0.2], "workers": 2, "tail_threshold": 0.05},
+                    "sweep": {"eps_list": [0.4, 0.2], "tail_threshold": 0.05},
                     "stability": {"perturbation": "noise", "perturbation_amplitude": 1e-4},
                     "envelope": {"B": 12.0, "C_m": 2.0},
                     "linreg": {"forcing_omega": 2.5},
@@ -300,6 +298,7 @@ class TestParseSerialize:
             ("envelope", "C1_stab"),
             ("envelope", "C2_stab"),
             ("envelope", "C_n_klainerman"),
+            ("sweep", "workers"),
         ],
     )
     def test_retired_keys_are_unknown(self, section, key) -> None:
@@ -383,11 +382,10 @@ class TestParseSerialize:
 
     def test_with_overrides(self) -> None:
         cfg = RunConfig()
-        out = with_overrides(cfg, out_dir="results/x", horizon=5.0, seed=3, workers=4)
+        out = with_overrides(cfg, out_dir="results/x", horizon=5.0, seed=3)
         assert out.out_dir == "results/x"
         assert out.horizon == 5.0
         assert out.seed == 3
-        assert out.sweep.workers == 4
         # untouched fields keep their values; the original is unchanged
         assert out.model is cfg.model
         assert cfg.out_dir is None

@@ -9,6 +9,7 @@ exercised at scale by the acceptance suite.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from kuzlab import (
     PhysicalParams,
     Scheme,
     SimState,
+    StepRejected,
     SupportMonitorTripped,
+    cfl_dt,
     energy_wave,
     solve_linear_forced,
 )
+from kuzlab import experiments
 from kuzlab.experiments import (
     BlowupVerdict,
     BreakdownCause,
@@ -157,6 +161,43 @@ class TestRunUntilBreakdown:
         assert verdict.t_star is not None and 0.0 < verdict.t_star < 50.0
         assert reports[-1].t == pytest.approx(verdict.t_star)
 
+    def test_rejected_step_is_a_numerical_instability(self, monkeypatch) -> None:
+        grid = Grid.cube(1, 32)
+        real_step = experiments.step
+        calls = []
+
+        def step(state, *args):
+            calls.append(state.t)
+            if len(calls) == 3:
+                raise StepRejected("forced")
+            return real_step(state, *args)
+
+        monkeypatch.setattr(experiments, "step", step)
+        _, verdict = run_until_breakdown(_smooth_pair(grid), PhysicalParams(), 1.0)
+        assert verdict.cause is BreakdownCause.NUMERICAL
+        assert verdict.cause.value == "numerical_instability"
+        assert verdict.t_star == calls[-1] > 0.0
+
+    @staticmethod
+    def _stiff_case() -> tuple[tuple[Field, Field], PhysicalParams]:
+        """nu*eps*dt*|k|^2_max is about 8 at the CFL step of this grid."""
+        grid = Grid.cube(1, 256)
+        x = grid.coordinate_mesh(0)
+        data = Field(grid, 0.01 * np.sin(x)), Field(grid, 0.01 * np.cos(x))
+        return data, PhysicalParams(nu=0.5, eps=0.1)
+
+    @pytest.mark.parametrize("kind", [ModelKind.KUZNETSOV, ModelKind.DAMPED_WAVE])
+    def test_stiff_explicit_run_is_refused(self, kind: ModelKind) -> None:
+        data, p = self._stiff_case()
+        with pytest.raises(GuardViolation, match=r"amplifies .* by 1\d\d\.\d* .*imex"):
+            run_until_breakdown(data, p, 1.0, kind=kind, scheme=Scheme.EXPLICIT_RK4)
+
+    @pytest.mark.parametrize("kind", [ModelKind.KUZNETSOV, ModelKind.DAMPED_WAVE])
+    def test_stiff_imex_run_reaches_horizon(self, kind: ModelKind) -> None:
+        data, p = self._stiff_case()
+        _, verdict = run_until_breakdown(data, p, 1.0, kind=kind, scheme=Scheme.IMEX)
+        assert verdict.cause is BreakdownCause.HORIZON
+
     def test_requested_energies_present(self) -> None:
         grid = Grid.cube(1, 32)
         p = PhysicalParams(eps=0.05)
@@ -218,19 +259,65 @@ class TestLifespanSweep:
         assert result.rows[0].cause is not BreakdownCause.HORIZON
         assert result.slope is None
 
-    def test_rows_sorted_and_workers_agree(self) -> None:
+    @staticmethod
+    def _travelling_sine(grid: Grid) -> tuple[Field, Field]:
+        x = grid.coordinate_mesh(0)
+        return Field(grid, 0.5 * np.sin(x)), Field(grid, 0.5 * np.cos(x))
+
+    @pytest.mark.parametrize("scheme,nu", [(Scheme.EXPLICIT_RK4, 0.0), (Scheme.IMEX, 0.05)])
+    def test_rows_equal_serial_runs(self, scheme: Scheme, nu: float) -> None:
+        """Every batched row is its member's serial verdict, bit for bit.
+
+        eps = 0.99 trips the hyperbolicity floor inside a step while the
+        others go on, 0.6 and 0.3 trip the tail monitor, and 0.05 reaches
+        the horizon; under IMEX each member has its own propagator.
+        """
         grid = Grid.cube(1, 64)
-        shape = lambda g: (single_mode(g, (1,), 0.5), single_mode(g, (1,), 0.5))
+        p = PhysicalParams(alpha=1.0, beta=3.0, nu=nu, hyp_floor=0.45)
+        eps = [0.3, 0.99, 0.05, 0.6]  # deliberately unsorted
+        horizon = 4.0
+        result = lifespan_sweep(
+            self._travelling_sine, eps, p, 1, grid=grid, horizon=horizon, scheme=scheme
+        )
+        assert [r.eps for r in result.rows] == sorted(eps)
+        for row in result.rows:
+            _, verdict = run_until_breakdown(
+                self._travelling_sine(grid), replace(p, eps=row.eps), horizon,
+                report_every=10**6, scheme=scheme,
+            )
+            assert (row.t_star, row.cause) == (verdict.t_star, verdict.cause)
+            assert row.scaled == _scaled_lifespan(1, row.eps, verdict.t_star)
+        causes = {r.eps: r.cause for r in result.rows}
+        assert causes == {
+            0.05: BreakdownCause.HORIZON,
+            0.3: BreakdownCause.SPECTRAL,
+            0.6: BreakdownCause.SPECTRAL,
+            0.99: BreakdownCause.HYPERBOLICITY,
+        }
+        clean = result.clean_rows
+        slope, intercept = np.polyfit(np.log([r.eps for r in clean]), np.log([r.t_star for r in clean]), 1)
+        assert (result.slope, result.intercept) == (float(slope), float(intercept))
+
+    def test_rejected_step_ends_only_its_member(self, monkeypatch) -> None:
+        """A non-finite member leaves the batch as a numerical instability."""
+        grid = Grid.cube(1, 64)
         p = PhysicalParams(alpha=1.0, beta=3.0)
-        eps = [0.5, 0.3]  # deliberately unsorted
-        serial = lifespan_sweep(shape, eps, p, 1, grid=grid, horizon=100.0)
-        threaded = lifespan_sweep(shape, eps, p, 1, grid=grid, horizon=100.0, workers=2)
-        assert [r.eps for r in serial.rows] == [0.3, 0.5]
-        assert serial == threaded
-        for row in serial.rows:
-            assert row.cause is not BreakdownCause.HORIZON
-            assert row.scaled == pytest.approx(row.eps * row.t_star)
-        assert serial.slope is not None
+        eps = [0.3, 0.6]
+        clean = lifespan_sweep(self._travelling_sine, eps, p, 1, grid=grid, horizon=4.0)
+        real_advance = experiments._advance
+
+        def advance(grid, u0, v0, t0, start, dt, p, kind, scheme, eps):
+            out = real_advance(grid, u0, v0, t0, start, dt, p, kind, scheme, eps)
+            if t0 >= 0.5 and 0.6 in eps:
+                raise StepRejected("forced", eps == 0.6)
+            return out
+
+        monkeypatch.setattr(experiments, "_advance", advance)
+        result = lifespan_sweep(self._travelling_sine, eps, p, 1, grid=grid, horizon=4.0)
+        assert result.rows[0] == clean.rows[0]
+        row = result.rows[1]
+        assert row.cause is BreakdownCause.NUMERICAL
+        assert 0.5 <= row.t_star < 0.5 + cfl_dt(grid, p.c)
 
 
 class TestStability:
