@@ -156,6 +156,9 @@ class KlainermanOptions:
     def __post_init__(self) -> None:
         if self.m not in (0, 1, 2):
             raise ValueError(f"m must be 0, 1 or 2, got {self.m}")
+        if not self.support_fraction < 0.5:
+            # The support radius never exceeds half the smallest box side.
+            raise ValueError(f"support_fraction must be below 0.5, got {self.support_fraction}")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .fields import (
     FloatArray,
     Grid,
     _gradient_from_spectrum,
+    _quadrature,
     _to_physical,
     _to_spectral,
 )
@@ -569,27 +570,28 @@ def solve_linear_forced(
     nu_eps = p.nu * p.eps
     e00, e01, e10, e11 = _linear_propagator(grid, dt, p.c, nu_eps)
     cell = grid.cell_volume
+    k_fourth = grid.k_squared**2
 
     def l2_sq(values: FloatArray) -> float:
         return cell * float(np.sum(values**2))
 
     def grad_sq(spec: ComplexArray) -> float:
-        return sum(l2_sq(g) for g in _gradient_from_spectrum(grid, spec))
+        return _quadrature(grid, spec, weight=grid.gradient_weight)
 
     def lap_sq(spec: ComplexArray) -> float:
-        return l2_sq(_to_physical(grid, -grid.k_squared * spec))
+        return _quadrature(grid, spec, weight=k_fourth)
 
     def lhs_now(u_hat: ComplexArray, v_hat: ComplexArray, diss: float) -> float:
         return 0.5 * (grad_sq(v_hat) + p.c**2 * lap_sq(u_hat)) + 0.5 * nu_eps * diss
 
-    u_hat = np.fft.rfftn(u0.values)
-    v_hat = np.fft.rfftn(u1.values)
+    u_hat = _to_spectral(grid, u0.values)
+    v_hat = _to_spectral(grid, u1.values)
     diss_int = 0.0
     force_int = 0.0
     lap_sq_prev = lap_sq(u_hat)
     f_prev = f(0.0)
     f_sq_prev = l2_sq(f_prev.values)
-    f1_hat = np.fft.rfftn(f_prev.values)
+    f1_hat = _to_spectral(grid, f_prev.values)
     rhs0 = 0.5 * grad_sq(v_hat) + 0.5 * lap_sq_prev
 
     times = [0.0]
@@ -599,7 +601,7 @@ def solve_linear_forced(
     for i in range(steps):
         t_next = (i + 1) * dt
         f_next = f(t_next)
-        f2_hat = np.fft.rfftn(f_next.values)
+        f2_hat = _to_spectral(grid, f_next.values)
         base_v = v_hat + half * f1_hat
         u_hat, v_hat = (
             e00 * u_hat + e01 * base_v,

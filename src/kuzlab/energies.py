@@ -30,7 +30,8 @@ from .dynamics import (
     hyperbolicity_factor,
     support_radius,
 )
-from .fields import Field, Grid, gradient_values, laplacian_values, sobolev_norm_values
+from .fields import Field, FloatArray, Grid, _quadrature, _to_spectral, gradient_values
+from .fields import laplacian_values, sobolev_norm_values
 from .gamma import apply_gamma, gamma_words
 from .jets import Jet, MultiIndex, apply_multi_derivative, build_jet
 
@@ -39,11 +40,20 @@ def _l2_sq(grid: Grid, values) -> float:
     return grid.cell_volume * float(np.sum(values**2))
 
 
+def _sobolev_sq(grid: Grid, values: FloatArray, s: float = 0.0) -> float:
+    """||f||_{H^s}^2 from one forward transform."""
+    return _quadrature(grid, _to_spectral(grid, values), s)
+
+
+def _grad_sq(grid: Grid, values: FloatArray, s: float = 0.0) -> float:
+    """sum_i ||d_i f||_{H^s}^2 from one forward transform."""
+    return _quadrature(grid, _to_spectral(grid, values), s, grid.gradient_weight)
+
+
 def energy_wave(state: SimState, p: PhysicalParams) -> float:
     """E(t) = int (u_t)^2 + c^2 (grad u)^2, the linear wave energy."""
     grid = state.grid
-    grad_sq = sum(_l2_sq(grid, g) for g in gradient_values(grid, state.u.values))
-    return _l2_sq(grid, state.v.values) + p.c**2 * grad_sq
+    return _l2_sq(grid, state.v.values) + p.c**2 * _grad_sq(grid, state.u.values)
 
 
 def nonlinear_energy_alpha(p: PhysicalParams, kind: ModelKind) -> float:
@@ -68,8 +78,7 @@ def energy_nonl(
     alpha_e = nonlinear_energy_alpha(p, kind)
     v = state.v.values
     vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * float(np.sum(v**3))
-    grad_sq = sum(_l2_sq(grid, g) for g in gradient_values(grid, state.u.values))
-    return vt_term + p.c**2 * grad_sq
+    return vt_term + p.c**2 * _grad_sq(grid, state.u.values)
 
 
 def f_nu(state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV) -> float:
@@ -99,12 +108,9 @@ def energy_m(jet: Jet, m: int) -> float:
     if jet.order < m + 1:
         raise ValueError(f"E_{m} needs jet order {m + 1}, jet has {jet.order}")
     grid = jet.grid
-    total = sum(
-        sobolev_norm_values(grid, g, float(m)) ** 2
-        for g in gradient_values(grid, jet.layers[0].values)
-    )
+    total = _grad_sq(grid, jet.layers[0].values, float(m))
     for i in range(1, m + 2):
-        total += sobolev_norm_values(grid, jet.layers[i].values, float(m + 1 - i)) ** 2
+        total += _sobolev_sq(grid, jet.layers[i].values, float(m + 1 - i))
     return total
 
 
@@ -115,12 +121,9 @@ def energy_half_m(jet: Jet, m: int) -> float:
     if jet.order < m // 2 + 1:
         raise ValueError(f"E_{{m/2}} at m = {m} needs jet order {m // 2 + 1}")
     grid = jet.grid
-    total = sum(
-        sobolev_norm_values(grid, g, float(m)) ** 2
-        for g in gradient_values(grid, jet.layers[0].values)
-    )
+    total = _grad_sq(grid, jet.layers[0].values, float(m))
     for i in range(1, m // 2 + 2):
-        total += sobolev_norm_values(grid, jet.layers[i].values, float(m - 2 * (i - 1))) ** 2
+        total += _sobolev_sq(grid, jet.layers[i].values, float(m - 2 * (i - 1)))
     return total
 
 
@@ -133,8 +136,7 @@ def s_half_m(jet: Jet, m: int) -> float:
     grid = jet.grid
     total = 0.0
     for i in range(1, m // 2 + 2):
-        for g in gradient_values(grid, jet.layers[i].values):
-            total += sobolev_norm_values(grid, g, float(m - 2 * (i - 1))) ** 2
+        total += _grad_sq(grid, jet.layers[i].values, float(m - 2 * (i - 1)))
     return total
 
 
@@ -168,12 +170,6 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
     return e_1, e_1_sup, float(np.max(density_sup))
 
 
-def _klainerman_pass(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float, float]:
-    """E_{1,m_sum} and E_{inf,m_sup} from one sweep."""
-    e_1, _, e_inf = _klainerman_sweep(jet, t, m_sum, m_sup)
-    return e_1, e_inf
-
-
 def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
     """(E_{1,m}, E_{inf,m}) summed over all words of length <= m.
 
@@ -182,7 +178,8 @@ def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
     """
     if m < 0 or m > 2:
         raise ValueError("klainerman energies support m = 0, 1, 2")
-    return _klainerman_pass(jet, t, m, m)
+    e_1, _, e_inf = _klainerman_sweep(jet, t, m, m)
+    return e_1, e_inf
 
 
 def klainerman_record(
@@ -251,17 +248,15 @@ def appendix_densities(
     u_t = jet.layers[1].values
     u_tt = jet.layers[2].values
 
-    grad_v = gradient_values(grid, v)
-    grad_vsq = sum(_l2_sq(grid, g) for g in grad_v)
     i_int = (
         _l2_sq(grid, vt)
-        + p.c**2 * grad_vsq
+        + p.c**2 * _grad_sq(grid, v)
         - alpha_eff * p.eps * grid.cell_volume * float(np.sum(u_t * vt**2))
     )
 
     lu_v = vtt - p.c**2 * laplacian_values(grid, v) - alpha_eff * p.eps * u_t * vtt
-    grad_vt = gradient_values(grid, vt)
     if beta_eff != 0.0:
+        grad_vt = gradient_values(grid, vt)
         grad_u = gradient_values(grid, jet.layers[0].values)
         coupling = grad_u[0] * grad_vt[0]
         for i in range(1, grid.n):
@@ -274,7 +269,7 @@ def appendix_densities(
     bracket = alpha_eff * p.eps * u_tt + beta_eff * p.eps * lap_u
     j_int = grid.cell_volume * float(np.sum(2.0 * lu_v * vt - bracket * vt**2))
 
-    dissipation = 2.0 * nu_eff * p.eps * sum(_l2_sq(grid, g) for g in grad_vt)
+    dissipation = 2.0 * nu_eff * p.eps * _grad_sq(grid, vt)
     return AppendixDensities(i_int=i_int, j_int=j_int, dissipation=dissipation)
 
 
@@ -397,10 +392,9 @@ def theorem_45_energy(
         da_u = apply_multi_derivative(jet, A)
         orders = A.orders
         da_ut = apply_multi_derivative(jet, MultiIndex((orders[0] + 1,) + orders[1:]))
-        grad_sq = sum(_l2_sq(grid, g) for g in gradient_values(grid, da_u.values))
         total += (
             grid.cell_volume * float(np.sum(weight * da_ut.values**2))
-            + p.c**2 * grad_sq
+            + p.c**2 * _grad_sq(grid, da_u.values)
         )
     return total
 
@@ -482,17 +476,14 @@ def initial_data_bound_check(
     state = SimState(u=u0, v=u1)
     jet = build_jet(state, p, m // 2 + 1, kind)
     grid = u0.grid
-    rhs_base = math.sqrt(
-        sum(sobolev_norm_values(grid, g, float(m)) ** 2
-            for g in gradient_values(grid, u0.values))
-    ) + sobolev_norm_values(grid, u1.values, float(m))
+    rhs_base = math.sqrt(_grad_sq(grid, u0.values, float(m))) + sobolev_norm_values(
+        grid, u1.values, float(m)
+    )
     coeffs = appendix_b_coefficients(m // 2, p.c)
     lhs = []
     bounds = []
     for k in range(m // 2 + 1):
-        lhs.append(
-            sobolev_norm_values(grid, jet.layers[k + 1].values, float(m - 2 * k))
-        )
+        lhs.append(sobolev_norm_values(grid, jet.layers[k + 1].values, float(m - 2 * k)))
         bounds.append(coeffs[k] * rhs_base)
     return InitialDataBoundReport(
         m=m, rhs_base=rhs_base, lhs=tuple(lhs), bounds=tuple(bounds)

@@ -36,15 +36,13 @@ from .dynamics import (
     solve_linear_forced,
     spectral_tail_fraction,
     step,
-    support_radius,
 )
 from .energies import (
     EnergyReport,
     EnvelopeParams,
-    energy_half_m,
+    _grad_sq,
     klainerman_record,
     make_report,
-    s_half_m,
     theorem_45_energy,
     thresholds,
 )
@@ -490,11 +488,7 @@ def stability_experiment(
 
     def distance(a: SimState, b: SimState) -> float:
         dv = a.v.values - b.v.values
-        du = a.u.values - b.u.values
-        total = float(np.sum(dv * dv))
-        for g in gradient_values(grid, du):
-            total += float(np.sum(g * g))
-        return grid.cell_volume * total
+        return grid.cell_volume * float(np.sum(dv * dv)) + _grad_sq(grid, a.u.values - b.u.values)
 
     def sup_integrand(s: SimState) -> float:
         ev = _carried(s, p, kind, scheme)
@@ -619,7 +613,8 @@ def viscous_decay_experiment(
     grid = u0.grid
     state = SimState(u0, u1)
     jet = build_jet(state, p, m // 2 + 1, kind)
-    e_half_0 = energy_half_m(jet, m)
+    reports = [make_report(state, p, kind, half_m=m, jet=jet)]
+    e_half_0 = reports[0].e_half_m
     threshold_value = math.inf
     if p.nu > 0.0:
         threshold_value = thresholds(p, env).sqrt_e_half_max
@@ -630,20 +625,14 @@ def viscous_decay_experiment(
             )
 
     steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
-    times = [0.0]
     e_theorem = [theorem_45_energy(jet, m, p, kind)]
-    e_half = [e_half_0]
-    s_half = [s_half_m(jet, m)]
-    reports = [make_report(state, p, kind, half_m=m, jet=jet)]
     for k in range(steps):
         state = step(state, dt_eff, p, kind, scheme, cfl)
         if (k + 1) % report_every == 0 or k + 1 == steps:
             jet = build_jet(state, p, m // 2 + 1, kind)
-            times.append(state.t)
             e_theorem.append(theorem_45_energy(jet, m, p, kind))
-            e_half.append(energy_half_m(jet, m))
-            s_half.append(s_half_m(jet, m))
             reports.append(make_report(state, p, kind, half_m=m, jet=jet))
+    e_half = tuple(r.e_half_m for r in reports)
 
     monotone_ok: bool | None = None
     if p.nu > 0.0:
@@ -655,10 +644,10 @@ def viscous_decay_experiment(
     bound_ok = all(value <= bound for value in e_half)
     return ViscousDecayResult(
         m=m,
-        times=tuple(times),
+        times=tuple(r.t for r in reports),
         e_theorem=tuple(e_theorem),
-        e_half=tuple(e_half),
-        s_half=tuple(s_half),
+        e_half=e_half,
+        s_half=tuple(r.s_half_m for r in reports),
         e_half_bound=bound,
         threshold_value=threshold_value,
         sqrt_e_half_initial=math.sqrt(e_half_0),
@@ -717,9 +706,12 @@ def klainerman_experiment(
     The coordinate weights require compactly supported data on an
     origin-centered box; the run aborts once the support monitor sees the
     solution reach support_fraction of the smallest box side, where the
-    periodic wrap-around invalidates the weights.
+    periodic wrap-around invalidates the weights. The support radius never
+    exceeds half the smallest side, so support_fraction must lie in
+    (0, 1/2) for the monitor to be able to trip.
 
     Raises:
+        ValueError: support_fraction outside (0, 1/2).
         GuardViolation: viscous parameters, non-centered grid, or data
             failing the sup-norm guard.
         SupportMonitorTripped: wrap-around contamination mid-run.
@@ -732,30 +724,27 @@ def klainerman_experiment(
     _check_run_guards(u0, u1, p, kind, None, None)
     if report_every < 1:
         raise ValueError("report_every must be >= 1")
+    if not 0.0 < support_fraction < 0.5:
+        raise ValueError(f"support_fraction must lie in (0, 0.5), got {support_fraction}")
     n_star = grid.n // 2 + 1
     jet_order = m + n_star + 1
     limit = support_fraction * min(grid.lengths)
 
     state = SimState(u0, u1)
     steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
-    times: list[float] = []
     ratios: list[float] = []
-    radii: list[float] = []
     reports: list[EnergyReport] = []
 
     def record(s: SimState) -> None:
-        radius = support_radius(s)
-        if radius >= limit:
+        report = make_report(s, p, kind)
+        if report.support_radius >= limit:
             raise SupportMonitorTripped(
-                f"support radius {radius:.6g} reached {support_fraction} of the "
-                f"smallest box side at t = {s.t:.6g}"
+                f"support radius {report.support_radius:.6g} reached {support_fraction} "
+                f"of the smallest box side at t = {s.t:.6g}"
             )
         jet = build_jet(s, p, jet_order, kind)
         ratio, e_1m, e_inf_m = klainerman_record(jet, s.t, m)
-        times.append(s.t)
         ratios.append(ratio)
-        radii.append(radius)
-        report = make_report(s, p, kind, jet=jet)
         reports.append(replace(report, e_1m=e_1m, e_inf_m=e_inf_m))
 
     record(state)
@@ -763,7 +752,9 @@ def klainerman_experiment(
         state = step(state, dt_eff, p, kind, scheme, cfl)
         if (k + 1) % report_every == 0 or k + 1 == steps:
             record(state)
-    return KlainermanResult(m, tuple(times), tuple(ratios), tuple(radii), tuple(reports))
+    times = tuple(r.t for r in reports)
+    radii = tuple(r.support_radius for r in reports)
+    return KlainermanResult(m, times, tuple(ratios), radii, tuple(reports))
 
 
 def linear_regularity_experiment(

@@ -2,10 +2,12 @@
 
 The spatial domain is a periodic box (R/L_1 Z) x ... x (R/L_n Z), n <= 3,
 sampled on a uniform tensor grid with power-of-two point counts.  All
-differential operators are exact spectral multipliers on the discrete Fourier
-coefficients; Sobolev norms use the multiplier (1 + |k|^2)^(s/2) with the box
-measure weight so that discrete and continuum norms agree on trigonometric
-polynomials.
+differential operators are exact spectral multipliers behind one real
+transform pair, ``_to_spectral``/``_to_physical``.  Every norm of derivatives
+is one box-measure quadrature of m_k (1 + |k|^2)^s |f_k|^2 over the spectrum,
+``_quadrature``, with m = 1 for H^s, ``Grid.gradient_weight`` for
+sum_i ||d_i f||^2 and |k|^4 for ||Lap f||^2; discrete and continuum norms
+agree on trigonometric polynomials.
 
 Functions
 ---------
@@ -198,22 +200,18 @@ class Grid:
         return self.dealias_mask & ~inner
 
     @cached_property
-    def nyquist_masks(self) -> tuple[npt.NDArray[np.bool_], ...]:
-        """Per-axis mask, True off the axis Nyquist mode j = -N/2 (or +N/2)."""
-        masks = []
-        for axis in range(self.n):
-            j = self.mode_indices(axis)
-            off = np.abs(j) != self.points[axis] // 2
-            masks.append(self._spectral_axis_view(off, axis))
-        return tuple(masks)
-
-    @cached_property
     def derivative_multipliers(self) -> tuple[ComplexArray, ...]:
         """Per-axis first-derivative multipliers 1j*k_axis, zero on the axis Nyquist mode."""
-        return tuple(
-            self._spectral_axis_view(1j * self.wavenumbers(axis), axis) * self.nyquist_masks[axis]
-            for axis in range(self.n)
-        )
+        mults = []
+        for axis in range(self.n):
+            off_nyquist = np.abs(self.mode_indices(axis)) != self.points[axis] // 2
+            mults.append(self._spectral_axis_view(1j * self.wavenumbers(axis) * off_nyquist, axis))
+        return tuple(mults)
+
+    @cached_property
+    def gradient_weight(self) -> FloatArray:
+        """sum_i |derivative_multipliers[i]|^2, the spectral weight of |grad f|^2."""
+        return sum(np.abs(mult) ** 2 for mult in self.derivative_multipliers)
 
 
 @dataclass(frozen=True)
@@ -291,7 +289,7 @@ def derivative_values(grid: Grid, values: FloatArray, axis: int, order: int) -> 
         raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE_ORDER}, got {order}")
     if order == 0:
         return np.array(values, dtype=np.float64)
-    spec = np.fft.rfftn(values)
+    spec = _to_spectral(grid, values)
     if order % 2 == 1:
         # The Nyquist mode carries no sign information for odd derivatives.
         spec *= grid.derivative_multipliers[axis] ** order
@@ -301,27 +299,40 @@ def derivative_values(grid: Grid, values: FloatArray, axis: int, order: int) -> 
 
 
 def laplacian_values(grid: Grid, values: FloatArray) -> FloatArray:
-    spec = np.fft.rfftn(values)
+    spec = _to_spectral(grid, values)
     spec *= -grid.k_squared
     return _to_physical(grid, spec)
 
 
 def gradient_values(grid: Grid, values: FloatArray) -> list[FloatArray]:
-    return _gradient_from_spectrum(grid, np.fft.rfftn(values))
+    return _gradient_from_spectrum(grid, _to_spectral(grid, values))
 
 
 def dealias_values(grid: Grid, values: FloatArray) -> FloatArray:
-    spec = np.fft.rfftn(values)
+    spec = _to_spectral(grid, values)
     spec *= grid.dealias_mask
     return _to_physical(grid, spec)
 
 
-def sobolev_norm_values(grid: Grid, values: FloatArray, s: float) -> float:
-    coeffs = np.fft.rfftn(values) / grid.total_points
-    density = grid.hermitian_weight * np.abs(coeffs) ** 2
+def _quadrature(
+    grid: Grid, spec: ComplexArray, s: float = 0.0, weight: FloatArray | None = None
+) -> float:
+    """|box| sum_k w_k m_k (1 + |k|^2)^s |spec_k / N|^2 over the half-spectrum.
+
+    w is the Hermitian multiplicity and m the spectral weight (1 when None).
+    For the transform spec of f this is ||f||_{H^s}^2; m = grid.gradient_weight
+    gives sum_i ||d_i f||_{H^s}^2 and m = |k|^4 gives ||Lap f||_{H^s}^2.
+    """
+    density = grid.hermitian_weight * np.abs(spec / grid.total_points) ** 2
+    if weight is not None:
+        density = density * weight
     if s != 0.0:
         density = density * (1.0 + grid.k_squared) ** s
-    return math.sqrt(grid.box_volume * float(np.sum(density)))
+    return grid.box_volume * float(np.sum(density))
+
+
+def sobolev_norm_values(grid: Grid, values: FloatArray, s: float) -> float:
+    return math.sqrt(_quadrature(grid, _to_spectral(grid, values), s))
 
 
 # Public Field-level operations.

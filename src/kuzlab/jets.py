@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import (
     ModelKind,
     PhysicalParams,
@@ -28,7 +26,7 @@ from .dynamics import (
     acceleration,
     effective_coefficients,
 )
-from .fields import Field, FloatArray, Grid, _gradient_from_spectrum, derivative_values
+from .fields import Field, FloatArray, Grid, _gradient_from_spectrum, _to_spectral, derivative_values
 
 MAX_JET_ORDER = 6
 
@@ -130,7 +128,7 @@ def build_jet(
     for i in range(1, K - 1):
         # Layer i + 2: the kernel on the spectra of layers i and i + 1, with
         # the Leibniz sums over layers 0..i+1 as its quadratic term.
-        spectra.append(np.fft.rfftn(layers[i + 1]))
+        spectra.append(_to_spectral(grid, layers[i + 1]))
         quad = None
         if beta_eff != 0.0:
             gradients += [_gradient_from_spectrum(grid, s) for s in spectra[len(gradients) :]]

@@ -206,7 +206,7 @@ def _configs(draw) -> dict:
             "c2_cap": draw(pos),
         },
         "decay": {"m": draw(st.sampled_from([2, 4, 6, 10])), "slack_rel": draw(pos)},
-        "klainerman": {"m": draw(st.integers(0, 2)), "support_fraction": draw(pos)},
+        "klainerman": {"m": draw(st.integers(0, 2)), "support_fraction": draw(st.floats(1e-3, 0.49))},
         "linreg": {
             "forcing_amplitude": draw(num),
             "forcing_mode": draw(st.lists(st.integers(-3, 3), max_size=3)),
@@ -328,7 +328,7 @@ class TestParseSerialize:
         with pytest.raises(ConfigError, match="must be positive") as info:
             parse_config(json.dumps(_positive_path_config(path, value)))
         assert info.value.path == path
-        parse_config(json.dumps(_positive_path_config(path, 0.5)))
+        parse_config(json.dumps(_positive_path_config(path, 0.25)))
 
     def test_error_paths(self) -> None:
         cases = {
@@ -518,6 +518,16 @@ class TestCli:
             ("sweep", {"sweep": {"eps_list": [0.1, 0.1]}}, "sweep: eps_list "),
             ("sweep", {"sweep": {"eps_list": []}}, "sweep: eps_list "),
             ("linreg", {}, "params.nu: "),
+            (
+                "klainerman",
+                {"grid": _KLAINERMAN_GRID, "klainerman": {"support_fraction": 0.5}},
+                "klainerman: support_fraction ",
+            ),
+            (
+                "klainerman",
+                {"grid": _KLAINERMAN_GRID, "klainerman": {"support_fraction": 0.6}},
+                "klainerman: support_fraction ",
+            ),
         ],
     )
     def test_schema_valid_preconditions_exit_2(self, tmp_path, capsys, command, payload, named) -> None:

@@ -201,6 +201,29 @@ class TestTowerEnergies:
         with pytest.raises(ValueError):
             func(jet, 6)  # needs order 4
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "func,m,terms",
+        [(energy_m, 0, 2), (energy_m, 2, 4), (energy_half_m, 2, 3), (energy_half_m, 4, 4),
+         (s_half_m, 0, 1), (s_half_m, 4, 3)],
+    )
+    def test_one_forward_transform_per_term(self, monkeypatch, n: int, func, m: int, terms: int) -> None:
+        grid = Grid.cube(n, 16)
+        rng = np.random.default_rng(4)
+        state = SimState(band_limited_field(grid, rng, 0.1), band_limited_field(grid, rng, 0.1))
+        jet = build_jet(state, PhysicalParams(nu=0.5), 3)
+        counts = {"forward": 0, "inverse": 0}
+        for name, way in [("rfft", "forward"), ("rfftn", "forward"), ("irfft", "inverse"), ("irfftn", "inverse")]:
+            original = getattr(np.fft, name)
+
+            def counting(*args, _way=way, _original=original, **kwargs):
+                counts[_way] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        func(jet, m)
+        assert counts == {"forward": terms, "inverse": 0}
+
     def test_energy_m0_is_plain_wave_pair(self) -> None:
         """E_0 = ||grad u||^2 + ||u_t||^2, both in L^2."""
         grid = Grid.cube(1, 64)
@@ -275,9 +298,9 @@ class TestKlainerman:
         state = SimState(single_mode(grid, (1,), 0.1), single_mode(grid, (2,), 0.05))
         jet = build_jet(state, p, 3, ModelKind.KUZNETSOV)
         t = 0.5
-        from kuzlab.energies import _klainerman_pass
+        from kuzlab.energies import _klainerman_sweep
 
-        e1, einf = _klainerman_pass(jet, t, 1, 0)
+        e1, _, einf = _klainerman_sweep(jet, t, 1, 0)
         assert klainerman_ratio(jet, t, 0) == pytest.approx(
             math.sqrt(einf) / math.sqrt(e1), rel=1e-12
         )

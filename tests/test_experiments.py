@@ -27,7 +27,7 @@ from kuzlab import (
     energy_wave,
     solve_linear_forced,
 )
-from kuzlab import experiments
+from kuzlab import energies, experiments
 from kuzlab.experiments import (
     BlowupVerdict,
     BreakdownCause,
@@ -411,6 +411,28 @@ class TestViscousDecay:
         assert len(result.s_half) == len(result.reports) == len(result.times)
         assert result.e_half_bound == pytest.approx(5.0 * result.e_half[0])
 
+    def test_one_half_m_evaluation_per_record(self, monkeypatch) -> None:
+        """The towers come from the reports: one E_{m/2} and one S_{m/2} per record."""
+        calls = {"energy_half_m": 0, "s_half_m": 0}
+        for name in calls:
+            original = getattr(energies, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(energies, name, counting)
+            # Also count a call made through the experiments module's own import.
+            monkeypatch.setattr(experiments, name, counting, raising=False)
+        grid = Grid.cube(1, 64)
+        u0, u1 = _smooth_pair(grid, 1e-3)
+        result = viscous_decay_experiment(u0, u1, PhysicalParams(nu=1.0), 2, 1.0, report_every=10)
+        records = len(result.times)
+        assert calls == {"energy_half_m": records, "s_half_m": records}
+        assert result.e_half == tuple(r.e_half_m for r in result.reports)
+        assert result.s_half == tuple(r.s_half_m for r in result.reports)
+        assert result.sqrt_e_half_initial == math.sqrt(result.reports[0].e_half_m)
+
     def test_inviscid_control_withdraws_claims(self) -> None:
         grid = Grid.cube(1, 64)
         u0, u1 = _smooth_pair(grid, 1e-3)
@@ -461,6 +483,31 @@ class TestKlainerman:
         result = klainerman_experiment(u0, u1, PhysicalParams(eps=0.05), 0.25, m=0)
         with pytest.raises(ValueError):
             result.ratio_at(5.0)
+
+    def test_one_support_radius_per_record(self, monkeypatch) -> None:
+        calls = []
+        original = energies.support_radius
+
+        def counting(state):
+            calls.append(state.t)
+            return original(state)
+
+        monkeypatch.setattr(energies, "support_radius", counting)
+        # Also count a call made through the experiments module's own import.
+        monkeypatch.setattr(experiments, "support_radius", counting, raising=False)
+        grid = Grid.cube(1, 128, length=self._BOX, origin_centered=True)
+        u0, u1 = self._bump_data(grid)
+        result = klainerman_experiment(u0, u1, PhysicalParams(eps=0.05), 1.0, report_every=8)
+        assert calls == list(result.times)
+        assert result.support_radii == tuple(r.support_radius for r in result.reports)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.6, 0.0])
+    def test_support_fraction_must_lie_below_half(self, fraction: float) -> None:
+        """The max-norm support radius never exceeds half the smallest side."""
+        grid = Grid.cube(1, 128, length=self._BOX, origin_centered=True)
+        u0, u1 = self._bump_data(grid)
+        with pytest.raises(ValueError, match="support_fraction"):
+            klainerman_experiment(u0, u1, PhysicalParams(eps=0.05), 1.0, support_fraction=fraction)
 
     def test_support_monitor_trips(self) -> None:
         grid = Grid.cube(1, 128, length=self._BOX, origin_centered=True)

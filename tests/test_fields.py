@@ -25,6 +25,10 @@ from kuzlab import (
     sobolev_norm,
     spatial_derivative,
 )
+from kuzlab.dynamics import PhysicalParams, SimState, solve_linear_forced
+from kuzlab.energies import make_report
+from kuzlab.fields import _quadrature, _to_spectral, gradient_values, sobolev_norm_values
+from kuzlab.jets import build_jet
 from helpers import band_limited_field, single_mode
 
 
@@ -250,3 +254,54 @@ class TestMeanZeroAndPoincare:
         f = Field(grid, np.ones(32))
         with pytest.raises(ValueError):
             poincare_check(f)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+    def test_gradient_weight_matches_grid_gradients(self, n: int, s: float) -> None:
+        """m = gradient_weight gives sum_i ||d_i f||_{H^s}^2 of the grid gradients,
+        which drop each axis's Nyquist mode."""
+        grid = Grid((5.0, 3.0, 7.0)[:n], (16, 8, 16)[:n])
+        # Noise plus a sign flip from point to point along each axis: its Nyquist mode.
+        flips = sum((-1.0) ** j for j in np.indices(grid.shape))
+        values = np.random.default_rng(3).standard_normal(grid.shape) + flips
+        spec = _to_spectral(grid, values)
+        expected = sum(sobolev_norm_values(grid, g, s) ** 2 for g in gradient_values(grid, values))
+        assert _quadrature(grid, spec, s, grid.gradient_weight) == pytest.approx(expected, rel=1e-13)
+        # The Nyquist modes matter: keeping them misses by far more than roundoff.
+        assert _quadrature(grid, spec, s, grid.k_squared) > expected * (1.0 + 1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_k_fourth_weight_is_laplacian_norm(self, n: int) -> None:
+        grid = Grid.cube(n, 8, length=3.0)
+        f = Field(grid, np.random.default_rng(5).standard_normal(grid.shape))
+        got = _quadrature(grid, _to_spectral(grid, f.values), weight=grid.k_squared**2)
+        assert got == pytest.approx(l2_norm(laplacian(f)) ** 2, rel=1e-13)
+
+
+class TestTransformPair:
+    def test_one_dimensional_paths_skip_nd_transforms(self, monkeypatch) -> None:
+        """In 1-d, reports with towers, jets, the forced solver and the public
+        Field operations all go through rfft/irfft, never rfftn/irfftn."""
+        grid = Grid.cube(1, 32)
+        rng = np.random.default_rng(9)
+        state = SimState(band_limited_field(grid, rng, 0.1), band_limited_field(grid, rng, 0.1))
+        p = PhysicalParams(nu=0.5)
+        f = state.u
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("n-d transform called on a 1-d grid")
+
+        monkeypatch.setattr(np.fft, "rfftn", refuse)
+        monkeypatch.setattr(np.fft, "irfftn", refuse)
+        make_report(state, p, e_m_orders=(0, 2), half_m=2)
+        build_jet(state, p, 4)
+        solve_linear_forced(f, state.v, lambda t: Field(grid, math.cos(t) * f.values), 0.5, p)
+        for order in (1, 2):
+            spatial_derivative(f, 0, order)
+        laplacian(f)
+        gradient(f)
+        dealias(f)
+        sobolev_norm(f, 1.5)
+        poincare_check(mean_zero_project(f))
