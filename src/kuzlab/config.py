@@ -450,12 +450,12 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
     scale = 1e-6 / max(np.max(np.abs(values0)), np.max(np.abs(values1)), 1e-300)
     for _ in range(8):
         state = SimState(Field(cfg.grid, scale * values0), Field(cfg.grid, scale * values1))
+        # No jet outlives its tower evaluation.
         if cfg.params.nu > 0.0:
-            jet = build_jet(state, cfg.params, m // 2 + 1, cfg.model)
-            current = math.sqrt(energy_half_m(jet, m))
+            tower = energy_half_m(build_jet(state, cfg.params, m // 2 + 1, cfg.model), m)
         else:
-            jet = build_jet(state, cfg.params, m + 1, cfg.model)
-            current = math.sqrt(energy_m(jet, m))
+            tower = energy_m(build_jet(state, cfg.params, m + 1, cfg.model), m)
+        current = math.sqrt(tower)
         if current == 0.0:
             raise ConfigError("preset", "zero data cannot be scaled to a threshold")
         ratio = target / current

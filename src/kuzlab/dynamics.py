@@ -23,6 +23,14 @@ The kernel and the stepper also take ensembles: fields stacked along a
 leading member axis, transformed over the trailing grid axes, with one
 perturbation scale per member and every check and reduction per member,
 so that each member's row is bitwise its own single-state step.
+
+Transform counts per warm step, n the dimension, for models with the
+gradient coupling: RK4 makes 5n+14. Each of its three later stages takes
+n+3 (the stage velocity forward, its n gradients, the quadratic term's
+pair): a stage displacement u0 + h*w has the known spectrum and the
+gradient grad u0 + h*grad w, from the carried grad u and the gradient the
+previous stage formed for w. The end-of-step evaluation takes 2n+5 and is
+carried with grad u and grad v. IMEX makes 4n+12 and carries no gradients.
 """
 
 from __future__ import annotations
@@ -153,6 +161,9 @@ class _Accel:
     acc_sup: float | FloatArray = math.nan
     lap_sup: float | FloatArray = math.nan
     fnu: float | FloatArray = math.nan
+    # grad u and grad v, kept on request when the gradient coupling forms them.
+    grad_u: list[FloatArray] | None = None
+    grad_v: list[FloatArray] | None = None
 
 
 @dataclass(frozen=True)
@@ -198,6 +209,7 @@ def _accel_kernel(
     grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, v: FloatArray,
     p: PhysicalParams, kind: ModelKind, t: float | None = None,
     *, eps: float | FloatArray | None = None, quad: FloatArray | None = None,
+    grad_u: list[FloatArray] | None = None, gradients: bool = False,
     full: bool = False, remainder: bool = False,
 ) -> _Accel:
     """u_tt from the spectra of (u, v) and physical v: the one acceleration kernel.
@@ -205,8 +217,10 @@ def _accel_kernel(
     c^2 Lap u + nu*eps Lap v + P(quad), P the 2/3 rule and quad = beta*eps
     grad u . grad v unless the jet cascade passes its Leibniz sums, is built
     in spectral space, inverted once and divided by 1 - alpha*eps*v, raising
-    HyperbolicityBreakdown at the floor. full adds sup |u_tt|, sup |Lap u| and
-    the F_nu integrand beta*eps int u_tt |grad u|^2; remainder adds the IMEX
+    HyperbolicityBreakdown at the floor. grad_u, when given, stands in for
+    the inverse transforms of u's gradient; gradients keeps grad u and
+    grad v on the result. full adds sup |u_tt|, sup |Lap u| and the F_nu
+    integrand beta*eps int u_tt |grad u|^2; remainder adds the IMEX
     remainder: the transform of u_tt minus its linear part.
 
     The fields may carry leading member axes ahead of the grid axes; eps then
@@ -224,16 +238,22 @@ def _accel_kernel(
         tripped = fmin <= p.hyp_floor
         if tripped.any():
             raise HyperbolicityBreakdown(np.asarray(fmin)[tripped].min(), p.hyp_floor, t, tripped)
-    grad_sq = None
+    grad_sq = grad_v = None
     if quad is None and beta_eff != 0.0:
-        grad_u = _gradient_from_spectrum(grid, u_hat)
+        if grad_u is None:
+            grad_u = _gradient_from_spectrum(grid, u_hat)
+        grad_v = []
         quad = np.zeros(v.shape)
         for g, mult in zip(grad_u, grid.derivative_multipliers):
-            quad += g * _to_physical(grid, v_hat * mult)
+            gv = _to_physical(grid, v_hat * mult)
+            quad += g * gv
+            if gradients:
+                grad_v.append(gv)
         quad *= beta_eff * eps_col
         if full:
             grad_sq = sum(g * g for g in grad_u)
-        del grad_u
+    if not gradients or grad_v is None:
+        grad_u = grad_v = None
     lin_hat = p.c**2 * u_hat
     if nu_eff > 0.0:
         lin_hat += nu_eff * eps_col * v_hat
@@ -246,12 +266,12 @@ def _accel_kernel(
     if remainder:
         rem_hat = num_hat - lin_hat if factor is None else _to_spectral(grid, acc) - lin_hat
     if not full:
-        return _Accel(p, kind, u_hat, v_hat, acc, rem_hat)
+        return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, grad_u=grad_u, grad_v=grad_v)
     fnu = 0.0 if grad_sq is None else np.sum(acc * grad_sq, axis=grid.axes)
     fnu *= beta_eff * np.asarray(eps) * grid.cell_volume
     acc_sup = np.max(np.abs(acc), axis=grid.axes)
     lap_sup = np.max(np.abs(_to_physical(grid, -grid.k_squared * u_hat)), axis=grid.axes)
-    return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, acc_sup, lap_sup, fnu)
+    return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, acc_sup, lap_sup, fnu, grad_u, grad_v)
 
 
 def _spectra(state: SimState) -> tuple[ComplexArray, ComplexArray]:
@@ -267,9 +287,12 @@ def _evaluate(
     p: PhysicalParams, kind: ModelKind, scheme: Scheme, eps: float | FloatArray,
 ) -> _Accel:
     """The full evaluation a step of scheme starts from. An IMEX step reads
-    the spectra and the remainder, not u_tt."""
+    the spectra and the remainder; an RK4 step reads u_tt and, for its stage
+    gradients, grad u and grad v."""
     imex = scheme is Scheme.IMEX
-    ev = _accel_kernel(grid, u_hat, v_hat, v, p, kind, t, eps=eps, full=True, remainder=imex)
+    ev = _accel_kernel(
+        grid, u_hat, v_hat, v, p, kind, t, eps=eps, gradients=not imex, full=True, remainder=imex
+    )
     return replace(ev, acc=None) if imex else ev
 
 
@@ -293,10 +316,19 @@ def acceleration(state: SimState, p: PhysicalParams, kind: ModelKind) -> Field:
     its u_tt. Raises HyperbolicityBreakdown if the factor 1 - alpha*eps*v
     reaches the configured floor anywhere on the grid.
     """
+    return Field(state.grid, _acceleration(state, p, kind).acc)
+
+
+def _acceleration(
+    state: SimState, p: PhysicalParams, kind: ModelKind, gradients: bool = False
+) -> _Accel:
+    """The state's evaluation under (p, kind): the carried one when it holds u_tt."""
     ev = state._fsal
     if ev is None or ev.acc is None or ev.p != p or ev.kind is not kind:
-        ev = _accel_kernel(state.grid, *_spectra(state), state.v.values, p, kind, state.t)
-    return Field(state.grid, ev.acc)
+        ev = _accel_kernel(
+            state.grid, *_spectra(state), state.v.values, p, kind, state.t, gradients=gradients
+        )
+    return ev
 
 
 def cfl_dt(grid: Grid, c: float, cfl: float = DEFAULT_CFL) -> float:
@@ -410,19 +442,32 @@ def _advance(
     u_hat, v_hat = start.u_hat, start.v_hat
 
     if scheme is Scheme.EXPLICIT_RK4:
-        # Stage displacements are linear in known spectra; only velocities are transformed.
-        def stage(disp_hat: ComplexArray, vel: FloatArray, vel_hat: ComplexArray) -> FloatArray:
-            return _accel_kernel(grid, disp_hat, vel_hat, vel, p, kind, t0, eps=eps).acc
+        # Stage displacements u0 + h*w are linear in known spectra, and so are
+        # their gradients grad u0 + h*grad w, with grad w kept from the stage
+        # that evaluated w; only velocities are transformed.
+        def stage(
+            h: float, w_hat: ComplexArray, grad_w: list[FloatArray] | None,
+            vel: FloatArray, keep: bool,
+        ) -> tuple[FloatArray, ComplexArray, list[FloatArray] | None]:
+            """u_tt at (u0 + h*w, vel), vel's spectrum and, if keep, its gradient."""
+            grad = None
+            if start.grad_u is not None and grad_w is not None:
+                grad = [gu + h * gw for gu, gw in zip(start.grad_u, grad_w)]
+            vel_hat = _to_spectral(grid, vel)
+            ev = _accel_kernel(
+                grid, u_hat + h * w_hat, vel_hat, vel, p, kind, t0,
+                eps=eps, grad_u=grad, gradients=keep,
+            )
+            return ev.acc, vel_hat, ev.grad_v
 
         a1 = start.acc
         k2u = v0 + 0.5 * dt * a1
-        k2u_hat = _to_spectral(grid, k2u)
-        a2 = stage(u_hat + 0.5 * dt * v_hat, k2u, k2u_hat)
+        a2, w_hat, grad_w = stage(0.5 * dt, v_hat, start.grad_v, k2u, True)
         k3u = v0 + 0.5 * dt * a2
-        k3u_hat = _to_spectral(grid, k3u)
-        a3 = stage(u_hat + 0.5 * dt * k2u_hat, k3u, k3u_hat)
+        a3, w_hat, grad_w = stage(0.5 * dt, w_hat, grad_w, k3u, True)
         k4u = v0 + dt * a3
-        a4 = stage(u_hat + dt * k3u_hat, k4u, _to_spectral(grid, k4u))
+        a4 = stage(dt, w_hat, grad_w, k4u, False)[0]
+        del w_hat, grad_w
         u1 = u0 + dt / 6.0 * (v0 + 2.0 * k2u + 2.0 * k3u + k4u)
         v1 = v0 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     else:

@@ -30,9 +30,20 @@ from .dynamics import (
     hyperbolicity_factor,
     support_radius,
 )
-from .fields import Field, FloatArray, Grid, _quadrature, _to_spectral, gradient_values
-from .fields import laplacian_values, sobolev_norm_values
-from .gamma import apply_gamma, gamma_words
+from .fields import (
+    ComplexArray,
+    Field,
+    FloatArray,
+    Grid,
+    _derivative_multiplier,
+    _gradient_from_spectrum,
+    _quadrature,
+    _to_physical,
+    _to_spectral,
+    gradient_values,
+    laplacian_values,
+)
+from .gamma import apply_gamma, expand_gamma, gamma_words
 from .jets import Jet, MultiIndex, apply_multi_derivative, build_jet
 
 
@@ -40,20 +51,33 @@ def _l2_sq(grid: Grid, values) -> float:
     return grid.cell_volume * float(np.sum(values**2))
 
 
-def _sobolev_sq(grid: Grid, values: FloatArray, s: float = 0.0) -> float:
-    """||f||_{H^s}^2 from one forward transform."""
-    return _quadrature(grid, _to_spectral(grid, values), s)
-
-
 def _grad_sq(grid: Grid, values: FloatArray, s: float = 0.0) -> float:
     """sum_i ||d_i f||_{H^s}^2 from one forward transform."""
     return _quadrature(grid, _to_spectral(grid, values), s, grid.gradient_weight)
 
 
+def _u_spectrum(state: SimState) -> ComplexArray:
+    """Transform of u: the carried one when the state has it."""
+    ev = state._fsal
+    return ev.u_hat if ev is not None else _to_spectral(state.grid, state.u.values)
+
+
+def _grad_u_sq(state: SimState) -> float:
+    """||grad u||^2 from the carried spectrum of u, or one forward transform."""
+    return _quadrature(state.grid, _u_spectrum(state), weight=state.grid.gradient_weight)
+
+
+def _grad_u(state: SimState) -> list[FloatArray]:
+    """grad u: the carried one when the state has it."""
+    ev = state._fsal
+    if ev is not None and ev.grad_u is not None:
+        return ev.grad_u
+    return _gradient_from_spectrum(state.grid, _u_spectrum(state))
+
+
 def energy_wave(state: SimState, p: PhysicalParams) -> float:
     """E(t) = int (u_t)^2 + c^2 (grad u)^2, the linear wave energy."""
-    grid = state.grid
-    return _l2_sq(grid, state.v.values) + p.c**2 * _grad_sq(grid, state.u.values)
+    return _l2_sq(state.grid, state.v.values) + p.c**2 * _grad_u_sq(state)
 
 
 def nonlinear_energy_alpha(p: PhysicalParams, kind: ModelKind) -> float:
@@ -78,7 +102,7 @@ def energy_nonl(
     alpha_e = nonlinear_energy_alpha(p, kind)
     v = state.v.values
     vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * float(np.sum(v**3))
-    return vt_term + p.c**2 * _grad_sq(grid, state.u.values)
+    return vt_term + p.c**2 * _grad_u_sq(state)
 
 
 def f_nu(state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV) -> float:
@@ -93,7 +117,7 @@ def f_nu(state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETS
     _, beta_eff, _ = effective_coefficients(p, kind)
     v = state.v.values
     vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * float(np.sum(v**3))
-    grad_u = gradient_values(grid, state.u.values)
+    grad_u = _grad_u(state)
     grad_sq = grad_u[0] ** 2
     for i in range(1, grid.n):
         grad_sq = grad_sq + grad_u[i] ** 2
@@ -108,9 +132,9 @@ def energy_m(jet: Jet, m: int) -> float:
     if jet.order < m + 1:
         raise ValueError(f"E_{m} needs jet order {m + 1}, jet has {jet.order}")
     grid = jet.grid
-    total = _grad_sq(grid, jet.layers[0].values, float(m))
+    total = _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)
     for i in range(1, m + 2):
-        total += _sobolev_sq(grid, jet.layers[i].values, float(m + 1 - i))
+        total += _quadrature(grid, jet.spectrum(i), float(m + 1 - i))
     return total
 
 
@@ -121,9 +145,9 @@ def energy_half_m(jet: Jet, m: int) -> float:
     if jet.order < m // 2 + 1:
         raise ValueError(f"E_{{m/2}} at m = {m} needs jet order {m // 2 + 1}")
     grid = jet.grid
-    total = _grad_sq(grid, jet.layers[0].values, float(m))
+    total = _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)
     for i in range(1, m // 2 + 2):
-        total += _sobolev_sq(grid, jet.layers[i].values, float(m - 2 * (i - 1)))
+        total += _quadrature(grid, jet.spectrum(i), float(m - 2 * (i - 1)))
     return total
 
 
@@ -136,7 +160,7 @@ def s_half_m(jet: Jet, m: int) -> float:
     grid = jet.grid
     total = 0.0
     for i in range(1, m // 2 + 2):
-        total += _grad_sq(grid, jet.layers[i].values, float(m - 2 * (i - 1)))
+        total += _quadrature(grid, jet.spectrum(i), float(m - 2 * (i - 1)), grid.gradient_weight)
     return total
 
 
@@ -145,23 +169,45 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
 
     Returns E_{1,m_sum}, then E_{1,m_sup} and E_{inf,m_sup}, which restrict
     the sum and the sup to words of length <= m_sup; m_sup <= m_sum.
-    Mixed-derivative evaluations are memoized per shifted jet.
+    Every word is applied to u_t and to each d_i u, each with a memo of
+    the mixed derivatives D^A the words take of it: one inverse transform of
+    a held spectrum per distinct A, or none for a held layer or gradient.
     """
     grid = jet.grid
+    n = grid.n
+    words = gamma_words(n, m_sum)
+
+    def derivative(key: tuple[int, ...], axis: int | None) -> FloatArray:
+        """D^key of u_t (axis None) or of d_axis u, from what the jet holds."""
+        k, spatial = key[0], key[1:]
+        if axis is None:
+            return apply_multi_derivative(jet, MultiIndex((k + 1, *spatial))).values
+        if not any(spatial):
+            unit = tuple(int(i == axis) for i in range(n))
+            return apply_multi_derivative(jet, MultiIndex((k, *unit))).values
+        # The multipliers the per-axis chain d_axis, then D^key, applies.
+        mult = grid.derivative_multipliers[axis] * _derivative_multiplier(grid, spatial)
+        return _to_physical(grid, jet.spectrum(k) * mult)
+
+    keys = {term.derivative.orders for word in words for term in expand_gamma(word)}
+    sources: list[tuple[Jet, dict[tuple[int, ...], FloatArray]]] = []
+    for axis in (None, *range(n)):
+        memo = {key: derivative(key, axis) for key in keys}
+        # A word of length <= m_sum takes at most m_sum time derivatives.
+        layers = tuple(Field(grid, memo[(k,) + (0,) * n]) for k in range(m_sum + 1))
+        sources.append((Jet(grid, layers), memo))
+
     e_1 = e_1_sup = 0.0
+    density = np.empty(grid.shape)
+    square = np.empty(grid.shape)
     density_sup = np.zeros(grid.shape)
-    jet_t = jet.shift_time(1)
-    # A word of length <= m_sum takes at most m_sum time derivatives.
-    low = Jet(grid, jet.layers[: m_sum + 1])
-    jets_x = [low.shift_space(axis) for axis in range(grid.n)]
-    memo_t: dict[tuple[int, ...], np.ndarray] = {}
-    memos_x: list[dict[tuple[int, ...], np.ndarray]] = [{} for _ in range(grid.n)]
-    for word in gamma_words(grid.n, m_sum):
-        gt = apply_gamma(jet_t, t, word, memo_t)
-        density = gt.values**2
-        for jx, memo in zip(jets_x, memos_x):
-            gx = apply_gamma(jx, t, word, memo)
-            density = density + gx.values**2
+    for word in words:
+        for s, (source, memo) in enumerate(sources):
+            values = apply_gamma(source, t, word, memo).values
+            if s == 0:
+                np.square(values, out=density)
+            else:
+                density += np.square(values, out=square)
         energy = grid.cell_volume * float(np.sum(density))
         e_1 += energy
         if len(word.word) <= m_sup:
@@ -389,12 +435,11 @@ def theorem_45_energy(
     weight = 1.0 - alpha_eff * p.eps * jet.layers[1].values
     total = 0.0
     for A in _theorem_45_index_set(m, grid.n):
-        da_u = apply_multi_derivative(jet, A)
-        orders = A.orders
-        da_ut = apply_multi_derivative(jet, MultiIndex((orders[0] + 1,) + orders[1:]))
+        da_u_hat = jet.spectrum(A.time_order) * _derivative_multiplier(grid, A.spatial_orders)
+        da_ut = apply_multi_derivative(jet, MultiIndex((A.time_order + 1,) + A.spatial_orders))
         total += (
             grid.cell_volume * float(np.sum(weight * da_ut.values**2))
-            + p.c**2 * _grad_sq(grid, da_u.values)
+            + p.c**2 * _quadrature(grid, da_u_hat, weight=grid.gradient_weight)
         )
     return total
 
@@ -476,14 +521,14 @@ def initial_data_bound_check(
     state = SimState(u=u0, v=u1)
     jet = build_jet(state, p, m // 2 + 1, kind)
     grid = u0.grid
-    rhs_base = math.sqrt(_grad_sq(grid, u0.values, float(m))) + sobolev_norm_values(
-        grid, u1.values, float(m)
-    )
+    rhs_base = math.sqrt(
+        _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)
+    ) + math.sqrt(_quadrature(grid, jet.spectrum(1), float(m)))
     coeffs = appendix_b_coefficients(m // 2, p.c)
     lhs = []
     bounds = []
     for k in range(m // 2 + 1):
-        lhs.append(sobolev_norm_values(grid, jet.layers[k + 1].values, float(m - 2 * k)))
+        lhs.append(math.sqrt(_quadrature(grid, jet.spectrum(k + 1), float(m - 2 * k))))
         bounds.append(coeffs[k] * rhs_base)
     return InitialDataBoundReport(
         m=m, rhs_base=rhs_base, lhs=tuple(lhs), bounds=tuple(bounds)

@@ -612,8 +612,16 @@ def viscous_decay_experiment(
         env = EnvelopeParams()
     grid = u0.grid
     state = SimState(u0, u1)
-    jet = build_jet(state, p, m // 2 + 1, kind)
-    reports = [make_report(state, p, kind, half_m=m, jet=jet)]
+    e_theorem: list[float] = []
+    reports: list[EnergyReport] = []
+
+    def record(s: SimState) -> None:
+        # The jet lives only as long as its record.
+        jet = build_jet(s, p, m // 2 + 1, kind)
+        e_theorem.append(theorem_45_energy(jet, m, p, kind))
+        reports.append(make_report(s, p, kind, half_m=m, jet=jet))
+
+    record(state)
     e_half_0 = reports[0].e_half_m
     threshold_value = math.inf
     if p.nu > 0.0:
@@ -625,13 +633,10 @@ def viscous_decay_experiment(
             )
 
     steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
-    e_theorem = [theorem_45_energy(jet, m, p, kind)]
     for k in range(steps):
         state = step(state, dt_eff, p, kind, scheme, cfl)
         if (k + 1) % report_every == 0 or k + 1 == steps:
-            jet = build_jet(state, p, m // 2 + 1, kind)
-            e_theorem.append(theorem_45_energy(jet, m, p, kind))
-            reports.append(make_report(state, p, kind, half_m=m, jet=jet))
+            record(state)
     e_half = tuple(r.e_half_m for r in reports)
 
     monotone_ok: bool | None = None

@@ -149,7 +149,8 @@ class Grid:
         """Physical wavenumbers 2*pi*j/L_axis in the transform layout."""
         return 2.0 * math.pi / self.lengths[axis] * self.mode_indices(axis).astype(np.float64)
 
-    def _spectral_axis_view(self, arr_1d: FloatArray, axis: int) -> FloatArray:
+    def _axis_view(self, arr_1d: FloatArray, axis: int) -> FloatArray:
+        """A per-axis array shaped to broadcast along that axis of a field or spectrum."""
         shape = [1] * self.n
         shape[axis] = arr_1d.shape[0]
         return arr_1d.reshape(shape)
@@ -160,7 +161,7 @@ class Grid:
         total = np.zeros(self.spectral_shape, dtype=np.float64)
         for axis in range(self.n):
             k = self.wavenumbers(axis)
-            total = total + self._spectral_axis_view(k, axis) ** 2
+            total = total + self._axis_view(k, axis) ** 2
         return total
 
     @cached_property
@@ -174,7 +175,7 @@ class Grid:
         w = np.full(N // 2 + 1, 2.0)
         w[0] = 1.0
         w[N // 2] = 1.0
-        return self._spectral_axis_view(w, self.n - 1)
+        return self._axis_view(w, self.n - 1)
 
     @cached_property
     def dealias_mask(self) -> npt.NDArray[np.bool_]:
@@ -182,7 +183,7 @@ class Grid:
         keep = np.ones(self.spectral_shape, dtype=bool)
         for axis in range(self.n):
             j = np.abs(self.mode_indices(axis)).astype(np.float64)
-            keep &= self._spectral_axis_view(j, axis) <= self.points[axis] / 3.0
+            keep &= self._axis_view(j, axis) <= self.points[axis] / 3.0
         return keep
 
     @cached_property
@@ -196,7 +197,7 @@ class Grid:
         inner = np.ones(self.spectral_shape, dtype=bool)
         for axis in range(self.n):
             j = np.abs(self.mode_indices(axis)).astype(np.float64)
-            inner &= self._spectral_axis_view(j, axis) <= 2.0 * self.points[axis] / 9.0
+            inner &= self._axis_view(j, axis) <= 2.0 * self.points[axis] / 9.0
         return self.dealias_mask & ~inner
 
     @cached_property
@@ -205,7 +206,7 @@ class Grid:
         mults = []
         for axis in range(self.n):
             off_nyquist = np.abs(self.mode_indices(axis)) != self.points[axis] // 2
-            mults.append(self._spectral_axis_view(1j * self.wavenumbers(axis) * off_nyquist, axis))
+            mults.append(self._axis_view(1j * self.wavenumbers(axis) * off_nyquist, axis))
         return tuple(mults)
 
     @cached_property
@@ -282,6 +283,25 @@ def _gradient_from_spectrum(grid: Grid, spec: ComplexArray) -> list[FloatArray]:
     return [_to_physical(grid, spec * mult) for mult in grid.derivative_multipliers]
 
 
+def _axis_multiplier(grid: Grid, axis: int, order: int) -> ComplexArray:
+    """Spectral multiplier of d^order/dx_axis^order, thin along the other axes."""
+    if order % 2 == 1:
+        # The Nyquist mode carries no sign information for odd derivatives.
+        return grid.derivative_multipliers[axis] ** order
+    return grid._axis_view((1j * grid.wavenumbers(axis)) ** order, axis)
+
+
+def _derivative_multiplier(grid: Grid, orders: tuple[int, ...]) -> ComplexArray | float:
+    """Multiplier of the mixed derivative prod_i d_i^orders[i]: the product of the
+    per-axis multipliers, so one inverse transform gives what the per-axis chain
+    of derivative_values gives."""
+    mult: ComplexArray | float = 1.0
+    for axis, order in enumerate(orders):
+        if order > 0:
+            mult = mult * _axis_multiplier(grid, axis, order)
+    return mult
+
+
 def derivative_values(grid: Grid, values: FloatArray, axis: int, order: int) -> FloatArray:
     if not 0 <= axis < grid.n:
         raise IndexError(f"axis {axis} out of range for dimension {grid.n}")
@@ -290,11 +310,7 @@ def derivative_values(grid: Grid, values: FloatArray, axis: int, order: int) -> 
     if order == 0:
         return np.array(values, dtype=np.float64)
     spec = _to_spectral(grid, values)
-    if order % 2 == 1:
-        # The Nyquist mode carries no sign information for odd derivatives.
-        spec *= grid.derivative_multipliers[axis] ** order
-    else:
-        spec *= grid._spectral_axis_view((1j * grid.wavenumbers(axis)) ** order, axis)
+    spec *= _axis_multiplier(grid, axis, order)
     return _to_physical(grid, spec)
 
 

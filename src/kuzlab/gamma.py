@@ -240,9 +240,13 @@ def apply_gamma(
     needed = max((term.derivative.time_order for term in terms), default=0)
     if needed > jet.order:
         raise ValueError(f"word {index} needs jet order {needed}, jet has {jet.order}")
-    total = np.zeros(grid.shape)
-    for term in terms:
-        weight = term.coeff * t**term.t_power
+    # Coordinate powers stay thin per-axis arrays, the term's weight folded
+    # into the first. The first term is formed in the sum's own array and
+    # every later one in one preallocated buffer.
+    coords = [grid._axis_view(grid.axis_coordinates(axis), axis) for axis in range(grid.n)]
+    buf = np.empty(grid.shape)
+    total = np.empty(grid.shape)
+    for i, term in enumerate(terms):
         key = term.derivative.orders
         if derivative_memo is not None and key in derivative_memo:
             piece = derivative_memo[key]
@@ -250,8 +254,17 @@ def apply_gamma(
             piece = apply_multi_derivative(jet, term.derivative).values
             if derivative_memo is not None:
                 derivative_memo[key] = piece
-        for axis, power in enumerate(term.x_powers):
-            if power > 0:
-                piece = piece * grid.coordinate_mesh(axis) ** power
-        total += weight * piece
+        weight = term.coeff * t**term.t_power
+        factors = [coords[axis] ** power for axis, power in enumerate(term.x_powers) if power > 0]
+        if factors:
+            factors[0] = weight * factors[0]
+        elif weight != 1.0:
+            factors = [weight]
+        out = buf if i else total
+        for factor in factors:
+            piece = np.multiply(piece, factor, out=out)
+        if i:
+            total += piece
+        elif piece is not total:
+            np.copyto(total, piece)
     return Field(grid, total)

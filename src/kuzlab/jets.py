@@ -15,28 +15,44 @@ dynamics right-hand side; layer 2 is the acceleration kernel's output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dynamics import (
     ModelKind,
     PhysicalParams,
     SimState,
     _accel_kernel,
-    _spectra,
-    acceleration,
+    _acceleration,
     effective_coefficients,
 )
-from .fields import Field, FloatArray, Grid, _gradient_from_spectrum, _to_spectral, derivative_values
+from .fields import (
+    ComplexArray,
+    Field,
+    FloatArray,
+    Grid,
+    _derivative_multiplier,
+    _gradient_from_spectrum,
+    _to_physical,
+    _to_spectral,
+    derivative_values,
+)
 
 MAX_JET_ORDER = 6
 
 
 @dataclass(frozen=True, eq=False)
 class Jet:
-    """Tower of time-derivative fields u^(0)..u^(K) at one time instant."""
+    """Tower of time-derivative fields u^(0)..u^(K) at one time instant.
+
+    A jet also holds, by layer, the transforms and gradients already at hand
+    when it was built; spectrum() transforms any other layer once, on first
+    use. A jet built by hand from its layers alone gives the same results.
+    """
 
     grid: Grid
     layers: tuple[Field, ...]
+    _spectra: dict[int, ComplexArray] = field(default_factory=dict, init=False, repr=False)
+    _gradients: dict[int, list[FloatArray]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -56,11 +72,21 @@ class Jet:
             raise ValueError(f"jet holds layers 0..{self.order}, requested {k}")
         return self.layers[k]
 
+    def spectrum(self, k: int) -> ComplexArray:
+        """Transform of layer k: the held one, else one forward transform kept for reuse."""
+        spec = self._spectra.get(k)
+        if spec is None:
+            spec = self._spectra[k] = _to_spectral(self.grid, self.layer(k).values)
+        return spec
+
     def shift_time(self, k: int = 1) -> Jet:
         """Jet of w = d_t^k u: drops the lowest k layers."""
         if k > self.order:
             raise ValueError(f"cannot shift jet of order {self.order} by {k}")
-        return Jet(self.grid, self.layers[k:])
+        shifted = Jet(self.grid, self.layers[k:])
+        shifted._spectra.update((i - k, s) for i, s in self._spectra.items() if i >= k)
+        shifted._gradients.update((i - k, g) for i, g in self._gradients.items() if i >= k)
+        return shifted
 
     def shift_space(self, axis: int) -> Jet:
         """Jet of w = d_{x_axis} u: differentiates every layer."""
@@ -113,18 +139,27 @@ def build_jet(
     kernel: assembled in spectral space, its quadratic Leibniz sums
     dealiased, brought back by one inverse transform and divided by
     1 - alpha*eps u^(1), which raises HyperbolicityBreakdown at the floor.
+    The jet keeps the layer transforms and gradients the cascade forms,
+    starting from those the state carries.
     """
     if not 0 <= K <= MAX_JET_ORDER:
         raise ValueError(f"jet order must be 0..{MAX_JET_ORDER}, got {K}")
     grid = state.grid
     layers: list[FloatArray] = [state.u.values, state.v.values][: K + 1]
-    if K < 2:
-        return Jet(grid, tuple(Field(grid, arr) for arr in layers))
+    ev = state._fsal
+    spectra: list[ComplexArray] = []
+    gradients: list[list[FloatArray]] = []
+    if K >= 2:
+        # Layer 2 is the acceleration; the cascade needs the gradients of
+        # layers 0 and 1 only when it goes on to layer 3.
+        ev = _acceleration(state, p, kind, gradients=K > 2)
+        layers.append(ev.acc)
+    if ev is not None:
+        spectra = [ev.u_hat, ev.v_hat]
+        if ev.grad_u is not None:
+            gradients = [ev.grad_u, ev.grad_v]
     alpha_eff, beta_eff, _ = effective_coefficients(p, kind)
     v, t = state.v.values, state.t
-    spectra = list(_spectra(state))
-    layers.append(acceleration(state, p, kind).values)
-    gradients: list[list[FloatArray]] = []
     for i in range(1, K - 1):
         # Layer i + 2: the kernel on the spectra of layers i and i + 1, with
         # the Leibniz sums over layers 0..i+1 as its quadratic term.
@@ -142,11 +177,18 @@ def build_jet(
             )
             quad = cubic if quad is None else quad + cubic
         layers.append(_accel_kernel(grid, spectra[i], spectra[i + 1], v, p, kind, t, quad=quad).acc)
-    return Jet(grid, tuple(Field(grid, arr) for arr in layers))
+    jet = Jet(grid, tuple(Field(grid, arr) for arr in layers))
+    jet._spectra.update(enumerate(spectra[: K + 1]))
+    jet._gradients.update(enumerate(gradients[: K + 1]))
+    return jet
 
 
 def apply_multi_derivative(jet: Jet, A: MultiIndex) -> Field:
-    """D^A u = d_t^{A_0} d_{x_1}^{A_1} ... d_{x_n}^{A_n} u from jet layers."""
+    """D^A u = d_t^{A_0} d_{x_1}^{A_1} ... d_{x_n}^{A_n} u from jet layers.
+
+    One inverse transform of the layer's spectrum times the mixed multiplier,
+    or none for a pure time derivative or a gradient the jet holds.
+    """
     grid = jet.grid
     if len(A.spatial_orders) != grid.n:
         raise ValueError(
@@ -156,8 +198,9 @@ def apply_multi_derivative(jet: Jet, A: MultiIndex) -> Field:
         raise ValueError(
             f"multi-index needs jet order >= {A.time_order}, jet has {jet.order}"
         )
-    values = jet.layers[A.time_order].values
-    for axis, order in enumerate(A.spatial_orders):
-        if order > 0:
-            values = derivative_values(grid, values, axis, order)
-    return Field(grid, values)
+    k, spatial = A.time_order, A.spatial_orders
+    if A.spatial_total == 0:
+        return jet.layers[k]
+    if A.spatial_total == 1 and k in jet._gradients:
+        return Field(grid, jet._gradients[k][spatial.index(1)])
+    return Field(grid, _to_physical(grid, jet.spectrum(k) * _derivative_multiplier(grid, spatial)))

@@ -30,3 +30,18 @@ def single_mode(grid: Grid, mode: tuple[int, ...], amplitude: float = 1.0) -> Fi
         k = 2.0 * np.pi * mode[axis] / grid.lengths[axis]
         phase = phase + k * grid.coordinate_mesh(axis)
     return Field(grid, amplitude * np.sin(phase))
+
+
+def count_ffts(monkeypatch) -> dict[str, int]:
+    """From here on, count calls of numpy's real transforms: forward and inverse."""
+    counts = {"forward": 0, "inverse": 0}
+    ways = {"rfft": "forward", "rfftn": "forward", "irfft": "inverse", "irfftn": "inverse"}
+    for name, way in ways.items():
+        original = getattr(np.fft, name)
+
+        def counting(*args, _way=way, _original=original, **kwargs):
+            counts[_way] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return counts

@@ -23,6 +23,7 @@ from kuzlab import (
     Grid,
     ModelKind,
     PhysicalParams,
+    Scheme,
     SimState,
     appendix_b_coefficients,
     appendix_densities,
@@ -42,13 +43,15 @@ from kuzlab import (
     nonlinear_energy_alpha,
     proposition_b,
     s_half_m,
+    step,
     theorem_45_energy,
     thresholds,
 )
-from kuzlab.energies import _theorem_45_index_set
+from kuzlab.energies import _klainerman_sweep, _theorem_45_index_set
+from kuzlab.gamma import apply_gamma, gamma_words
 from kuzlab.jets import Jet, MultiIndex, build_jet
 
-from helpers import band_limited_field, single_mode
+from helpers import band_limited_field, count_ffts, single_mode
 
 PI = math.pi
 
@@ -56,6 +59,13 @@ PI = math.pi
 def _wave_state(grid: Grid, k: int, a: float, d: float) -> SimState:
     """u = a sin(k x), u_t = d cos(k x) on the 2 pi box."""
     return SimState(single_mode(grid, (k,), a), Field(grid, d * np.cos(k * grid.axis_coordinates(0))))
+
+
+def _stepped(grid: Grid, p: PhysicalParams, scheme: Scheme, seed: int) -> SimState:
+    """A state one step past band-limited data, carrying the step's evaluation."""
+    rng = np.random.default_rng(seed)
+    state = SimState(band_limited_field(grid, rng, 0.05), band_limited_field(grid, rng, 0.05))
+    return step(state, 0.01, p, ModelKind.KUZNETSOV, scheme)
 
 
 class TestQuadraticFunctionals:
@@ -208,19 +218,12 @@ class TestTowerEnergies:
          (s_half_m, 0, 1), (s_half_m, 4, 3)],
     )
     def test_one_forward_transform_per_term(self, monkeypatch, n: int, func, m: int, terms: int) -> None:
+        """On a jet that holds no spectra, a tower transforms each term once."""
         grid = Grid.cube(n, 16)
         rng = np.random.default_rng(4)
         state = SimState(band_limited_field(grid, rng, 0.1), band_limited_field(grid, rng, 0.1))
-        jet = build_jet(state, PhysicalParams(nu=0.5), 3)
-        counts = {"forward": 0, "inverse": 0}
-        for name, way in [("rfft", "forward"), ("rfftn", "forward"), ("irfft", "inverse"), ("irfftn", "inverse")]:
-            original = getattr(np.fft, name)
-
-            def counting(*args, _way=way, _original=original, **kwargs):
-                counts[_way] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counting)
+        jet = Jet(grid, build_jet(state, PhysicalParams(nu=0.5), 3).layers)
+        counts = count_ffts(monkeypatch)
         func(jet, m)
         assert counts == {"forward": terms, "inverse": 0}
 
@@ -316,6 +319,45 @@ class TestKlainerman:
         ratio, e_1m, e_inf_m = klainerman_record(jet, t, 0)
         assert ratio == klainerman_ratio(jet, t, 0)
         assert (e_1m, e_inf_m) == klainerman_energies(jet, t, 0)
+
+    @pytest.mark.parametrize("n,points", [(1, 64), (2, 32), (3, 16)])
+    def test_sweep_matches_independent_word_sum(self, n: int, points: int) -> None:
+        """Words of length <= 2 at t > 0: the sweep equals a per-word sum over
+        shift_time/shift_space jets with a memo-less apply_gamma."""
+        grid = Grid.cube(n, points, length=8.0, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        state = _stepped(grid, p, Scheme.EXPLICIT_RK4, 37)
+        jet = build_jet(state, p, 3)
+        t = state.t
+        plain = Jet(grid, jet.layers)
+        sources = [plain.shift_time(1)]
+        sources += [Jet(grid, plain.layers[:3]).shift_space(axis) for axis in range(n)]
+        e_1 = e_1_sup = 0.0
+        density_sup = np.zeros(grid.shape)
+        for word in gamma_words(n, 2):
+            density = sum(apply_gamma(source, t, word).values ** 2 for source in sources)
+            energy = grid.cell_volume * float(np.sum(density))
+            e_1 += energy
+            if len(word.word) <= 1:
+                e_1_sup += energy
+                density_sup = np.maximum(density_sup, density)
+        swept = _klainerman_sweep(jet, t, 2, 1)
+        expected = (e_1, e_1_sup, float(np.max(density_sup)))
+        assert swept == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_record_transform_count(self, monkeypatch) -> None:
+        """In 2-d, m = 0 sweeps words of length <= 2, which need D^A with
+        |A| <= 2 (10 multi-indices), over u_t and each d_i u. For u_t, the 3
+        time layers and the 4 held gradients of u_t and u_tt are free; for
+        d_i u, the 3 time layers are held gradients. Each other D^A is one
+        inverse transform: 3 + 7 + 7."""
+        grid = Grid.cube(2, 32, length=8.0, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        state = _stepped(grid, p, Scheme.EXPLICIT_RK4, 41)
+        jet = build_jet(state, p, 3)
+        counts = count_ffts(monkeypatch)
+        klainerman_record(jet, state.t, 0)
+        assert counts == {"forward": 0, "inverse": 17}
 
     def test_ratio_validation(self) -> None:
         grid = Grid.cube(2, 16, origin_centered=True)
@@ -532,6 +574,39 @@ class TestTheorem45Energy:
         e_plain = theorem_45_energy(jet_k, 0, p, ModelKind.WAVE)
         assert e_weighted < e_plain
 
+    def test_reads_the_jet_spectra(self, monkeypatch) -> None:
+        """3-d, m = 2 on an IMEX-stepped jet: the gradient terms are quadratures
+        of carried spectra, and each weighted term with a spatial derivative
+        takes one inverse (9 of the 11 multi-indices). The value matches the
+        per-axis derivative chain."""
+        from kuzlab import spatial_derivative
+        from kuzlab.fields import gradient_values
+
+        grid = Grid.cube(3, 16)
+        p = PhysicalParams(nu=0.5, eps=0.1)
+        state = _stepped(grid, p, Scheme.IMEX, 53)
+        jet = build_jet(state, p, 2)
+        counts = count_ffts(monkeypatch)
+        energy = theorem_45_energy(jet, 2, p)
+        monkeypatch.undo()
+        assert counts == {"forward": 0, "inverse": 9}
+
+        def chain(field: Field, spatial: tuple[int, ...]) -> Field:
+            for axis, order in enumerate(spatial):
+                if order:
+                    field = spatial_derivative(field, axis, order)
+            return field
+
+        weight = 1.0 - p.alpha * p.eps * jet.layer(1).values
+        expected = 0.0
+        for A in _theorem_45_index_set(2, 3):
+            da_u = chain(jet.layer(A.time_order), A.spatial_orders).values
+            da_ut = chain(jet.layer(A.time_order + 1), A.spatial_orders).values
+            expected += grid.cell_volume * float(np.sum(weight * da_ut**2))
+            grad_sq = sum(float(np.sum(g**2)) for g in gradient_values(grid, da_u))
+            expected += grid.cell_volume * grad_sq
+        assert energy == pytest.approx(expected, rel=1e-12)
+
     def test_validation(self) -> None:
         grid = Grid.cube(1, 32)
         p = PhysicalParams()
@@ -631,6 +706,36 @@ class TestEnergyReport:
         assert report.s_half_m > 0
         with pytest.raises(KeyError):
             report.e_m_value(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_report_on_rk4_state_makes_no_transform(self, monkeypatch, n: int) -> None:
+        """An RK4 carry holds the spectra and the gradient of u that the report reads."""
+        grid = Grid.cube(n, 16)
+        p = PhysicalParams(eps=0.1)
+        state = _stepped(grid, p, Scheme.EXPLICIT_RK4, 43)
+        fresh = SimState(
+            Field(grid, state.u.values.copy()), Field(grid, state.v.values.copy()),
+            state.t, state.fnu_accum, state.div_accum,
+        )
+        counts = count_ffts(monkeypatch)
+        report = make_report(state, p)
+        monkeypatch.undo()
+        assert counts == {"forward": 0, "inverse": 0}
+        assert report == make_report(fresh, p)
+
+    def test_report_towers_on_imex_state(self, monkeypatch) -> None:
+        """On a 16^3 IMEX-stepped state with its jet, the report transforms
+        layer 2 once and forms grad u for F_nu: 4 transforms."""
+        grid = Grid.cube(3, 16)
+        p = PhysicalParams(nu=0.5, eps=0.1)
+        state = _stepped(grid, p, Scheme.IMEX, 47)
+        jet = build_jet(state, p, 2)
+        counts = count_ffts(monkeypatch)
+        report = make_report(state, p, half_m=2, jet=jet)
+        monkeypatch.undo()
+        assert counts == {"forward": 1, "inverse": 3}
+        plain = Jet(grid, jet.layers)
+        assert (report.e_half_m, report.s_half_m) == (energy_half_m(plain, 2), s_half_m(plain, 2))
 
     def test_min_hyp_reporting(self) -> None:
         grid = Grid.cube(1, 32)

@@ -18,11 +18,18 @@ from kuzlab import (
     acceleration,
     apply_multi_derivative,
     build_jet,
+    cfl_dt,
+    energy_half_m,
+    energy_m,
+    klainerman_record,
+    s_half_m,
     spatial_derivative,
     step,
+    theorem_45_energy,
 )
+from kuzlab.fields import derivative_values
 from kuzlab.jets import MAX_JET_ORDER
-from helpers import band_limited_field, single_mode
+from helpers import band_limited_field, count_ffts, single_mode
 
 
 class TestJetContainer:
@@ -204,3 +211,68 @@ class TestApplyMultiDerivative:
         jet = Jet(grid, (Field.zeros(grid),))
         with pytest.raises(ValueError):
             apply_multi_derivative(jet, MultiIndex((1, 0)))
+
+
+def _rk4_stepped(grid: Grid, p: PhysicalParams, seed: int) -> SimState:
+    """A state one RK4 step past band-limited data, carrying its evaluation."""
+    rng = np.random.default_rng(seed)
+    state = SimState(band_limited_field(grid, rng, 0.1), band_limited_field(grid, rng, 0.1))
+    return step(state, cfl_dt(grid, p.c), p, ModelKind.KUZNETSOV, Scheme.EXPLICIT_RK4)
+
+
+class TestCarriedSpectra:
+    """Jets keep the layer transforms and gradients their cascade forms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_build_jet_transform_count(self, monkeypatch, n: int) -> None:
+        """From an RK4 carry, layer 3 costs layer 2's transform, its n
+        gradients and the kernel's pair: n + 3 transforms."""
+        p = PhysicalParams(eps=0.1)
+        state = _rk4_stepped(Grid.cube(n, 16), p, 5)
+        counts = count_ffts(monkeypatch)
+        build_jet(state, p, 3)
+        assert counts == {"forward": 2, "inverse": n + 1}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_apply_multi_derivative_matches_per_axis_chain(self, monkeypatch, n: int) -> None:
+        """One inverse of the carried spectrum times the mixed multiplier gives
+        the per-axis chain of derivative_values, Nyquist modes included."""
+        grid = Grid.cube(n, 16)
+        rng = np.random.default_rng(29)
+        # Raw noise keeps every mode, the Nyquist ones on each axis among them.
+        state = SimState(
+            Field(grid, 0.1 * rng.standard_normal(grid.shape)),
+            Field(grid, 0.1 * rng.standard_normal(grid.shape)),
+        )
+        jet = build_jet(state, PhysicalParams(eps=0.1), 2)
+        for spatial in np.ndindex(*(4,) * n):
+            if sum(spatial) == 0 or sum(spatial) > 4:
+                continue
+            for k in (0, 1):
+                chain = jet.layer(k).values
+                for axis, order in enumerate(spatial):
+                    chain = derivative_values(grid, chain, axis, order)
+                counts = count_ffts(monkeypatch)
+                out = apply_multi_derivative(jet, MultiIndex((k, *spatial))).values
+                monkeypatch.undo()
+                assert counts == {"forward": 0, "inverse": 1}
+                scale = float(np.max(np.abs(chain)))
+                np.testing.assert_allclose(out, chain, rtol=0.0, atol=1e-13 * scale)
+
+    def test_hand_built_jet_gives_same_results(self) -> None:
+        """A Jet built from the layers alone transforms what it needs and
+        gives the same towers, theorem energy and Klainerman record."""
+        grid = Grid.cube(2, 32, length=8.0, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        state = _rk4_stepped(grid, p, 31)
+        carried = build_jet(state, p, 3)
+        plain = Jet(grid, carried.layers)
+        for func, m in [(energy_m, 2), (energy_half_m, 4), (s_half_m, 2)]:
+            assert func(carried, m) == func(plain, m)
+        assert theorem_45_energy(carried, 4, p) == theorem_45_energy(plain, 4, p)
+        assert klainerman_record(carried, state.t, 0) == klainerman_record(plain, state.t, 0)
+        for orders in [(0, 1, 0), (1, 0, 1), (2, 1, 1), (1, 2, 0)]:
+            A = MultiIndex(orders)
+            np.testing.assert_array_equal(
+                apply_multi_derivative(carried, A).values, apply_multi_derivative(plain, A).values
+            )
