@@ -80,7 +80,6 @@ from .errors import (
     KuzlabError,
     NonFiniteFieldError,
     StepRejected,
-    SupportMonitorTripped,
 )
 from .experiments import (
     BlowupVerdict,

@@ -4,7 +4,9 @@ Every subcommand reads one JSON config (--config), applies the documented
 overrides, runs the matching driver and persists the stable results layout
 (config.json, reports.csv, reports.jsonl, verdict.json, extra tables) under
 the output directory. Exit codes: 0 success, 2 configuration or usage error,
-3 initial-data guard violation, 4 runtime failure mid-run.
+3 initial-data guard violation, 4 runtime failure mid-run: a stability, decay
+or Klainerman run cut short by the floor, a non-finite step or the support
+monitor, which writes its directory and the cause first.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .dynamics import SimState, effective_coefficients
 from .energies import energy_m, lifespan_T0, thresholds
 from .errors import ConfigError, GuardViolation, KuzlabError
 from .experiments import (
+    BreakdownCause,
     klainerman_experiment,
     lifespan_sweep,
     linear_regularity_experiment,
@@ -59,6 +62,20 @@ def _load_config(path: str) -> RunConfig:
 
 def _out_root(cfg: RunConfig) -> Path:
     return Path(cfg.out_dir) if cfg.out_dir is not None else Path("results")
+
+
+# Causes on which a stability, decay or Klainerman run fails; a spectral tail
+# trip is a verdict (the pair reports resolved false), not a failure.
+_FAILED = {BreakdownCause.HYPERBOLICITY, BreakdownCause.NUMERICAL, BreakdownCause.SUPPORT}
+
+
+def _exit_code(command: str, result: Any, directory: Path) -> int:
+    """4 if the result's cause cut the run short, else 0; the directory is written."""
+    if result.cause not in _FAILED:
+        return _EXIT_OK
+    end = f"{result.cause.value} at t = {result.times[-1]:.6g}"
+    print(f"run failed: {command} ended by {end} -> {directory}", file=sys.stderr)
+    return _EXIT_RUNTIME
 
 
 def _verdict_without_reports(result: Any, extra: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -159,6 +176,7 @@ def _cmd_stability(cfg: RunConfig) -> int:
         dt=cfg.dt,
         cfl=cfg.cfl,
         report_every=cfg.report_every,
+        tail_threshold=cfg.sweep.tail_threshold,
     )
     rows = list(zip(result.times, result.d, result.a))
     extra = {"envelope_ok": result.envelope_ok(cfg.stability.c2_cap), "c2_cap": cfg.stability.c2_cap}
@@ -172,7 +190,7 @@ def _cmd_stability(cfg: RunConfig) -> int:
     )
     c2 = "none" if result.c2 is None else f"{result.c2:.4f}"
     print(f"stability: c2 = {c2}, envelope_ok = {extra['envelope_ok']} -> {directory}")
-    return _EXIT_OK
+    return _exit_code("stability", result, directory)
 
 
 def _cmd_decay(cfg: RunConfig) -> int:
@@ -203,7 +221,7 @@ def _cmd_decay(cfg: RunConfig) -> int:
     print(
         f"decay: monotone_ok = {result.monotone_ok}, bound_ok = {result.bound_ok} -> {directory}"
     )
-    return _EXIT_OK
+    return _exit_code("decay", result, directory)
 
 
 def _cmd_klainerman(cfg: RunConfig) -> int:
@@ -234,7 +252,7 @@ def _cmd_klainerman(cfg: RunConfig) -> int:
         tables={"ratio_series": (("t", "ratio", "support_radius"), rows)},
     )
     print(f"klainerman: max ratio = {result.max_ratio:.6g} -> {directory}")
-    return _EXIT_OK
+    return _exit_code("klainerman", result, directory)
 
 
 def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:

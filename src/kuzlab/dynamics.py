@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -195,6 +195,19 @@ class SimState:
     def grid(self) -> Grid:
         return self.u.grid
 
+    @cached_property
+    def _u_hat(self) -> ComplexArray:
+        """Transform of u: the carried one, else transformed once and kept."""
+        ev = self._fsal
+        return ev.u_hat if ev is not None else _to_spectral(self.grid, self.u.values)
+
+
+def _state(u: Field, v: Field, t: float, fnu: float, div: float, carry: _Accel | None) -> SimState:
+    """A state carrying carry, the full evaluation its next step starts from."""
+    state = SimState(u, v, t, fnu, div)
+    object.__setattr__(state, "_fsal", carry)
+    return state
+
 
 def hyperbolicity_factor(
     v: Field, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV
@@ -278,8 +291,17 @@ def _spectra(state: SimState) -> tuple[ComplexArray, ComplexArray]:
     """Transforms of (u, v): the carried ones when the state has them."""
     if state._fsal is not None:
         return state._fsal.u_hat, state._fsal.v_hat
-    grid = state.grid
-    return _to_spectral(grid, state.u.values), _to_spectral(grid, state.v.values)
+    return state._u_hat, _to_spectral(state.grid, state.v.values)
+
+
+def _rows(ev: _Accel, index: int | np.ndarray) -> _Accel:
+    """The members index picks from a member-stacked evaluation, bit for bit:
+    an integer gives one unstacked evaluation, a boolean mask a smaller stack."""
+    def pick(a):
+        return a if a is None else [x[index] for x in a] if isinstance(a, list) else a[index]
+
+    names = ("u_hat", "v_hat", "acc", "rem_hat", "acc_sup", "lap_sup", "fnu", "grad_u", "grad_v")
+    return replace(ev, **{name: pick(getattr(ev, name)) for name in names})
 
 
 def _evaluate(
@@ -294,19 +316,6 @@ def _evaluate(
         grid, u_hat, v_hat, v, p, kind, t, eps=eps, gradients=not imex, full=True, remainder=imex
     )
     return replace(ev, acc=None) if imex else ev
-
-
-def _carried(state: SimState, p: PhysicalParams, kind: ModelKind, scheme: Scheme) -> _Accel:
-    """The state's full evaluation as a step of scheme reads it: carried or fresh.
-
-    Both start from the transforms of the state's own arrays, so they agree
-    bitwise.
-    """
-    ev = state._fsal
-    imex = scheme is Scheme.IMEX
-    if ev is None or ev.p != p or ev.kind is not kind or (ev.rem_hat if imex else ev.acc) is None:
-        ev = _evaluate(state.grid, *_spectra(state), state.v.values, state.t, p, kind, scheme, p.eps)
-    return ev
 
 
 def acceleration(state: SimState, p: PhysicalParams, kind: ModelKind) -> Field:
@@ -401,24 +410,29 @@ def step(
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = state.grid
     dt = _admissible_dt(grid, p.c, dt, scheme, cfl)
-    start = _carried(state, p, kind, scheme)
+    # The carried evaluation, if it is the one this step reads; a fresh one
+    # starts from the same transforms, so the two agree bitwise.
+    start = state._fsal
+    if start is None or start.p != p or start.kind is not kind or (
+        start.rem_hat if scheme is Scheme.IMEX else start.acc
+    ) is None:
+        start = _evaluate(grid, *_spectra(state), state.v.values, state.t, p, kind, scheme, p.eps)
     u1, v1, end = _advance(
         grid, state.u.values, state.v.values, state.t, start, dt, p, kind, scheme, p.eps
     )
     # The end-of-step evaluation closes the trapezoid rule for both running
     # integrals and, carried on the new state, is the next step's first stage.
-    new = SimState(
-        u=Field(grid, u1),
-        v=Field(grid, v1),
-        t=state.t + dt,
-        fnu_accum=float(state.fnu_accum + 0.5 * dt * (start.fnu + end.fnu)),
-        div_accum=float(
-            state.div_accum
-            + 0.5 * dt * ((start.acc_sup + start.lap_sup) + (end.acc_sup + end.lap_sup))
-        ),
+    fnu, div = _trapezoid(state.fnu_accum, state.div_accum, start, end, dt)
+    return _state(Field(grid, u1), Field(grid, v1), state.t + dt, float(fnu), float(div), end)
+
+
+def _trapezoid(fnu: FloatArray, div: FloatArray, start: _Accel, end: _Accel, dt: float) -> tuple:
+    """fnu_accum and div_accum, one per member when stacked, advanced over one
+    step by the trapezoid rule from the full evaluations at its two ends."""
+    return (
+        fnu + 0.5 * dt * (start.fnu + end.fnu),
+        div + 0.5 * dt * ((start.acc_sup + start.lap_sup) + (end.acc_sup + end.lap_sup)),
     )
-    object.__setattr__(new, "_fsal", end)
-    return new
 
 
 def _advance(
@@ -529,20 +543,22 @@ def support_radius(state: SimState, rel_tol: float = 1e-8) -> float:
     respective maximum; the radius is the max-norm distance so that values
     approach min(L_i)/2 as the support reaches the periodic wrap-around.
     """
-    grid = state.grid
-    active = np.zeros(grid.shape, dtype=bool)
-    for values in (state.u.values, state.v.values):
-        peak = float(np.max(np.abs(values)))
-        if peak > 0.0:
-            active |= np.abs(values) > rel_tol * peak
-    if not active.any():
-        return 0.0
-    radius = 0.0
+    return float(_support_radius(state.grid, state.u.values, state.v.values, rel_tol))
+
+
+def _support_radius(grid: Grid, u: FloatArray, v: FloatArray, rel_tol: float = 1e-8) -> FloatArray:
+    """support_radius of (u, v); one value per member when they are stacked."""
+    active = np.zeros(u.shape, dtype=bool)
+    for values in (u, v):
+        size = np.abs(values)
+        active |= size > rel_tol * size.max(axis=grid.axes, keepdims=True)
+    radius = np.zeros(u.shape[: u.ndim - grid.n])
     for axis in range(grid.n):
-        x = grid.coordinate_mesh(axis)
+        # The largest distance over active points, by the coordinates they reach.
+        reached = active.any(axis=tuple(a for a in grid.axes if a != axis - grid.n))
         center = 0.0 if grid.origin_centered else grid.lengths[axis] / 2.0
-        dist = np.abs(x - center)
-        radius = max(radius, float(np.max(dist[active])))
+        dist = np.abs(grid.axis_coordinates(axis) - center)
+        radius = np.maximum(radius, np.where(reached, dist, 0.0).max(axis=-1))
     return radius
 
 

@@ -31,7 +31,6 @@ from .dynamics import (
     support_radius,
 )
 from .fields import (
-    ComplexArray,
     Field,
     FloatArray,
     Grid,
@@ -56,15 +55,9 @@ def _grad_sq(grid: Grid, values: FloatArray, s: float = 0.0) -> float:
     return _quadrature(grid, _to_spectral(grid, values), s, grid.gradient_weight)
 
 
-def _u_spectrum(state: SimState) -> ComplexArray:
-    """Transform of u: the carried one when the state has it."""
-    ev = state._fsal
-    return ev.u_hat if ev is not None else _to_spectral(state.grid, state.u.values)
-
-
 def _grad_u_sq(state: SimState) -> float:
-    """||grad u||^2 from the carried spectrum of u, or one forward transform."""
-    return _quadrature(state.grid, _u_spectrum(state), weight=state.grid.gradient_weight)
+    """||grad u||^2 from the state's spectrum of u (see SimState._u_hat)."""
+    return _quadrature(state.grid, state._u_hat, weight=state.grid.gradient_weight)
 
 
 def _grad_u(state: SimState) -> list[FloatArray]:
@@ -72,7 +65,7 @@ def _grad_u(state: SimState) -> list[FloatArray]:
     ev = state._fsal
     if ev is not None and ev.grad_u is not None:
         return ev.grad_u
-    return _gradient_from_spectrum(state.grid, _u_spectrum(state))
+    return _gradient_from_spectrum(state.grid, state._u_hat)
 
 
 def energy_wave(state: SimState, p: PhysicalParams) -> float:

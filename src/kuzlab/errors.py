@@ -42,14 +42,6 @@ class StepRejected(KuzlabError, RuntimeError):
         super().__init__(message)
 
 
-class SupportMonitorTripped(KuzlabError, RuntimeError):
-    """Field support grew past the admissible fraction of the box size.
-
-    Coordinate-weighted (Klainerman) diagnostics are declared invalid once the
-    solution support approaches the periodic wrap-around.
-    """
-
-
 class GuardViolation(KuzlabError, ValueError):
     """Initial data failed a run guard before any time stepping.
 

@@ -4,11 +4,13 @@ Each driver wires the dynamics and energy layers into one reproducible
 experiment: lifespan scaling of the breakdown time against epsilon, the
 exponential stability envelope for perturbed pairs, global viscous decay
 of the multi-index energy, boundedness of the weighted Klainerman ratio,
-and the linear maximal-regularity inequality. The lifespan sweep steps all
-its epsilon points as one member-stacked batch through the same stepper a
-single run uses, so each row equals that point's own breakdown run bit for
-bit. Drivers are deterministic given their arguments; persistence of
-configs and results lives in the io and cli layers.
+and the linear maximal-regularity inequality. Each nonlinear driver is a
+monitor plus a record function on one run loop, _run, which steps its
+members (one run, the sweep's epsilon points or the stability pair) stacked
+through the stepper a single state uses, so each equals its own serial run
+bit for bit; a run that ends mid-way keeps its records and names its cause.
+Drivers are deterministic given their arguments; persistence of configs and
+results lives in the io and cli layers.
 """
 
 from __future__ import annotations
@@ -27,15 +29,18 @@ from .dynamics import (
     PhysicalParams,
     Scheme,
     SimState,
+    _Accel,
     _admissible_dt,
     _advance,
-    _carried,
+    _evaluate,
+    _rows,
+    _state,
+    _support_radius,
     _tail_fraction,
+    _trapezoid,
     cfl_dt,
     effective_coefficients,
     solve_linear_forced,
-    spectral_tail_fraction,
-    step,
 )
 from .energies import (
     EnergyReport,
@@ -46,13 +51,8 @@ from .energies import (
     theorem_45_energy,
     thresholds,
 )
-from .errors import (
-    GuardViolation,
-    HyperbolicityBreakdown,
-    StepRejected,
-    SupportMonitorTripped,
-)
-from .fields import Field, Grid, _to_spectral, gradient_values, linf_norm
+from .errors import GuardViolation, HyperbolicityBreakdown, StepRejected
+from .fields import Field, FloatArray, Grid, _to_spectral, gradient_values, linf_norm
 from .jets import build_jet
 
 DEFAULT_TAIL_THRESHOLD = 0.01
@@ -66,6 +66,7 @@ class BreakdownCause(Enum):
     SPECTRAL = "spectral_under_resolution"
     DIVERGENCE = "divergence_threshold"
     NUMERICAL = "numerical_instability"
+    SUPPORT = "support_wraparound"
     HORIZON = "horizon_reached"
 
 
@@ -156,7 +157,7 @@ def _resolve_step(
     scheme: Scheme,
     cfl: float,
 ) -> tuple[int, float]:
-    """Number of uniform steps and the step size landing exactly on horizon.
+    """Number of uniform steps and the step, as the stepper takes it, landing on horizon.
 
     Raises GuardViolation when the explicit scheme would amplify some mode
     of the linear part: its run would end on a numerical instability that
@@ -174,7 +175,7 @@ def _resolve_step(
                 f"explicit RK4 amplifies a linear mode by {amplification:.6g} "
                 f"per step at dt = {dt:.6g}; use scheme: \"imex\""
             )
-    return steps, dt
+    return steps, _admissible_dt(grid, p.c, dt, scheme, cfl)
 
 
 def _check_run_guards(
@@ -204,18 +205,92 @@ def _check_run_guards(
             raise GuardViolation(f"||grad u_0||_inf = {sup_grad:.6g} exceeds M_2 = {m2:.6g}")
 
 
-def _safe_report(
-    state: SimState,
-    p: PhysicalParams,
-    kind: ModelKind,
-    e_m_orders: tuple[int, ...],
-    half_m: int | None,
-) -> EnergyReport:
-    """Report on a state, dropping jet functionals if the cascade degenerates."""
-    try:
-        return make_report(state, p, kind, e_m_orders=e_m_orders, half_m=half_m)
-    except HyperbolicityBreakdown:
-        return make_report(state, p, kind)
+def _run(
+    members: Sequence[tuple[Field, Field]], eps: Sequence[float], p: PhysicalParams,
+    kind: ModelKind, scheme: Scheme, horizon: float, dt: float | None, cfl: float,
+    monitor: Callable[..., Sequence[BreakdownCause | None]] | None = None,
+    record: Callable[[list[SimState]], None] | None = None,
+    report_every: int = 1, together: bool = False, m1: float | None = None, m2: float | None = None,
+) -> list[tuple[float | None, BreakdownCause]]:
+    """Advance the members' (u, v) to horizon: the one run loop.
+
+    Member i evolves under p with eps[i] in place of p.eps; its data must
+    pass the run guards (m1, m2: see _check_run_guards) and its linear part
+    admit the step _resolve_step gives. The fields are stacked along a
+    leading axis and step together through dynamics._advance. A member
+    ends at the last accepted time when a step trips the hyperbolicity
+    floor (HYPERBOLICITY) or goes non-finite (NUMERICAL) for it, and the
+    step is redone for the rest. After each accepted state, t = 0 included,
+    monitor(u, v, ev, div_accum) sees the live members' fields, full
+    evaluation and running ||u_tt||_inf + ||Lap u||_inf integral, and ends
+    those it returns a cause for. With together, the first to end ends all.
+
+    record receives live members as states carrying their evaluation: all
+    of them at t = 0 and after every report_every steps, and those that end
+    on their last accepted state if it is not yet recorded. Returns (end
+    time, cause) per member in input order, the time None at the horizon.
+    """
+    grid = members[0][0].grid
+    for (u0, u1), eps_i in zip(members, eps):
+        p_i = replace(p, eps=eps_i)
+        _check_run_guards(u0, u1, p_i, kind, m1, m2)
+        # The step size depends on c, not on eps: every member gets the same.
+        steps, dt_step = _resolve_step(grid, p_i, kind, horizon, dt, scheme, cfl)
+    if report_every < 1:
+        raise ValueError("report_every must be >= 1")
+    u, v = (np.stack([m[i].values for m in members]) for i in (0, 1))
+    live, eps = np.arange(len(eps)), np.array(eps, dtype=float)
+    fnu, div = np.zeros(len(eps)), np.zeros(len(eps))
+    ends: list[tuple[float | None, BreakdownCause]] = [(None, BreakdownCause.HORIZON)] * len(eps)
+    ev: _Accel | None = None  # the live members' full evaluation at t, once made
+    t, k, recorded = 0.0, 0, -1  # recorded: the step of the live members' last record
+
+    def states(rows: Sequence[int]) -> list[SimState]:
+        return [
+            _state(Field(grid, u[i]), Field(grid, v[i]), t, float(fnu[i]), float(div[i]),
+                   None if ev is None else _rows(ev, i))
+            for i in rows
+        ]
+
+    def end(causes: Sequence[BreakdownCause | None]) -> None:
+        nonlocal live, eps, u, v, fnu, div, ev
+        gone = np.array([c is not None for c in causes])
+        if not gone.any():
+            return
+        if together:
+            causes = [next(c for c in causes if c is not None)] * len(causes)
+            gone[:] = True
+        if record is not None and recorded != k:
+            record(states(np.flatnonzero(gone)))
+        for i, cause in zip(live, causes):
+            if cause is not None:
+                ends[i] = (t, cause)
+        keep = ~gone
+        live, eps, u, v, fnu, div = live[keep], eps[keep], u[keep], v[keep], fnu[keep], div[keep]
+        ev = None if ev is None else _rows(ev, keep)
+
+    while live.size:
+        try:
+            if ev is None:
+                ev = _evaluate(grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps)
+            elif k == steps:
+                break
+            else:
+                u_next, v_next, ev_next = _advance(grid, u, v, t, ev, dt_step, p, kind, scheme, eps)
+                fnu, div = _trapezoid(fnu, div, ev, ev_next, dt_step)
+                u, v, ev, t, k = u_next, v_next, ev_next, t + dt_step, k + 1
+        except HyperbolicityBreakdown as exc:
+            end([BreakdownCause.HYPERBOLICITY if m else None for m in exc.members])
+            continue
+        except StepRejected as exc:
+            end([BreakdownCause.NUMERICAL if m else None for m in exc.members])
+            continue
+        if monitor is not None:
+            end(monitor(u, v, ev, div))
+        if record is not None and live.size and (k % report_every == 0 or k == steps):
+            record(states(range(live.size)))
+            recorded = k
+    return ends
 
 
 def run_until_breakdown(
@@ -242,7 +317,8 @@ def run_until_breakdown(
     fraction above tail_threshold, or, when div_threshold is set, the
     accumulated ||u_tt||_inf + ||Lap u||_inf integral crossing it. A step
     producing non-finite values is recorded as a numerical instability at
-    the last accepted time.
+    the last accepted time. One member of the run loop, with the tail and
+    divergence monitors.
 
     Args:
         initial: pair (u0, u1) of potential and velocity fields.
@@ -259,47 +335,27 @@ def run_until_breakdown(
         GuardViolation: the data fail a guard before any stepping, or the
             explicit scheme is unstable on the stiff linear part.
     """
-    u0, u1 = initial
-    _check_run_guards(u0, u1, p, kind, m1, m2)
-    if report_every < 1:
-        raise ValueError("report_every must be >= 1")
-    steps, dt_eff = _resolve_step(u0.grid, p, kind, horizon, dt, scheme, cfl)
+    grid = initial[0].grid
+    reports: list[EnergyReport] = []
 
-    state = SimState(u0, u1)
-    reports = [_safe_report(state, p, kind, e_m_orders, half_m)]
+    def monitor(u, v, ev, div):
+        tail = _tail_fraction(grid, p.c, ev.u_hat, ev.v_hat) > tail_threshold
+        big = np.zeros(len(div), bool) if div_threshold is None else div >= div_threshold
+        return [BreakdownCause.SPECTRAL if a else BreakdownCause.DIVERGENCE if b else None
+                for a, b in zip(tail, big)]
 
-    # The hyperbolicity floor needs no check here: every step raises
-    # HyperbolicityBreakdown on its start and end states.
-    def monitor(s: SimState) -> BreakdownCause | None:
-        if spectral_tail_fraction(s, p) > tail_threshold:
-            return BreakdownCause.SPECTRAL
-        if div_threshold is not None and s.div_accum >= div_threshold:
-            return BreakdownCause.DIVERGENCE
-        return None
-
-    cause = monitor(state)
-    for k in range(steps):
-        if cause is not None:
-            break
+    def record(states: list[SimState]) -> None:
+        (s,) = states
         try:
-            state = step(state, dt_eff, p, kind, scheme, cfl)
-        except HyperbolicityBreakdown:
-            cause = BreakdownCause.HYPERBOLICITY
-            break
-        except StepRejected:
-            cause = BreakdownCause.NUMERICAL
-            break
-        cause = monitor(state)
-        if cause is None and (k + 1) % report_every == 0 and k + 1 < steps:
-            reports.append(_safe_report(state, p, kind, e_m_orders, half_m))
+            reports.append(make_report(s, p, kind, e_m_orders=e_m_orders, half_m=half_m))
+        except HyperbolicityBreakdown:  # the jet cascade degenerated: drop its functionals
+            reports.append(make_report(s, p, kind))
 
-    if state.t != reports[-1].t:
-        reports.append(_safe_report(state, p, kind, e_m_orders, half_m))
-    if cause is None:
-        verdict = BlowupVerdict(None, BreakdownCause.HORIZON, state.div_accum)
-    else:
-        verdict = BlowupVerdict(float(state.t), cause, state.div_accum)
-    return tuple(reports), verdict
+    ((t_star, cause),) = _run(
+        [initial], [p.eps], p, kind, scheme, horizon, dt, cfl, monitor, record, report_every,
+        m1=m1, m2=m2,
+    )
+    return tuple(reports), BlowupVerdict(t_star, cause, reports[-1].div_accum)
 
 
 _DEFAULT_SWEEP_POINTS = {1: 256, 2: 128, 3: 48}
@@ -333,14 +389,11 @@ def lifespan_sweep(
 
     The data shape is held fixed (amplitude included) while epsilon varies,
     so the measured slope isolates the epsilon scaling of the lifespan. Every
-    point shares one step size, so the points advance together as one batch:
-    their fields are stacked along a leading member axis, epsilon is a
-    per-member column, and a point leaves the batch when one of its monitors
-    trips. A step that trips the hyperbolicity floor or goes non-finite for
-    some points ends those at the last accepted time and is redone for the
-    rest. Each row equals the verdict of run_until_breakdown on that point
-    bit for bit. Rows are sorted by epsilon before the fit; runs that reach
-    the horizon are reported but excluded from the fit.
+    point shares one step size, so the points are the members of one run
+    loop, with epsilon per member and the tail monitor; the floor and
+    non-finite steps end points as in run_until_breakdown, whose verdict
+    each row equals bit for bit. Rows are sorted by epsilon before the fit;
+    runs that reach the horizon are reported but excluded from the fit.
 
     Args:
         data_shape: grid -> (u0, u1) factory, shared by every epsilon.
@@ -359,53 +412,16 @@ def lifespan_sweep(
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match n = {n}")
     u0, u1 = data_shape(grid)
-    for eps_i in eps_list:
-        p = replace(p_base, eps=eps_i)
-        _check_run_guards(u0, u1, p, kind, None, None)
-        # The step size depends on c, not on eps: every point gets the same.
-        steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
-    dt_eff = _admissible_dt(grid, p_base.c, dt_eff, scheme, cfl)  # as step() takes it
 
-    # The live points: their index into eps_list, stacked fields, their eps,
-    # and the evaluation the next step starts from (None: rebuilt from u, v).
-    live = np.arange(len(eps_list))
-    eps = np.array(eps_list, dtype=float)
-    u = np.stack([u0.values] * len(eps_list))
-    v = np.stack([u1.values] * len(eps_list))
-    start = None
-    ends: dict[int, tuple[float, BreakdownCause]] = {}
+    def monitor(u, v, ev, div):
+        tail = _tail_fraction(grid, p_base.c, ev.u_hat, ev.v_hat) > tail_threshold
+        return [BreakdownCause.SPECTRAL if over else None for over in tail]
 
-    def drop(members: np.ndarray, t: float, cause: BreakdownCause) -> None:
-        nonlocal live, eps, u, v, start
-        if members.any():
-            for i in live[members]:
-                ends[int(i)] = (t, cause)
-            keep = ~members
-            live, eps, u, v, start = live[keep], eps[keep], u[keep], v[keep], None
-
-    def over_tail(u_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-        return _tail_fraction(grid, p_base.c, u_hat, v_hat) > tail_threshold
-
-    t = 0.0
-    drop(over_tail(_to_spectral(grid, u), _to_spectral(grid, v)), t, BreakdownCause.SPECTRAL)
-    k = 0
-    while k < steps and live.size:
-        try:
-            u, v, start = _advance(grid, u, v, t, start, dt_eff, p_base, kind, scheme, eps)
-        except HyperbolicityBreakdown as exc:
-            drop(exc.members, t, BreakdownCause.HYPERBOLICITY)
-            continue
-        except StepRejected as exc:
-            drop(exc.members, t, BreakdownCause.NUMERICAL)
-            continue
-        t += dt_eff
-        k += 1
-        drop(over_tail(start.u_hat, start.v_hat), t, BreakdownCause.SPECTRAL)
-
-    rows = []
-    for i, eps_i in enumerate(eps_list):
-        t_star, cause = ends.get(i, (None, BreakdownCause.HORIZON))
-        rows.append(SweepRow(eps_i, t_star, cause, _scaled_lifespan(n, eps_i, t_star)))
+    ends = _run([(u0, u1)] * len(eps_list), eps_list, p_base, kind, scheme, horizon, dt, cfl, monitor)
+    rows = [
+        SweepRow(eps_i, t_star, cause, _scaled_lifespan(n, eps_i, t_star))
+        for eps_i, (t_star, cause) in zip(eps_list, ends)
+    ]
     rows.sort(key=lambda r: r.eps)
 
     clean = [r for r in rows if r.cause is not BreakdownCause.HORIZON and r.t_star and r.t_star > 0.0]
@@ -426,7 +442,8 @@ class StabilityResult:
     A(t) = int_0^t max(||u_tt||_inf, ||Lap u||_inf) dtau along the first.
     c2 is the smallest constant with d(t) <= c1 exp(c2 eps A(t)) d(0) at
     every reported time, or None when d(0) = 0 yet d grew beyond roundoff
-    (a uniqueness violation, flagged).
+    (a uniqueness violation, flagged). cause names what ended the pair;
+    resolved holds when that was not the spectral tail monitor.
     """
 
     times: tuple[float, ...]
@@ -437,6 +454,7 @@ class StabilityResult:
     uniqueness_flag: bool
     resolved: bool
     reports: tuple[EnergyReport, ...] = ()
+    cause: BreakdownCause = BreakdownCause.HORIZON
 
     def envelope_ok(self, cap: float = 100.0) -> bool:
         return (
@@ -467,58 +485,45 @@ def stability_experiment(
     """Run a perturbed pair step-locked and fit the envelope exponent.
 
     Only c2 is fitted; c1 defaults to 3 + 2c^2, the shape of the norm
-    equivalence constant, because a two-parameter fit is degenerate. Both
-    runs must stay spectrally resolved for the fit to count.
+    equivalence constant, because a two-parameter fit is degenerate. The
+    pair is one run loop of two members that end together: at the horizon,
+    when the tail monitor trips on either (the fit then no longer counts),
+    or at the last accepted state before a floor trip or non-finite step in
+    either. The fit uses the records made up to that end.
     """
-    _check_run_guards(*u_data, p, kind, None, None)
-    _check_run_guards(*v_data, p, kind, None, None)
     if u_data[0].grid != v_data[0].grid:
         raise ValueError("both runs must share one grid")
-    if report_every < 1:
-        raise ValueError("report_every must be >= 1")
     grid = u_data[0].grid
     if c1 is None:
         c1 = 3.0 + 2.0 * p.c**2
     if c1 < 1.0:
         raise ValueError(f"c1 must be >= 1 for the envelope to hold at t = 0, got {c1}")
-    steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
+    _, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)  # the step _run takes
 
-    su = SimState(u_data[0], u_data[1])
-    sv = SimState(v_data[0], v_data[1])
+    rows: list[tuple[float, float, float, EnergyReport]] = []  # (t, d, A, report)
+    a_accum, g_prev = 0.0, None
 
-    def distance(a: SimState, b: SimState) -> float:
-        dv = a.v.values - b.v.values
-        return grid.cell_volume * float(np.sum(dv * dv)) + _grad_sq(grid, a.u.values - b.u.values)
-
-    def sup_integrand(s: SimState) -> float:
-        ev = _carried(s, p, kind, scheme)
-        return max(ev.acc_sup, ev.lap_sup)
-
-    times = [0.0]
-    d_series = [distance(su, sv)]
-    a_series = [0.0]
-    reports = [make_report(su, p, kind)]
-    a_accum = 0.0
-    g_prev = sup_integrand(su)
-    resolved = (
-        spectral_tail_fraction(su, p) <= tail_threshold
-        and spectral_tail_fraction(sv, p) <= tail_threshold
-    )
-    for k in range(steps):
-        su = step(su, dt_eff, p, kind, scheme, cfl)
-        sv = step(sv, dt_eff, p, kind, scheme, cfl)
-        g_now = sup_integrand(su)
-        a_accum += 0.5 * dt_eff * (g_prev + g_now)
+    def monitor(u, v, ev, div):
+        # Accumulates A(t) by the trapezoid rule from the first run's evaluation.
+        nonlocal a_accum, g_prev
+        g_now = max(ev.acc_sup[0], ev.lap_sup[0])
+        if g_prev is not None:
+            a_accum += 0.5 * dt_eff * (g_prev + g_now)
         g_prev = g_now
-        if (k + 1) % report_every == 0 or k + 1 == steps:
-            times.append(su.t)
-            d_series.append(distance(su, sv))
-            a_series.append(a_accum)
-            reports.append(make_report(su, p, kind))
-            resolved = resolved and (
-                spectral_tail_fraction(su, p) <= tail_threshold
-                and spectral_tail_fraction(sv, p) <= tail_threshold
-            )
+        tripped = (_tail_fraction(grid, p.c, ev.u_hat, ev.v_hat) > tail_threshold).any()
+        return [BreakdownCause.SPECTRAL if tripped else None] * 2
+
+    def record(states: list[SimState]) -> None:
+        su, sv = states
+        dv = su.v.values - sv.v.values
+        d = grid.cell_volume * float(np.sum(dv * dv)) + _grad_sq(grid, su.u.values - sv.u.values)
+        rows.append((su.t, d, a_accum, make_report(su, p, kind)))
+
+    (_, cause), _ = _run(
+        [u_data, v_data], [p.eps] * 2, p, kind, scheme, horizon, dt, cfl, monitor, record,
+        report_every, together=True,
+    )
+    times, d_series, a_series, reports = zip(*rows)
 
     d0 = d_series[0]
     uniqueness_flag = False
@@ -537,16 +542,8 @@ def stability_experiment(
                     c2 = math.inf
                     break
                 c2 = max(c2, math.log(d_t / (c1 * d0)) / (p.eps * a_t))
-    return StabilityResult(
-        tuple(times),
-        tuple(d_series),
-        tuple(a_series),
-        c1,
-        c2,
-        uniqueness_flag,
-        resolved,
-        tuple(reports),
-    )
+    resolved = cause is not BreakdownCause.SPECTRAL
+    return StabilityResult(times, d_series, a_series, c1, c2, uniqueness_flag, resolved, reports, cause)
 
 
 @dataclass(frozen=True)
@@ -557,7 +554,7 @@ class ViscousDecayResult:
     checked for monotone decrease within a per-step slack; e_half is the
     parabolic tower E_{m/2}, checked against (3 + 2c^2) times its initial
     value. monotone_ok is None when nu = 0 (control case: no dissipation
-    claim is made).
+    claim is made). cause names what ended the run.
     """
 
     m: int
@@ -571,6 +568,7 @@ class ViscousDecayResult:
     monotone_ok: bool | None
     bound_ok: bool
     reports: tuple[EnergyReport, ...] = ()
+    cause: BreakdownCause = BreakdownCause.HORIZON
 
 
 def viscous_decay_experiment(
@@ -593,7 +591,8 @@ def viscous_decay_experiment(
     Preconditions: for nu > 0 the data must pass the smallness threshold
     sqrt(E_{m/2}(0)) <= sqrt(2) nu / (sqrt(3/2 + c^2) C_m max(alpha, beta))
     with the configured C_m. With nu = 0 the run is a control: the
-    threshold and the monotonicity claim are both withdrawn.
+    threshold and the monotonicity claim are both withdrawn. One member of
+    the run loop, with no monitor.
 
     Args:
         m: even Sobolev level of the towers (m >= 2).
@@ -605,38 +604,28 @@ def viscous_decay_experiment(
     """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be even and >= 2, got {m}")
-    if report_every < 1:
-        raise ValueError("report_every must be >= 1")
-    _check_run_guards(u0, u1, p, kind, None, None)
     if env is None:
         env = EnvelopeParams()
-    grid = u0.grid
-    state = SimState(u0, u1)
+    threshold_value = thresholds(p, env).sqrt_e_half_max if p.nu > 0.0 else math.inf
     e_theorem: list[float] = []
     reports: list[EnergyReport] = []
 
-    def record(s: SimState) -> None:
+    def record(states: list[SimState]) -> None:
+        (s,) = states
         # The jet lives only as long as its record.
         jet = build_jet(s, p, m // 2 + 1, kind)
         e_theorem.append(theorem_45_energy(jet, m, p, kind))
         reports.append(make_report(s, p, kind, half_m=m, jet=jet))
-
-    record(state)
-    e_half_0 = reports[0].e_half_m
-    threshold_value = math.inf
-    if p.nu > 0.0:
-        threshold_value = thresholds(p, env).sqrt_e_half_max
-        if math.sqrt(e_half_0) > threshold_value:
+        if len(reports) == 1 and math.sqrt(reports[0].e_half_m) > threshold_value:
             raise GuardViolation(
-                f"sqrt(E_half(0)) = {math.sqrt(e_half_0):.6g} exceeds the "
+                f"sqrt(E_half(0)) = {math.sqrt(reports[0].e_half_m):.6g} exceeds the "
                 f"viscous smallness threshold {threshold_value:.6g}"
             )
 
-    steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
-    for k in range(steps):
-        state = step(state, dt_eff, p, kind, scheme, cfl)
-        if (k + 1) % report_every == 0 or k + 1 == steps:
-            record(state)
+    ((_, cause),) = _run(
+        [(u0, u1)], [p.eps], p, kind, scheme, horizon, dt, cfl, record=record, report_every=report_every
+    )
+    e_half_0 = reports[0].e_half_m
     e_half = tuple(r.e_half_m for r in reports)
 
     monotone_ok: bool | None = None
@@ -659,18 +648,20 @@ def viscous_decay_experiment(
         monotone_ok=monotone_ok,
         bound_ok=bound_ok,
         reports=tuple(reports),
+        cause=cause,
     )
 
 
 @dataclass(frozen=True)
 class KlainermanResult:
-    """Weighted decay-ratio series along an inviscid run."""
+    """Weighted decay-ratio series along an inviscid run, and what ended it."""
 
     m: int
     times: tuple[float, ...]
     ratios: tuple[float, ...]
     support_radii: tuple[float, ...]
     reports: tuple[EnergyReport, ...] = ()
+    cause: BreakdownCause = BreakdownCause.HORIZON
 
     @property
     def max_ratio(self) -> float:
@@ -709,9 +700,10 @@ def klainerman_experiment(
     """Track the weighted sup-over-integral decay ratio along a run.
 
     The coordinate weights require compactly supported data on an
-    origin-centered box; the run aborts once the support monitor sees the
-    solution reach support_fraction of the smallest box side, where the
-    periodic wrap-around invalidates the weights. The support radius never
+    origin-centered box. One member of the run loop whose support monitor
+    ends it (cause SUPPORT) once the solution reaches support_fraction of
+    the smallest box side, where the periodic wrap-around invalidates the
+    weights; that state is still recorded. The support radius never
     exceeds half the smallest side, so support_fraction must lie in
     (0, 1/2) for the monitor to be able to trip.
 
@@ -719,47 +711,36 @@ def klainerman_experiment(
         ValueError: support_fraction outside (0, 1/2).
         GuardViolation: viscous parameters, non-centered grid, or data
             failing the sup-norm guard.
-        SupportMonitorTripped: wrap-around contamination mid-run.
     """
     if p.nu != 0.0:
         raise GuardViolation("the decay-ratio experiment is inviscid: set nu = 0")
     grid = u0.grid
     if not grid.origin_centered:
         raise GuardViolation("coordinate weights need an origin-centered grid")
-    _check_run_guards(u0, u1, p, kind, None, None)
-    if report_every < 1:
-        raise ValueError("report_every must be >= 1")
     if not 0.0 < support_fraction < 0.5:
         raise ValueError(f"support_fraction must lie in (0, 0.5), got {support_fraction}")
     n_star = grid.n // 2 + 1
     jet_order = m + n_star + 1
     limit = support_fraction * min(grid.lengths)
-
-    state = SimState(u0, u1)
-    steps, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)
     ratios: list[float] = []
     reports: list[EnergyReport] = []
 
-    def record(s: SimState) -> None:
-        report = make_report(s, p, kind)
-        if report.support_radius >= limit:
-            raise SupportMonitorTripped(
-                f"support radius {report.support_radius:.6g} reached {support_fraction} "
-                f"of the smallest box side at t = {s.t:.6g}"
-            )
+    def monitor(u, v, ev, div):
+        return [BreakdownCause.SUPPORT if r >= limit else None for r in _support_radius(grid, u, v)]
+
+    def record(states: list[SimState]) -> None:
+        (s,) = states
         jet = build_jet(s, p, jet_order, kind)
         ratio, e_1m, e_inf_m = klainerman_record(jet, s.t, m)
         ratios.append(ratio)
-        reports.append(replace(report, e_1m=e_1m, e_inf_m=e_inf_m))
+        reports.append(replace(make_report(s, p, kind), e_1m=e_1m, e_inf_m=e_inf_m))
 
-    record(state)
-    for k in range(steps):
-        state = step(state, dt_eff, p, kind, scheme, cfl)
-        if (k + 1) % report_every == 0 or k + 1 == steps:
-            record(state)
+    ((_, cause),) = _run(
+        [(u0, u1)], [p.eps], p, kind, scheme, horizon, dt, cfl, monitor, record, report_every
+    )
     times = tuple(r.t for r in reports)
     radii = tuple(r.support_radius for r in reports)
-    return KlainermanResult(m, times, tuple(ratios), radii, tuple(reports))
+    return KlainermanResult(m, times, tuple(ratios), radii, tuple(reports), cause)
 
 
 def linear_regularity_experiment(

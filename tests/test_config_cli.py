@@ -504,6 +504,14 @@ _FAST_SIM = {
 
 _KLAINERMAN_GRID = {"n": 1, "points": 128, "lengths": [12.566370614359172], "origin_centered": True}
 
+# 1-d sine data that break down: the spectral tail trips at t = 5.65 for
+# eps = 0.2; at eps = 0.9 the hyperbolicity floor trips at t = 1.24.
+_BREAKING = {
+    "grid": {"n": 1, "points": 128},
+    "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.5},
+    "horizon": 30.0,
+}
+
 
 class TestCli:
     @pytest.mark.parametrize(
@@ -672,6 +680,69 @@ class TestCli:
         assert series_a == series_b
         verdict = json.loads((out_a / "stability" / "verdict.json").read_text())
         assert verdict["envelope_ok"] is True
+
+    def test_stability_tail_monitor_is_simulate_s(self, tmp_path, capsys) -> None:
+        """sweep.tail_threshold ends the stability pair where it ends simulate's run."""
+        ends = {}
+        for threshold in (0.01, 0.001):
+            payload = {**_BREAKING, "params": {"eps": 0.2}, "sweep": {"tail_threshold": threshold}}
+            cfg = _write_config(tmp_path, f"tail-{threshold}.json", payload)
+            out = tmp_path / f"out-{threshold}"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+            capsys.readouterr()
+            simulate = json.loads((out / "simulate" / "verdict.json").read_text())
+            stability = json.loads((out / "stability" / "verdict.json").read_text())
+            assert simulate["cause"] == stability["cause"] == "spectral_under_resolution"
+            assert stability["times"][-1] == simulate["t_star"]
+            assert stability["resolved"] is False and stability["envelope_ok"] is False
+            ends[threshold] = simulate["t_star"]
+        assert ends[0.01] == pytest.approx(5.654450261780137, rel=1e-12)
+        assert ends[0.001] < ends[0.01]
+
+    @pytest.mark.parametrize(
+        "command, payload, cause, table",
+        [
+            (
+                "stability",
+                {**_BREAKING, "params": {"eps": 0.9}, "sweep": {"tail_threshold": 1.0}},
+                "hyperbolicity_breakdown",
+                "stability_series",
+            ),
+            (
+                "decay",
+                {**_BREAKING, "params": {"eps": 0.9, "nu": 0.0}, "horizon": 3.0, "decay": {"m": 2}},
+                "hyperbolicity_breakdown",
+                "decay_series",
+            ),
+            (
+                "klainerman",
+                {
+                    "grid": _KLAINERMAN_GRID,
+                    "preset": {"kind": "zero_velocity_gaussian", "width": 0.4, "amplitude": 0.01},
+                    "params": {"eps": 0.05},
+                    "horizon": 1.0,
+                    "klainerman": {"support_fraction": 0.01},
+                },
+                "support_wraparound",
+                "ratio_series",
+            ),
+        ],
+    )
+    def test_mid_run_end_writes_its_directory_then_exits_4(
+        self, tmp_path, capsys, command, payload, cause, table
+    ) -> None:
+        cfg = _write_config(tmp_path, "end.json", payload)
+        out = tmp_path / "res"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 4
+        assert f"run failed: {command} ended by {cause}" in capsys.readouterr().err
+        run_dir = out / command
+        verdict = json.loads((run_dir / "verdict.json").read_text())
+        assert verdict["cause"] == cause
+        reports = read_reports_csv(run_dir / "reports.csv")
+        assert reports[0].t == 0.0
+        assert reports[-1].t == verdict["times"][-1] < payload["horizon"]
+        assert (run_dir / f"{table}.csv").exists()
 
     def test_klainerman_run(self, tmp_path, capsys) -> None:
         payload = {

@@ -723,6 +723,28 @@ class TestEnergyReport:
         assert counts == {"forward": 0, "inverse": 0}
         assert report == make_report(fresh, p)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_report_on_state_without_carry_transforms_u_once(self, monkeypatch, n: int) -> None:
+        """E, E_nonl and F_nu share one transform of u; F_nu adds the n inverses of grad u."""
+        grid = Grid.cube(n, 16)
+        p = PhysicalParams(eps=0.1)
+        stepped = _stepped(grid, p, Scheme.EXPLICIT_RK4, 43)
+
+        def fresh() -> SimState:
+            return SimState(
+                Field(grid, stepped.u.values.copy()), Field(grid, stepped.v.values.copy()),
+                stepped.t, stepped.fnu_accum, stepped.div_accum,
+            )
+
+        state = fresh()
+        counts = count_ffts(monkeypatch)
+        report = make_report(state, p)
+        monkeypatch.undo()
+        assert counts == {"forward": 1, "inverse": n}
+        assert (report.e_wave, report.e_nonl, report.f_nu) == (
+            energy_wave(fresh(), p), energy_nonl(fresh(), p), f_nu(fresh(), p)
+        )
+
     def test_report_towers_on_imex_state(self, monkeypatch) -> None:
         """On a 16^3 IMEX-stepped state with its jet, the report transforms
         layer 2 once and forms grad u for F_nu: 4 transforms."""

@@ -22,12 +22,15 @@ from kuzlab import (
     Scheme,
     SimState,
     StepRejected,
-    SupportMonitorTripped,
+    acceleration,
     cfl_dt,
     energy_wave,
+    laplacian,
+    make_report,
     solve_linear_forced,
+    step,
 )
-from kuzlab import energies, experiments
+from kuzlab import dynamics, energies, experiments
 from kuzlab.experiments import (
     BlowupVerdict,
     BreakdownCause,
@@ -163,16 +166,16 @@ class TestRunUntilBreakdown:
 
     def test_rejected_step_is_a_numerical_instability(self, monkeypatch) -> None:
         grid = Grid.cube(1, 32)
-        real_step = experiments.step
+        real_advance = experiments._advance
         calls = []
 
-        def step(state, *args):
-            calls.append(state.t)
+        def advance(grid, u0, v0, t0, *args):
+            calls.append(t0)
             if len(calls) == 3:
-                raise StepRejected("forced")
-            return real_step(state, *args)
+                raise StepRejected("forced", np.ones(len(u0), dtype=bool))
+            return real_advance(grid, u0, v0, t0, *args)
 
-        monkeypatch.setattr(experiments, "step", step)
+        monkeypatch.setattr(experiments, "_advance", advance)
         _, verdict = run_until_breakdown(_smooth_pair(grid), PhysicalParams(), 1.0)
         assert verdict.cause is BreakdownCause.NUMERICAL
         assert verdict.cause.value == "numerical_instability"
@@ -372,6 +375,63 @@ class TestStability:
         with pytest.raises(ValueError, match="c1"):
             stability_experiment(data, data, PhysicalParams(), 1.0, c1=0.5)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("scheme", [Scheme.EXPLICIT_RK4, Scheme.IMEX])
+    def test_pair_equals_two_serial_runs(self, scheme: Scheme, n: int) -> None:
+        """The pair, one batch of two, equals two serial step loops bit for bit."""
+        grid = Grid.cube(n, 32 if n == 1 else 16)
+        p = PhysicalParams(nu=0.05 if scheme is Scheme.IMEX else 0.0, eps=0.2)
+        u = _smooth_pair(grid, 0.2)
+        v = (Field(grid, u[0].values + single_mode(grid, (2,) * n, 1e-3).values), u[1])
+        horizon, report_every = 1.0, 3
+        result = stability_experiment(u, v, p, horizon, scheme=scheme, report_every=report_every)
+
+        steps = math.ceil(horizon / cfl_dt(grid, p.c) - 1e-12)
+        dt = horizon / steps
+        su, sv = SimState(*u), SimState(*v)
+
+        def sup(s: SimState) -> float:
+            acc = acceleration(s, p, ModelKind.KUZNETSOV).values
+            return max(np.max(np.abs(acc)), np.max(np.abs(laplacian(s.u).values)))
+
+        def distance() -> float:
+            dv = su.v.values - sv.v.values
+            return grid.cell_volume * float(np.sum(dv * dv)) + energies._grad_sq(grid, su.u.values - sv.u.values)
+
+        times, d, a, reports = [0.0], [distance()], [0.0], [make_report(su, p)]
+        a_accum, g_prev = 0.0, sup(su)
+        for k in range(1, steps + 1):
+            su = step(su, dt, p, scheme=scheme)
+            sv = step(sv, dt, p, scheme=scheme)
+            g_now = sup(su)
+            a_accum += 0.5 * dt * (g_prev + g_now)
+            g_prev = g_now
+            if k % report_every == 0 or k == steps:
+                times.append(su.t)
+                d.append(distance())
+                a.append(a_accum)
+                reports.append(make_report(su, p))
+        c2 = 0.0
+        for d_t, a_t in zip(d, a):
+            if d_t > result.c1 * d[0]:
+                c2 = max(c2, math.log(d_t / (result.c1 * d[0])) / (p.eps * a_t))
+
+        assert result.cause is BreakdownCause.HORIZON
+        assert (result.times, result.d, result.a, result.c2) == (tuple(times), tuple(d), tuple(a), c2)
+        assert result.reports == tuple(reports)
+
+    def test_a_floor_trip_in_either_run_ends_the_pair(self) -> None:
+        grid = Grid.cube(1, 64)
+        p = PhysicalParams(alpha=1.0, beta=3.0, eps=0.5, hyp_floor=0.45)
+        calm = single_mode(grid, (1,), 0.05), single_mode(grid, (1,), 0.05)
+        steep = single_mode(grid, (1,), 0.5), single_mode(grid, (1,), 0.9)
+        _, verdict = run_until_breakdown(steep, p, 50.0, tail_threshold=2.0)
+        assert verdict.cause is BreakdownCause.HYPERBOLICITY
+        for pair in ((calm, steep), (steep, calm)):
+            result = stability_experiment(*pair, p, 50.0, tail_threshold=2.0)
+            assert result.cause is BreakdownCause.HYPERBOLICITY
+            assert result.times[-1] == verdict.t_star
+
     def test_envelope_ok_respects_cap(self) -> None:
         grid = Grid.cube(1, 32)
         data = _smooth_pair(grid)
@@ -512,10 +572,49 @@ class TestKlainerman:
     def test_support_monitor_trips(self) -> None:
         grid = Grid.cube(1, 128, length=self._BOX, origin_centered=True)
         u0, u1 = self._bump_data(grid)
-        with pytest.raises(SupportMonitorTripped):
-            klainerman_experiment(
-                u0, u1, PhysicalParams(eps=0.05), 1.0, support_fraction=0.01
-            )
+        result = klainerman_experiment(
+            u0, u1, PhysicalParams(eps=0.05), 1.0, support_fraction=0.01
+        )
+        assert result.cause is BreakdownCause.SUPPORT
+        assert result.times[-1] < 1.0
+
+
+class TestOneStepper:
+    def test_every_driver_steps_through_the_run_loop(self, monkeypatch) -> None:
+        """No driver keeps a step loop of its own: all step through _advance."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stepped outside the run loop")
+
+        monkeypatch.setattr(dynamics, "step", refuse)
+        monkeypatch.setattr(experiments, "step", refuse, raising=False)
+        calls = []
+        real_advance = experiments._advance
+
+        def advance(*args):
+            calls.append(args[3])
+            return real_advance(*args)
+
+        monkeypatch.setattr(experiments, "_advance", advance)
+        grid = Grid.cube(1, 32)
+        box = Grid.cube(1, 128, length=4.0 * math.pi, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        pair = _smooth_pair(grid)
+        bump = Field(box, 0.01 * np.exp(-box.coordinate_mesh(0) ** 2 / 0.32)), Field.zeros(box)
+        horizon = 0.5
+        drivers = {
+            "breakdown": (grid, lambda: run_until_breakdown(pair, p, horizon)),
+            "sweep": (grid, lambda: lifespan_sweep(_smooth_pair, [0.1, 0.2], p, 1, grid=grid, horizon=horizon)),
+            "stability": (grid, lambda: stability_experiment(pair, pair, p, horizon)),
+            "decay": (grid, lambda: viscous_decay_experiment(
+                *_smooth_pair(grid, 1e-3), replace(p, nu=1.0), 2, horizon)),
+            "klainerman": (box, lambda: klainerman_experiment(*bump, p, horizon)),
+        }
+        for name, (g, run) in drivers.items():
+            calls.clear()
+            run()
+            steps = math.ceil(horizon / cfl_dt(g, p.c) - 1e-12)
+            assert calls == pytest.approx([k * horizon / steps for k in range(steps)]), name
 
 
 class TestLinearRegularity:
