@@ -31,6 +31,8 @@ pair): a stage displacement u0 + h*w has the known spectrum and the
 gradient grad u0 + h*grad w, from the carried grad u and the gradient the
 previous stage formed for w. The end-of-step evaluation takes 2n+5 and is
 carried with grad u and grad v. IMEX makes 4n+12 and carries no gradients.
+A run that keeps no reports steps on lean evaluations, without the report
+scalars and the inverse transform of Lap u they need: 5n+13 and 4n+11.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class _Accel:
     """One kernel evaluation under (p, kind); the scalars are NaN unless full.
 
     For member-stacked fields, evaluated with one eps per member in place of
-    p.eps, the scalars hold one value per member.
+    p.eps, the scalars of a full evaluation hold one value per member.
     """
 
     p: PhysicalParams
@@ -164,6 +166,11 @@ class _Accel:
     # grad u and grad v, kept on request when the gradient coupling forms them.
     grad_u: list[FloatArray] | None = None
     grad_v: list[FloatArray] | None = None
+
+    @property
+    def full(self) -> bool:
+        """Whether the scalars were formed; a lean evaluation leaves them NaN."""
+        return not (np.ndim(self.lap_sup) == 0 and math.isnan(self.lap_sup))
 
 
 @dataclass(frozen=True)
@@ -218,6 +225,18 @@ def hyperbolicity_factor(
     return Field(v.grid, values), float(values.min())
 
 
+def _linear_hat(
+    grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, c: float, nu_eff: float,
+    eps: float | FloatArray,
+) -> ComplexArray:
+    """Transform of the linear part c^2 Lap u + nu_eff*eps Lap v of u_tt's numerator."""
+    lin_hat = c**2 * u_hat
+    if nu_eff > 0.0:
+        lin_hat += nu_eff * eps * v_hat
+    lin_hat *= -grid.k_squared
+    return lin_hat
+
+
 def _accel_kernel(
     grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, v: FloatArray,
     p: PhysicalParams, kind: ModelKind, t: float | None = None,
@@ -243,7 +262,7 @@ def _accel_kernel(
     alpha_eff, beta_eff, nu_eff = effective_coefficients(p, kind)
     if eps is None:
         eps = p.eps
-    eps_col = np.reshape(eps, np.shape(eps) + (1,) * grid.n)
+    eps_col = np.asarray(eps)[(...,) + (None,) * grid.n]
     factor = None
     if alpha_eff != 0.0:
         factor = 1.0 - alpha_eff * eps_col * v
@@ -267,10 +286,7 @@ def _accel_kernel(
             grad_sq = sum(g * g for g in grad_u)
     if not gradients or grad_v is None:
         grad_u = grad_v = None
-    lin_hat = p.c**2 * u_hat
-    if nu_eff > 0.0:
-        lin_hat += nu_eff * eps_col * v_hat
-    lin_hat *= -grid.k_squared
+    lin_hat = _linear_hat(grid, u_hat, v_hat, p.c, nu_eff, eps_col)
     num_hat = lin_hat if quad is None else lin_hat + grid.dealias_mask * _to_spectral(grid, quad)
     acc = _to_physical(grid, num_hat)
     if factor is not None:
@@ -287,6 +303,18 @@ def _accel_kernel(
     return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, acc_sup, lap_sup, fnu, grad_u, grad_v)
 
 
+def _carried_acc(state: SimState, p: PhysicalParams, kind: ModelKind) -> FloatArray | None:
+    """u_tt from an IMEX carry under (p, kind), which holds its transform split
+    into remainder and linear part: one inverse transform. Roundoff apart, it
+    is the kernel's u_tt; None when the state carries no such evaluation."""
+    ev = state._fsal
+    if ev is None or ev.acc is not None or ev.p != p or ev.kind is not kind:
+        return None
+    nu_eff = effective_coefficients(p, kind)[2]
+    lin_hat = _linear_hat(state.grid, ev.u_hat, ev.v_hat, p.c, nu_eff, p.eps)
+    return _to_physical(state.grid, ev.rem_hat + lin_hat)
+
+
 def _spectra(state: SimState) -> tuple[ComplexArray, ComplexArray]:
     """Transforms of (u, v): the carried ones when the state has them."""
     if state._fsal is not None:
@@ -298,7 +326,9 @@ def _rows(ev: _Accel, index: int | np.ndarray) -> _Accel:
     """The members index picks from a member-stacked evaluation, bit for bit:
     an integer gives one unstacked evaluation, a boolean mask a smaller stack."""
     def pick(a):
-        return a if a is None else [x[index] for x in a] if isinstance(a, list) else a[index]
+        if isinstance(a, list):
+            return [x[index] for x in a]
+        return a if a is None or np.ndim(a) == 0 else a[index]  # NaN scalars stay whole
 
     names = ("u_hat", "v_hat", "acc", "rem_hat", "acc_sup", "lap_sup", "fnu", "grad_u", "grad_v")
     return replace(ev, **{name: pick(getattr(ev, name)) for name in names})
@@ -307,13 +337,15 @@ def _rows(ev: _Accel, index: int | np.ndarray) -> _Accel:
 def _evaluate(
     grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, v: FloatArray, t: float,
     p: PhysicalParams, kind: ModelKind, scheme: Scheme, eps: float | FloatArray,
+    full: bool = True,
 ) -> _Accel:
-    """The full evaluation a step of scheme starts from. An IMEX step reads
-    the spectra and the remainder; an RK4 step reads u_tt and, for its stage
-    gradients, grad u and grad v."""
+    """The evaluation a step of scheme starts from, full unless a run without
+    records asks for it lean. An IMEX step reads the spectra and the
+    remainder; an RK4 step reads u_tt and, for its stage gradients, grad u
+    and grad v."""
     imex = scheme is Scheme.IMEX
     ev = _accel_kernel(
-        grid, u_hat, v_hat, v, p, kind, t, eps=eps, gradients=not imex, full=True, remainder=imex
+        grid, u_hat, v_hat, v, p, kind, t, eps=eps, gradients=not imex, full=full, remainder=imex
     )
     return replace(ev, acc=None) if imex else ev
 
@@ -439,17 +471,20 @@ def _advance(
     grid: Grid, u0: FloatArray, v0: FloatArray, t0: float, start: _Accel | None, dt: float,
     p: PhysicalParams, kind: ModelKind, scheme: Scheme, eps: float | FloatArray,
 ) -> tuple[FloatArray, FloatArray, _Accel]:
-    """One RK4 or IMEX step of (u, v) from their full evaluation: the one stepper.
+    """One RK4 or IMEX step of (u, v) from their evaluation: the one stepper.
 
     The fields may be stacked along leading member axes with eps one scale
     per member (see _accel_kernel); each member's row comes out bitwise as
-    its own step would give it. start, when None, is evaluated here. Returns
-    the new fields and their full evaluation, which validates them and is
-    the next step's start. Raises StepRejected on non-finite fields and
-    HyperbolicityBreakdown from any evaluation, each marking its members.
+    its own step would give it. start, when None, is evaluated here, full.
+    Returns the new fields and their evaluation, as full as start, which
+    validates them and is the next step's start. Raises StepRejected on
+    non-finite fields and HyperbolicityBreakdown from any evaluation, each
+    marking its members.
     """
-    def evaluate(u: FloatArray, v: FloatArray, t: float) -> _Accel:
-        return _evaluate(grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps)
+    def evaluate(u: FloatArray, v: FloatArray, t: float, full: bool = True) -> _Accel:
+        return _evaluate(
+            grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps, full
+        )
 
     if start is None:
         start = evaluate(u0, v0, t0)
@@ -507,17 +542,27 @@ def _advance(
     finite = np.isfinite(u1).all(axis=grid.axes) & np.isfinite(v1).all(axis=grid.axes)
     if not finite.all():
         raise StepRejected(f"non-finite fields after step from t = {t0:.6g}", ~finite)
-    return u1, v1, evaluate(u1, v1, t0 + dt)
+    return u1, v1, evaluate(u1, v1, t0 + dt, start.full)
+
+
+@lru_cache(maxsize=8)
+def _tail_constants(grid: Grid, c: float) -> tuple[FloatArray, FloatArray, np.ndarray, np.ndarray]:
+    """The tail density's factors |k|^2 times the Hermitian weight and c^2 |k|^2,
+    and the flat indices of the dealias band and of its resolved tail."""
+    return (
+        grid.hermitian_weight * grid.k_squared, c**2 * grid.k_squared,
+        np.flatnonzero(grid.dealias_mask), np.flatnonzero(grid.resolved_tail_mask),
+    )
 
 
 def _tail_fraction(grid: Grid, c: float, u_hat: ComplexArray, v_hat: ComplexArray) -> float | FloatArray:
     """spectral_tail_fraction from the spectra; one value per member when stacked."""
-    density = grid.hermitian_weight * grid.k_squared * (
-        c**2 * grid.k_squared * np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2
-    )
-    # Contiguous rows sum in the order one member's boolean-indexed sum takes.
-    total = np.ascontiguousarray(density[..., grid.dealias_mask]).sum(axis=-1)
-    tail = np.ascontiguousarray(density[..., grid.resolved_tail_mask]).sum(axis=-1)
+    weight, c2k2, band_idx, tail_idx = _tail_constants(grid, c)
+    density = weight * (c2k2 * np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2)
+    # Taken rows are contiguous and sum in the order one member's masked sum takes.
+    density = density.reshape(density.shape[: density.ndim - grid.n] + (-1,))
+    total = density.take(band_idx, axis=-1).sum(axis=-1)
+    tail = density.take(tail_idx, axis=-1).sum(axis=-1)
     return np.divide(tail, total, out=np.zeros_like(tail), where=~(total <= 0.0))
 
 

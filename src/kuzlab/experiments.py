@@ -221,14 +221,17 @@ def _run(
     ends at the last accepted time when a step trips the hyperbolicity
     floor (HYPERBOLICITY) or goes non-finite (NUMERICAL) for it, and the
     step is redone for the rest. After each accepted state, t = 0 included,
-    monitor(u, v, ev, div_accum) sees the live members' fields, full
-    evaluation and running ||u_tt||_inf + ||Lap u||_inf integral, and ends
-    those it returns a cause for. With together, the first to end ends all.
+    monitor(u, v, ev, div_accum) sees the live members' fields, evaluation
+    and running ||u_tt||_inf + ||Lap u||_inf integral, and ends those it
+    returns a cause for. With together, the first to end ends all.
 
     record receives live members as states carrying their evaluation: all
     of them at t = 0 and after every report_every steps, and those that end
-    on their last accepted state if it is not yet recorded. Returns (end
-    time, cause) per member in input order, the time None at the horizon.
+    on their last accepted state if it is not yet recorded. Only records
+    read the report scalars (sup |u_tt|, sup |Lap u|, the F_nu integrand)
+    and their running integrals, so a run without record steps on lean
+    evaluations, whose scalars and div_accum are NaN. Returns (end time,
+    cause) per member in input order, the time None at the horizon.
     """
     grid = members[0][0].grid
     for (u0, u1), eps_i in zip(members, eps):
@@ -240,9 +243,10 @@ def _run(
         raise ValueError("report_every must be >= 1")
     u, v = (np.stack([m[i].values for m in members]) for i in (0, 1))
     live, eps = np.arange(len(eps)), np.array(eps, dtype=float)
-    fnu, div = np.zeros(len(eps)), np.zeros(len(eps))
+    full = record is not None
+    fnu = div = np.full(len(eps), 0.0 if full else math.nan)
     ends: list[tuple[float | None, BreakdownCause]] = [(None, BreakdownCause.HORIZON)] * len(eps)
-    ev: _Accel | None = None  # the live members' full evaluation at t, once made
+    ev: _Accel | None = None  # the live members' evaluation at t, once made
     t, k, recorded = 0.0, 0, -1  # recorded: the step of the live members' last record
 
     def states(rows: Sequence[int]) -> list[SimState]:
@@ -272,12 +276,15 @@ def _run(
     while live.size:
         try:
             if ev is None:
-                ev = _evaluate(grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps)
+                ev = _evaluate(
+                    grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps, full
+                )
             elif k == steps:
                 break
             else:
                 u_next, v_next, ev_next = _advance(grid, u, v, t, ev, dt_step, p, kind, scheme, eps)
-                fnu, div = _trapezoid(fnu, div, ev, ev_next, dt_step)
+                if full:
+                    fnu, div = _trapezoid(fnu, div, ev, ev_next, dt_step)
                 u, v, ev, t, k = u_next, v_next, ev_next, t + dt_step, k + 1
         except HyperbolicityBreakdown as exc:
             end([BreakdownCause.HYPERBOLICITY if m else None for m in exc.members])
@@ -592,7 +599,9 @@ def viscous_decay_experiment(
     sqrt(E_{m/2}(0)) <= sqrt(2) nu / (sqrt(3/2 + c^2) C_m max(alpha, beta))
     with the configured C_m. With nu = 0 the run is a control: the
     threshold and the monotonicity claim are both withdrawn. One member of
-    the run loop, with no monitor.
+    the run loop, with no monitor. Data that start at the hyperbolicity
+    floor end it at t = 0 with one record whose towers are NaN, so neither
+    claim holds.
 
     Args:
         m: even Sobolev level of the towers (m >= 2).
@@ -612,8 +621,13 @@ def viscous_decay_experiment(
 
     def record(states: list[SimState]) -> None:
         (s,) = states
-        # The jet lives only as long as its record.
-        jet = build_jet(s, p, m // 2 + 1, kind)
+        try:
+            # The jet lives only as long as its record.
+            jet = build_jet(s, p, m // 2 + 1, kind)
+        except HyperbolicityBreakdown:  # the data start at the floor: drop the towers
+            e_theorem.append(math.nan)
+            reports.append(make_report(s, p, kind))
+            return
         e_theorem.append(theorem_45_energy(jet, m, p, kind))
         reports.append(make_report(s, p, kind, half_m=m, jet=jet))
         if len(reports) == 1 and math.sqrt(reports[0].e_half_m) > threshold_value:
@@ -631,7 +645,8 @@ def viscous_decay_experiment(
     monotone_ok: bool | None = None
     if p.nu > 0.0:
         slack = slack_rel * e_theorem[0] * report_every
-        monotone_ok = all(
+        # A NaN initial energy (data at the floor) holds no claim, even alone.
+        monotone_ok = not math.isnan(slack) and all(
             later <= earlier + slack for earlier, later in zip(e_theorem, e_theorem[1:])
         )
     bound = (3.0 + 2.0 * p.c**2) * e_half_0
@@ -705,7 +720,8 @@ def klainerman_experiment(
     the smallest box side, where the periodic wrap-around invalidates the
     weights; that state is still recorded. The support radius never
     exceeds half the smallest side, so support_fraction must lie in
-    (0, 1/2) for the monitor to be able to trip.
+    (0, 1/2) for the monitor to be able to trip. Data that start at the
+    hyperbolicity floor end the run at t = 0 with one NaN ratio.
 
     Raises:
         ValueError: support_fraction outside (0, 1/2).
@@ -730,7 +746,12 @@ def klainerman_experiment(
 
     def record(states: list[SimState]) -> None:
         (s,) = states
-        jet = build_jet(s, p, jet_order, kind)
+        try:
+            jet = build_jet(s, p, jet_order, kind)
+        except HyperbolicityBreakdown:  # the data start at the floor: drop the ratio
+            ratios.append(math.nan)
+            reports.append(make_report(s, p, kind))
+            return
         ratio, e_1m, e_inf_m = klainerman_record(jet, s.t, m)
         ratios.append(ratio)
         reports.append(replace(make_report(s, p, kind), e_1m=e_1m, e_inf_m=e_inf_m))

@@ -84,7 +84,7 @@ class Grid:
         """Isotropic box with identical length and resolution per axis."""
         return cls((length,) * n, (points,) * n, origin_centered)
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Spatial dimension."""
         return len(self.lengths)
@@ -103,15 +103,15 @@ class Grid:
         """Shape of the real-to-complex transform coefficient array."""
         return self.points[:-1] + (self.points[-1] // 2 + 1,)
 
-    @property
+    @cached_property
     def total_points(self) -> int:
         return int(np.prod(self.points))
 
-    @property
+    @cached_property
     def box_volume(self) -> float:
         return float(np.prod(self.lengths))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.box_volume / self.total_points
 

@@ -23,6 +23,7 @@ from .dynamics import (
     SimState,
     _accel_kernel,
     _acceleration,
+    _carried_acc,
     effective_coefficients,
 )
 from .fields import (
@@ -139,6 +140,9 @@ def build_jet(
     kernel: assembled in spectral space, its quadratic Leibniz sums
     dealiased, brought back by one inverse transform and divided by
     1 - alpha*eps u^(1), which raises HyperbolicityBreakdown at the floor.
+    Layer 2 of a state carrying an explicit step's evaluation is its u_tt;
+    of one carrying an IMEX step's, one inverse transform of the carried
+    remainder plus linear part, equal to the kernel's up to roundoff.
     The jet keeps the layer transforms and gradients the cascade forms,
     starting from those the state carries.
     """
@@ -150,10 +154,13 @@ def build_jet(
     spectra: list[ComplexArray] = []
     gradients: list[list[FloatArray]] = []
     if K >= 2:
-        # Layer 2 is the acceleration; the cascade needs the gradients of
-        # layers 0 and 1 only when it goes on to layer 3.
-        ev = _acceleration(state, p, kind, gradients=K > 2)
-        layers.append(ev.acc)
+        # Layer 2 is the acceleration: an IMEX carry's, else the kernel's, which
+        # forms the gradients of layers 0 and 1 when the cascade goes on to 3.
+        acc = _carried_acc(state, p, kind)
+        if acc is None:
+            ev = _acceleration(state, p, kind, gradients=K > 2)
+            acc = ev.acc
+        layers.append(acc)
     if ev is not None:
         spectra = [ev.u_hat, ev.v_hat]
         if ev.grad_u is not None:

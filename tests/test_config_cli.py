@@ -744,6 +744,32 @@ class TestCli:
         assert reports[-1].t == verdict["times"][-1] < payload["horizon"]
         assert (run_dir / f"{table}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, grid, nu, scheme",
+        [("decay", {"n": 1, "points": 128}, 0.5, "imex"), ("klainerman", _KLAINERMAN_GRID, 0.0, "rk4")],
+    )
+    def test_data_at_the_floor_write_their_directory_then_exit_4(
+        self, tmp_path, capsys, command, grid, nu, scheme
+    ) -> None:
+        """Sine data whose factor starts below hyp_floor end the run at t = 0,
+        and the directory still names that cause."""
+        payload = {
+            "grid": grid,
+            "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.5},
+            "params": {"eps": 0.5, "nu": nu, "hyp_floor": 0.9},
+            "scheme": scheme,
+            "horizon": 3.0,
+        }
+        cfg = _write_config(tmp_path, "floor.json", payload)
+        out = tmp_path / "res"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"run failed: {command} ended by hyperbolicity_breakdown at t = 0 " in err
+        verdict = json.loads((out / command / "verdict.json").read_text())
+        assert verdict["cause"] == "hyperbolicity_breakdown"
+        assert verdict["times"] == [0.0]
+        assert [r.t for r in read_reports_csv(out / command / "reports.csv")] == [0.0]
+
     def test_klainerman_run(self, tmp_path, capsys) -> None:
         payload = {
             "grid": {"n": 1, "points": 128, "lengths": [12.566370614359172], "origin_centered": True},

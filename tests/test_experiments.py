@@ -30,7 +30,7 @@ from kuzlab import (
     solve_linear_forced,
     step,
 )
-from kuzlab import dynamics, energies, experiments
+from kuzlab import dynamics, energies, experiments, jets
 from kuzlab.experiments import (
     BlowupVerdict,
     BreakdownCause,
@@ -46,7 +46,7 @@ from kuzlab.experiments import (
 )
 from kuzlab.fields import Grid
 
-from helpers import single_mode
+from helpers import band_limited_field, count_ffts, single_mode
 
 
 def _smooth_pair(grid: Grid, a: float = 0.1) -> tuple[Field, Field]:
@@ -493,6 +493,38 @@ class TestViscousDecay:
         assert result.s_half == tuple(r.s_half_m for r in result.reports)
         assert result.sqrt_e_half_initial == math.sqrt(result.reports[0].e_half_m)
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_imex_carried_layer_two_keeps_the_reports(self, monkeypatch, m: int) -> None:
+        """Reading layer 2 from the IMEX carry moves every record by roundoff
+        only: within 1e-12 relative of the kernel's layer 2."""
+        grid = Grid.cube(2, 16)
+        rng = np.random.default_rng(43)
+        u0, u1 = band_limited_field(grid, rng, 1e-5), band_limited_field(grid, rng, 1e-5)
+        p = PhysicalParams(nu=1.0, eps=0.1)
+
+        def run() -> experiments.ViscousDecayResult:
+            return viscous_decay_experiment(u0, u1, p, m, 1.0, report_every=2)
+
+        carried = run()
+        monkeypatch.setattr(jets, "_carried_acc", lambda *args: None)
+        kernel = run()
+        assert carried.times == kernel.times and len(carried.times) > 2
+        for name in ("e_theorem", "e_half", "s_half"):
+            np.testing.assert_allclose(getattr(carried, name), getattr(kernel, name), rtol=1e-12, atol=0.0)
+        for a, b in zip(carried.reports, kernel.reports):
+            assert (a.e_wave, a.f_nu, a.div_accum) == (b.e_wave, b.f_nu, b.div_accum)
+
+    def test_data_at_the_floor_end_at_t0_with_nan_towers(self) -> None:
+        """The t = 0 record drops the towers, so neither claim holds."""
+        grid = Grid.cube(1, 64)
+        x = grid.coordinate_mesh(0)
+        p = PhysicalParams(nu=0.5, eps=0.5, hyp_floor=0.9)
+        u0, u1 = Field(grid, 0.5 * np.sin(x)), Field(grid, 0.5 * np.cos(x))
+        result = viscous_decay_experiment(u0, u1, p, 2, 1.0)
+        assert result.cause is BreakdownCause.HYPERBOLICITY and result.times == (0.0,)
+        assert math.isnan(result.e_theorem[0]) and math.isnan(result.e_half[0])
+        assert result.monotone_ok is False and result.bound_ok is False
+
     def test_inviscid_control_withdraws_claims(self) -> None:
         grid = Grid.cube(1, 64)
         u0, u1 = _smooth_pair(grid, 1e-3)
@@ -569,6 +601,14 @@ class TestKlainerman:
         with pytest.raises(ValueError, match="support_fraction"):
             klainerman_experiment(u0, u1, PhysicalParams(eps=0.05), 1.0, support_fraction=fraction)
 
+    def test_data_at_the_floor_end_at_t0_with_a_nan_ratio(self) -> None:
+        grid = Grid.cube(1, 64, length=4.0 * math.pi, origin_centered=True)
+        x = grid.coordinate_mesh(0)
+        p = PhysicalParams(eps=0.5, hyp_floor=0.9)
+        result = klainerman_experiment(Field(grid, 0.5 * np.sin(x)), Field(grid, 0.5 * np.cos(x)), p, 1.0)
+        assert result.cause is BreakdownCause.HYPERBOLICITY and result.times == (0.0,)
+        assert math.isnan(result.ratios[0]) and math.isnan(result.reports[0].e_1m)
+
     def test_support_monitor_trips(self) -> None:
         grid = Grid.cube(1, 128, length=self._BOX, origin_centered=True)
         u0, u1 = self._bump_data(grid)
@@ -615,6 +655,60 @@ class TestOneStepper:
             run()
             steps = math.ceil(horizon / cfl_dt(g, p.c) - 1e-12)
             assert calls == pytest.approx([k * horizon / steps for k in range(steps)]), name
+
+
+class TestLeanRuns:
+    """A run forms the report scalars and their integrals only when it records."""
+
+    @staticmethod
+    def _step_counts(monkeypatch, run) -> list[int]:
+        """Transform calls of every step the run loop takes during run()."""
+        counts = count_ffts(monkeypatch)
+        per_step = []
+        real_advance = experiments._advance
+
+        def advance(*args):
+            before = sum(counts.values())
+            out = real_advance(*args)
+            per_step.append(sum(counts.values()) - before)
+            return out
+
+        monkeypatch.setattr(experiments, "_advance", advance)
+        run()
+        monkeypatch.undo()
+        return per_step
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("scheme,nu", [(Scheme.EXPLICIT_RK4, 0.0), (Scheme.IMEX, 0.5)])
+    def test_warm_step_transform_counts(self, monkeypatch, n: int, scheme: Scheme, nu: float) -> None:
+        """A sweep, which keeps no records, steps in 5n+13 transforms under RK4
+        and 4n+11 under IMEX; a run that records steps in 5n+14 and 4n+12."""
+        grid = Grid.cube(n, 16)
+        p = PhysicalParams(nu=nu, eps=0.1)
+        horizon = 3.0 * cfl_dt(grid, p.c)
+        lean = self._step_counts(monkeypatch, lambda: lifespan_sweep(
+            _smooth_pair, [0.1, 0.2], p, n, grid=grid, horizon=horizon, scheme=scheme))
+        full = self._step_counts(monkeypatch, lambda: run_until_breakdown(
+            _smooth_pair(grid), p, horizon, report_every=2, scheme=scheme))
+        rk4 = scheme is Scheme.EXPLICIT_RK4
+        assert lean == [5 * n + 13 if rk4 else 4 * n + 11] * 3
+        assert full == [5 * n + 14 if rk4 else 4 * n + 12] * 3
+
+    def test_monitor_of_a_lean_run_sees_nan_scalars(self, monkeypatch) -> None:
+        """Without a record the run loop forms neither the scalars nor div_accum."""
+        grid = Grid.cube(1, 32)
+        p = PhysicalParams(eps=0.1)
+        seen = []
+
+        def monitor(u, v, ev, div):
+            seen.append((ev.acc_sup, ev.lap_sup, ev.fnu, *div))
+            return [None]
+
+        experiments._run(
+            [_smooth_pair(grid)], [p.eps], p, ModelKind.KUZNETSOV, Scheme.EXPLICIT_RK4,
+            3.0 * cfl_dt(grid, p.c), None, dynamics.DEFAULT_CFL, monitor,
+        )
+        assert len(seen) == 4 and all(math.isnan(x) for row in seen for x in row)
 
 
 class TestLinearRegularity:

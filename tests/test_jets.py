@@ -223,6 +223,23 @@ def _rk4_stepped(grid: Grid, p: PhysicalParams, seed: int) -> SimState:
 class TestCarriedSpectra:
     """Jets keep the layer transforms and gradients their cascade forms."""
 
+    def test_layer_two_from_imex_carry(self, monkeypatch) -> None:
+        """On a 16^3 IMEX-carried state, layer 2 is one inverse transform of the
+        carried remainder plus linear part, the kernel's up to roundoff."""
+        grid = Grid.cube(3, 16)
+        p = PhysicalParams(nu=0.5, eps=0.1)
+        rng = np.random.default_rng(41)
+        state = SimState(band_limited_field(grid, rng, 0.2), band_limited_field(grid, rng, 0.2))
+        state = step(state, cfl_dt(grid, p.c), p, ModelKind.KUZNETSOV, Scheme.IMEX)
+        counts = count_ffts(monkeypatch)
+        jet = build_jet(state, p, 2)
+        monkeypatch.undo()
+        assert counts == {"forward": 0, "inverse": 1}
+        fresh = SimState(Field(grid, state.u.values.copy()), Field(grid, state.v.values.copy()), state.t)
+        kernel = build_jet(fresh, p, 2).layer(2).values
+        scale = float(np.max(np.abs(kernel)))
+        np.testing.assert_allclose(jet.layer(2).values, kernel, rtol=0.0, atol=1e-13 * scale)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_build_jet_transform_count(self, monkeypatch, n: int) -> None:
         """From an RK4 carry, layer 3 costs layer 2's transform, its n
