@@ -277,7 +277,7 @@ def _accel_kernel(
         grad_v = []
         quad = np.zeros(v.shape)
         for g, mult in zip(grad_u, grid.derivative_multipliers):
-            gv = _to_physical(grid, v_hat * mult)
+            gv = _to_physical(grid, v_hat * mult, consume=True)
             quad += g * gv
             if gradients:
                 grad_v.append(gv)
@@ -288,18 +288,23 @@ def _accel_kernel(
         grad_u = grad_v = None
     lin_hat = _linear_hat(grid, u_hat, v_hat, p.c, nu_eff, eps_col)
     num_hat = lin_hat if quad is None else lin_hat + grid.dealias_mask * _to_spectral(grid, quad)
-    acc = _to_physical(grid, num_hat)
+    rem_hat = None
+    if remainder and factor is None:
+        rem_hat = num_hat - lin_hat
+    # A fresh sum is read no further, so its inverse may write into it.
+    acc = _to_physical(grid, num_hat, consume=quad is not None)
     if factor is not None:
         acc /= factor
-    rem_hat = None
-    if remainder:
-        rem_hat = num_hat - lin_hat if factor is None else _to_spectral(grid, acc) - lin_hat
+        if remainder:
+            rem_hat = _to_spectral(grid, acc) - lin_hat
     if not full:
         return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, grad_u=grad_u, grad_v=grad_v)
     fnu = 0.0 if grad_sq is None else np.sum(acc * grad_sq, axis=grid.axes)
     fnu *= beta_eff * np.asarray(eps) * grid.cell_volume
     acc_sup = np.max(np.abs(acc), axis=grid.axes)
-    lap_sup = np.max(np.abs(_to_physical(grid, -grid.k_squared * u_hat)), axis=grid.axes)
+    lap_sup = np.max(
+        np.abs(_to_physical(grid, -grid.k_squared * u_hat, consume=True)), axis=grid.axes
+    )
     return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, acc_sup, lap_sup, fnu, grad_u, grad_v)
 
 
@@ -312,7 +317,7 @@ def _carried_acc(state: SimState, p: PhysicalParams, kind: ModelKind) -> FloatAr
         return None
     nu_eff = effective_coefficients(p, kind)[2]
     lin_hat = _linear_hat(state.grid, ev.u_hat, ev.v_hat, p.c, nu_eff, p.eps)
-    return _to_physical(state.grid, ev.rem_hat + lin_hat)
+    return _to_physical(state.grid, ev.rem_hat + lin_hat, consume=True)
 
 
 def _spectra(state: SimState) -> tuple[ComplexArray, ComplexArray]:
@@ -536,8 +541,8 @@ def _advance(
         del up_hat, vp_hat, vp
         half = 0.5 * dt
         base = v_hat + half * n1_hat
-        u1 = _to_physical(grid, e00 * u_hat + e01 * base)
-        v1 = _to_physical(grid, e10 * u_hat + e11 * base + half * n2_hat)
+        u1 = _to_physical(grid, e00 * u_hat + e01 * base, consume=True)
+        v1 = _to_physical(grid, e10 * u_hat + e11 * base + half * n2_hat, consume=True)
 
     finite = np.isfinite(u1).all(axis=grid.axes) & np.isfinite(v1).all(axis=grid.axes)
     if not finite.all():

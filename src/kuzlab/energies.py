@@ -180,7 +180,7 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
             return apply_multi_derivative(jet, MultiIndex((k, *unit))).values
         # The multipliers the per-axis chain d_axis, then D^key, applies.
         mult = grid.derivative_multipliers[axis] * _derivative_multiplier(grid, spatial)
-        return _to_physical(grid, jet.spectrum(k) * mult)
+        return _to_physical(grid, jet.spectrum(k) * mult, consume=True)
 
     keys = {term.derivative.orders for word in words for term in expand_gamma(word)}
     sources: list[tuple[Jet, dict[tuple[int, ...], FloatArray]]] = []

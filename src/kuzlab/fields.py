@@ -3,11 +3,14 @@
 The spatial domain is a periodic box (R/L_1 Z) x ... x (R/L_n Z), n <= 3,
 sampled on a uniform tensor grid with power-of-two point counts.  All
 differential operators are exact spectral multipliers behind one real
-transform pair, ``_to_spectral``/``_to_physical``.  Every norm of derivatives
-is one box-measure quadrature of m_k (1 + |k|^2)^s |f_k|^2 over the spectrum,
-``_quadrature``, with m = 1 for H^s, ``Grid.gradient_weight`` for
-sum_i ||d_i f||^2 and |k|^4 for ||Lap f||^2; discrete and continuum norms
-agree on trigonometric polynomials.
+transform pair, ``_to_spectral``/``_to_physical``: numpy's rfftn/irfftn axis
+passes in their own order, bit for bit, the complex passes written in place
+into one array rather than a fresh array per axis.
+
+Every norm of derivatives is one box-measure quadrature of
+m_k (1 + |k|^2)^s |f_k|^2 over the spectrum, ``_quadrature``, with m = 1 for
+H^s, ``Grid.gradient_weight`` for sum_i ||d_i f||^2 and |k|^4 for
+||Lap f||^2; discrete and continuum norms agree on trigonometric polynomials.
 
 Functions
 ---------
@@ -265,22 +268,36 @@ class Field:
 
 
 def _to_spectral(grid: Grid, values: FloatArray) -> ComplexArray:
-    """Real transform of grid values to the half-spectrum."""
-    if grid.n == 1:
-        # rfftn makes this one call after its axis bookkeeping; skip the bookkeeping.
-        return np.fft.rfft(values)
-    return np.fft.rfftn(values, axes=grid.axes)
+    """Real transform of grid values to the half-spectrum: rfftn's own passes.
+
+    One rfft over the last axis, then the complex passes over the others in
+    rfftn's order, each written into the spectrum in place, so one array is
+    allocated where rfftn allocates one per axis. Bitwise rfftn's result; in
+    1-d, which has no complex passes, it is one rfft call, as is the inverse
+    one irfft call.
+    """
+    spec = np.fft.rfft(values)
+    for axis in grid.axes[-2::-1]:
+        np.fft.fft(spec, axis=axis, out=spec)
+    return spec
 
 
-def _to_physical(grid: Grid, spec: ComplexArray) -> FloatArray:
-    """Inverse real transform of a half-spectrum back to grid values."""
-    if grid.n == 1:
-        return np.fft.irfft(spec, grid.points[0])
-    return np.fft.irfftn(spec, s=grid.shape, axes=grid.axes)
+def _to_physical(grid: Grid, spec: ComplexArray, *, consume: bool = False) -> FloatArray:
+    """Inverse real transform of a half-spectrum back to grid values: irfftn's own passes.
+
+    The complex passes over all axes but the last go into one work array, in
+    place from the second pass on, then one irfft over the last axis. Bitwise
+    irfftn's result. consume lets the first pass overwrite spec itself; pass
+    it only for a fresh temporary that nothing else references.
+    """
+    work = spec
+    for axis in grid.axes[:-1]:
+        work = np.fft.ifft(work, axis=axis, out=work if consume or work is not spec else None)
+    return np.fft.irfft(work, grid.points[-1])
 
 
 def _gradient_from_spectrum(grid: Grid, spec: ComplexArray) -> list[FloatArray]:
-    return [_to_physical(grid, spec * mult) for mult in grid.derivative_multipliers]
+    return [_to_physical(grid, spec * mult, consume=True) for mult in grid.derivative_multipliers]
 
 
 def _axis_multiplier(grid: Grid, axis: int, order: int) -> ComplexArray:
@@ -311,13 +328,13 @@ def derivative_values(grid: Grid, values: FloatArray, axis: int, order: int) -> 
         return np.array(values, dtype=np.float64)
     spec = _to_spectral(grid, values)
     spec *= _axis_multiplier(grid, axis, order)
-    return _to_physical(grid, spec)
+    return _to_physical(grid, spec, consume=True)
 
 
 def laplacian_values(grid: Grid, values: FloatArray) -> FloatArray:
     spec = _to_spectral(grid, values)
     spec *= -grid.k_squared
-    return _to_physical(grid, spec)
+    return _to_physical(grid, spec, consume=True)
 
 
 def gradient_values(grid: Grid, values: FloatArray) -> list[FloatArray]:
@@ -327,7 +344,7 @@ def gradient_values(grid: Grid, values: FloatArray) -> list[FloatArray]:
 def dealias_values(grid: Grid, values: FloatArray) -> FloatArray:
     spec = _to_spectral(grid, values)
     spec *= grid.dealias_mask
-    return _to_physical(grid, spec)
+    return _to_physical(grid, spec, consume=True)
 
 
 def _quadrature(

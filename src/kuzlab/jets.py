@@ -210,4 +210,5 @@ def apply_multi_derivative(jet: Jet, A: MultiIndex) -> Field:
         return jet.layers[k]
     if A.spatial_total == 1 and k in jet._gradients:
         return Field(grid, jet._gradients[k][spatial.index(1)])
-    return Field(grid, _to_physical(grid, jet.spectrum(k) * _derivative_multiplier(grid, spatial)))
+    spec = jet.spectrum(k) * _derivative_multiplier(grid, spatial)
+    return Field(grid, _to_physical(grid, spec, consume=True))

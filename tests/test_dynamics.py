@@ -258,6 +258,37 @@ class TestFsal:
             ev = single._fsal
             assert (end.fnu[b], end.acc_sup[b], end.lap_sup[b]) == (ev.fnu, ev.acc_sup, ev.lap_sup)
 
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scheme,nu", [(Scheme.EXPLICIT_RK4, 0.0), (Scheme.IMEX, 0.5)])
+    def test_warm_step_leaves_start_evaluation(self, n: int, members: int, scheme: Scheme, nu: float) -> None:
+        """Inverse transforms that write into their argument never reach the
+        evaluation a step starts from: its spectra, remainder and gradients
+        keep their bits through the step. One member runs unstacked."""
+        grid = Grid.cube(n, 16)
+        p = PhysicalParams(nu=nu)
+        kind = ModelKind.KUZNETSOV
+        rng = np.random.default_rng(23)
+        u, v = (
+            np.stack([band_limited_field(grid, rng, 0.2).values for _ in range(members)])
+            for _ in range(2)
+        )
+        eps = np.linspace(0.05, 0.15, members)
+        if members == 1:
+            u, v, eps = u[0], v[0], float(eps[0])
+        dt = cfl_dt(grid, p.c)
+        u, v, start = _advance(grid, u, v, 0.0, None, dt, p, kind, scheme, eps)
+        held = {
+            name: getattr(start, name)
+            for name in ("u_hat", "v_hat", "rem_hat", "grad_u", "grad_v")
+            if getattr(start, name) is not None
+        }
+        assert len(held) == (3 if scheme is Scheme.IMEX else 4)
+        kept = {name: np.array(value) for name, value in held.items()}
+        _advance(grid, u, v, dt, start, dt, p, kind, scheme, eps)
+        for name, value in held.items():
+            np.testing.assert_array_equal(np.array(value), kept[name], err_msg=name)
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_warm_step_equals_cold_step_bitwise(self, kind: ModelKind, scheme: Scheme) -> None:
