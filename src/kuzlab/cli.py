@@ -1,12 +1,17 @@
 """Command-line entry points composing the experiment drivers.
 
-Every subcommand reads one JSON config (--config), applies the documented
-overrides, runs the matching driver and persists the stable results layout
+Every subcommand reads one JSON config (--config) and applies the documented
+overrides through ``with_overrides``, which re-parses the config, so an
+override is checked like the key it replaces. It runs the matching driver
+with the stepping keywords of ``_stepping`` and hands the result to
+``_finish``, the one writer: it persists the stable results layout
 (config.json, reports.csv, reports.jsonl, verdict.json, extra tables) under
-the output directory. Exit codes: 0 success, 2 configuration or usage error,
-3 initial-data guard violation, 4 runtime failure mid-run: a stability, decay
-or Klainerman run cut short by the floor, a non-finite step or the support
-monitor, which writes its directory and the cause first.
+the output directory, prints the summary line and picks the exit code.
+``check-thresholds`` prints closed-form constants and runs no driver.
+Exit codes: 0 success, 2 configuration or usage error, 3 initial-data guard
+violation, 4 runtime failure mid-run: a stability, decay or Klainerman run
+cut short by the floor, a non-finite step or the support monitor, which
+writes its directory and the cause first.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .config import (
     with_overrides,
 )
 from .dynamics import SimState, effective_coefficients
-from .energies import energy_m, lifespan_T0, thresholds
+from .energies import EnergyReport, energy_m, lifespan_T0, thresholds
 from .errors import ConfigError, GuardViolation, KuzlabError
 from .experiments import (
     BreakdownCause,
@@ -60,88 +65,78 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _out_root(cfg: RunConfig) -> Path:
-    return Path(cfg.out_dir) if cfg.out_dir is not None else Path("results")
-
-
-# Causes on which a stability, decay or Klainerman run fails; a spectral tail
-# trip is a verdict (the pair reports resolved false), not a failure.
+# A stability, decay or Klainerman run that one of these causes cut short
+# fails (exit 4); simulate and sweep report any cause as their verdict, and a
+# spectral tail trip is a verdict everywhere (a pair reports resolved false).
+_FAILING_COMMANDS = {ExperimentKind.STABILITY, ExperimentKind.DECAY, ExperimentKind.KLAINERMAN}
 _FAILED = {BreakdownCause.HYPERBOLICITY, BreakdownCause.NUMERICAL, BreakdownCause.SUPPORT}
 
 
-def _exit_code(command: str, result: Any, directory: Path) -> int:
-    """4 if the result's cause cut the run short, else 0; the directory is written."""
-    if result.cause not in _FAILED:
+def _stepping(cfg: RunConfig) -> dict[str, Any]:
+    """The stepping keywords every time-stepping driver takes from the config."""
+    return {"kind": cfg.model, "scheme": cfg.scheme, "dt": cfg.dt, "cfl": cfg.cfl}
+
+
+def _finish(
+    cfg: RunConfig,
+    result: Any,
+    summary: str,
+    tables: Mapping[str, Any] | None = None,
+    *,
+    reports: Sequence[EnergyReport] = (),
+    extra: Mapping[str, Any] | None = None,
+) -> int:
+    """Write the run's directory, print its summary line, return the exit code.
+
+    The verdict is the result as JSON, without the reports (they have their
+    own files), with the extra keys merged in. A failing command whose cause
+    cut the run short exits 4, after its directory is written.
+    """
+    command = cfg.experiment.value
+    verdict = jsonable(result)
+    verdict.pop("reports", None)
+    verdict.update(extra or {})
+    root = Path("results" if cfg.out_dir is None else cfg.out_dir)
+    directory = write_experiment_dir(root, command, serialize_config(cfg), reports, verdict, tables)
+    print(f"{command}: {summary} -> {directory}")
+    if cfg.experiment not in _FAILING_COMMANDS or result.cause not in _FAILED:
         return _EXIT_OK
     end = f"{result.cause.value} at t = {result.times[-1]:.6g}"
     print(f"run failed: {command} ended by {end} -> {directory}", file=sys.stderr)
     return _EXIT_RUNTIME
 
 
-def _verdict_without_reports(result: Any, extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    data = jsonable(result)
-    data.pop("reports", None)
-    if extra:
-        data.update(extra)
-    return data
-
-
 def _cmd_simulate(cfg: RunConfig) -> int:
-    u0, u1 = initial_data(cfg)
     reports, verdict = run_until_breakdown(
-        (u0, u1),
+        initial_data(cfg),
         cfg.params,
         cfg.horizon,
         cfg.report_every,
-        kind=cfg.model,
-        scheme=cfg.scheme,
-        dt=cfg.dt,
-        cfl=cfg.cfl,
         tail_threshold=cfg.sweep.tail_threshold,
         e_m_orders=cfg.energies.e_m_orders,
         half_m=cfg.energies.half_m,
+        **_stepping(cfg),
     )
-    directory = write_experiment_dir(
-        _out_root(cfg), "simulate", serialize_config(cfg), reports, verdict
-    )
-    print(f"simulate: {len(reports)} reports, cause = {verdict.cause.value} -> {directory}")
-    return _EXIT_OK
+    summary = f"{len(reports)} reports, cause = {verdict.cause.value}"
+    return _finish(cfg, verdict, summary, reports=reports)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    grid = cfg.grid
     data = initial_data(cfg)
-
-    def data_shape(g):
-        if g != grid:
-            raise ValueError("sweep grid changed under a fixed-data sweep")
-        return data
-
     result = lifespan_sweep(
-        data_shape,
+        lambda grid: data,
         cfg.sweep.eps_list,
         cfg.params,
-        grid.n,
-        grid=grid,
-        kind=cfg.model,
-        scheme=cfg.scheme,
+        cfg.grid.n,
+        grid=cfg.grid,
         horizon=cfg.horizon,
-        dt=cfg.dt,
-        cfl=cfg.cfl,
         tail_threshold=cfg.sweep.tail_threshold,
+        **_stepping(cfg),
     )
     rows = [(r.eps, r.t_star, r.cause.value, r.scaled) for r in result.rows]
-    directory = write_experiment_dir(
-        _out_root(cfg),
-        "sweep",
-        serialize_config(cfg),
-        (),
-        result,
-        tables={"sweep_rows": (("eps", "t_star", "cause", "scaled"), rows)},
-    )
     slope = "none" if result.slope is None else f"{result.slope:.4f}"
-    print(f"sweep: {len(result.rows)} points, slope = {slope} -> {directory}")
-    return _EXIT_OK
+    summary = f"{len(result.rows)} points, slope = {slope}"
+    return _finish(cfg, result, summary, {"sweep_rows": (("eps", "t_star", "cause", "scaled"), rows)})
 
 
 def _perturbed_data(cfg: RunConfig, u0: Field, u1: Field) -> tuple[Field, Field]:
@@ -171,26 +166,16 @@ def _cmd_stability(cfg: RunConfig) -> int:
         v_data,
         cfg.params,
         cfg.horizon,
-        kind=cfg.model,
-        scheme=cfg.scheme,
-        dt=cfg.dt,
-        cfl=cfg.cfl,
         report_every=cfg.report_every,
         tail_threshold=cfg.sweep.tail_threshold,
+        **_stepping(cfg),
     )
     rows = list(zip(result.times, result.d, result.a))
     extra = {"envelope_ok": result.envelope_ok(cfg.stability.c2_cap), "c2_cap": cfg.stability.c2_cap}
-    directory = write_experiment_dir(
-        _out_root(cfg),
-        "stability",
-        serialize_config(cfg),
-        result.reports,
-        _verdict_without_reports(result, extra),
-        tables={"stability_series": (("t", "d", "a"), rows)},
-    )
     c2 = "none" if result.c2 is None else f"{result.c2:.4f}"
-    print(f"stability: c2 = {c2}, envelope_ok = {extra['envelope_ok']} -> {directory}")
-    return _exit_code("stability", result, directory)
+    summary = f"c2 = {c2}, envelope_ok = {extra['envelope_ok']}"
+    tables = {"stability_series": (("t", "d", "a"), rows)}
+    return _finish(cfg, result, summary, tables, reports=result.reports, extra=extra)
 
 
 def _cmd_decay(cfg: RunConfig) -> int:
@@ -201,27 +186,15 @@ def _cmd_decay(cfg: RunConfig) -> int:
         cfg.params,
         cfg.decay.m,
         cfg.horizon,
-        kind=cfg.model,
-        scheme=cfg.scheme,
-        dt=cfg.dt,
-        cfl=cfg.cfl,
         report_every=cfg.report_every,
         env=cfg.envelope,
         slack_rel=cfg.decay.slack_rel,
+        **_stepping(cfg),
     )
     rows = list(zip(result.times, result.e_theorem, result.e_half, result.s_half))
-    directory = write_experiment_dir(
-        _out_root(cfg),
-        "decay",
-        serialize_config(cfg),
-        result.reports,
-        _verdict_without_reports(result),
-        tables={"decay_series": (("t", "e_theorem", "e_half", "s_half"), rows)},
-    )
-    print(
-        f"decay: monotone_ok = {result.monotone_ok}, bound_ok = {result.bound_ok} -> {directory}"
-    )
-    return _exit_code("decay", result, directory)
+    summary = f"monotone_ok = {result.monotone_ok}, bound_ok = {result.bound_ok}"
+    tables = {"decay_series": (("t", "e_theorem", "e_half", "s_half"), rows)}
+    return _finish(cfg, result, summary, tables, reports=result.reports)
 
 
 def _cmd_klainerman(cfg: RunConfig) -> int:
@@ -232,27 +205,17 @@ def _cmd_klainerman(cfg: RunConfig) -> int:
         cfg.params,
         cfg.horizon,
         m=cfg.klainerman.m,
-        kind=cfg.model,
-        scheme=cfg.scheme,
-        dt=cfg.dt,
-        cfl=cfg.cfl,
         report_every=cfg.report_every,
         support_fraction=cfg.klainerman.support_fraction,
+        **_stepping(cfg),
     )
     extra: dict[str, Any] = {"max_ratio": result.max_ratio}
     if result.times and result.times[-1] >= 1.0:
         extra["boundedness_quotient_t1"] = result.boundedness_quotient(1.0)
     rows = list(zip(result.times, result.ratios, result.support_radii))
-    directory = write_experiment_dir(
-        _out_root(cfg),
-        "klainerman",
-        serialize_config(cfg),
-        result.reports,
-        _verdict_without_reports(result, extra),
-        tables={"ratio_series": (("t", "ratio", "support_radius"), rows)},
-    )
-    print(f"klainerman: max ratio = {result.max_ratio:.6g} -> {directory}")
-    return _exit_code("klainerman", result, directory)
+    summary = f"max ratio = {result.max_ratio:.6g}"
+    tables = {"ratio_series": (("t", "ratio", "support_radius"), rows)}
+    return _finish(cfg, result, summary, tables, reports=result.reports, extra=extra)
 
 
 def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:
@@ -292,16 +255,8 @@ def _cmd_linreg(cfg: RunConfig) -> int:
         "tol": cfg.linreg.tol,
     }
     rows = list(zip(result.times, result.lhs, result.rhs, margins))
-    directory = write_experiment_dir(
-        _out_root(cfg),
-        "linreg",
-        serialize_config(cfg),
-        (),
-        verdict,
-        tables={"margin_series": (("t", "lhs", "rhs", "margin"), rows)},
-    )
-    print(f"linreg: worst margin = {result.worst_margin:.6g} -> {directory}")
-    return _EXIT_OK
+    summary = f"worst margin = {result.worst_margin:.6g}"
+    return _finish(cfg, verdict, summary, {"margin_series": (("t", "lhs", "rhs", "margin"), rows)})
 
 
 def _cmd_check_thresholds(cfg: RunConfig) -> int:

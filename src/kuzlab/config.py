@@ -4,8 +4,9 @@ The dataclasses below are the schema: one walker (``_decode``/``_encode``)
 reads each field's annotation, rejects unknown keys by dotted path and gives
 absent keys the field default. Only ``Grid`` (scalar-or-list ``points`` and
 ``lengths``) and ``Preset`` (tagged by ``kind``) have their own shapes.
-Numbers that must be positive are listed by dotted path in ``_POSITIVE_PATHS``;
-other preconditions live in each section's ``__post_init__``.
+Every number must be finite; numbers that must be positive are listed by
+dotted path in ``_POSITIVE_PATHS``; other preconditions live in each
+section's ``__post_init__``.
 ``parse_config`` composed with ``serialize_config`` is the identity on configs.
 """
 
@@ -267,9 +268,15 @@ def _decode(tp: Any, value: Any, path: str) -> Any:
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {value!r}")
-        if path.partition("[")[0] in _POSITIVE_PATHS and value <= 0:
-            raise ConfigError(path, f"must be positive, got {float(value)}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(path, f"must be finite, got {number}")
+        if path.partition("[")[0] in _POSITIVE_PATHS and number <= 0:
+            raise ConfigError(path, f"must be positive, got {number}")
+        return number
     if tp is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if tp is bool and not isinstance(value, bool):
@@ -349,6 +356,8 @@ def parse_config(text: str) -> RunConfig:
     cfg = _decode(RunConfig, data, "")
     if cfg.report_every < 1:
         raise ConfigError("report_every", "must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed", "must be >= 0")
     _check_preset_arity(cfg.preset, cfg.grid)
     return cfg
 
@@ -472,6 +481,11 @@ def with_overrides(
     horizon: float | None = None,
     seed: int | None = None,
 ) -> RunConfig:
-    """Apply CLI-level overrides, returning a new config."""
+    """Apply CLI-level overrides, returning a new config.
+
+    The result is re-parsed from its canonical text, so an override passes
+    the same checks, with the same messages, as the config key it replaces.
+    """
     top = {"out_dir": out_dir, "horizon": horizon, "seed": seed}
-    return replace(cfg, **{key: value for key, value in top.items() if value is not None})
+    changed = replace(cfg, **{key: value for key, value in top.items() if value is not None})
+    return parse_config(serialize_config(changed))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -814,3 +815,96 @@ class TestCli:
         assert reparsed.horizon == 0.25
         reports = read_reports_csv(out / "simulate" / "reports.csv")
         assert reports[-1].t == pytest.approx(0.25, abs=1e-12)
+
+
+_TINY = {
+    "grid": {"n": 1, "points": 64},
+    "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.01},
+    "horizon": 0.5,
+}
+
+# One tiny run per subcommand: its config, its summary line and the table it
+# writes beside config.json, the two report files and verdict.json.
+_RUNS = [
+    ("simulate", _TINY, "3 reports, cause = horizon_reached", None),
+    ("sweep", {**_TINY, "sweep": {"eps_list": [0.2, 0.1]}}, "2 points, slope = none", "sweep_rows"),
+    (
+        "stability",
+        {**_TINY, "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.05}},
+        "c2 = 0.0000, envelope_ok = True",
+        "stability_series",
+    ),
+    (
+        "decay",
+        {**_TINY, "params": {"nu": 1.0}, "scheme": "imex", "decay": {"m": 2}},
+        "monotone_ok = True, bound_ok = True",
+        "decay_series",
+    ),
+    (
+        "klainerman",
+        {
+            "grid": _KLAINERMAN_GRID,
+            "preset": {"kind": "zero_velocity_gaussian", "width": 0.4, "amplitude": 0.01},
+            "params": {"eps": 0.05},
+            "horizon": 1.0,
+            "report_every": 16,
+        },
+        "max ratio = 0.2112",
+        "ratio_series",
+    ),
+    ("linreg", {**_TINY, "params": {"nu": 0.5, "eps": 0.2}}, "worst margin = 0", "margin_series"),
+]
+
+_NOISE = {**_TINY, "stability": {"perturbation": "noise"}}
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("command, payload, summary, table", _RUNS, ids=[run[0] for run in _RUNS])
+    def test_run_subcommands_share_one_layout(
+        self, tmp_path, monkeypatch, capsys, command, payload, summary, table
+    ) -> None:
+        """Each run prints one summary line and writes the common files plus its
+        table, byte for byte the same on a second run."""
+        written = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            cfg = _write_config(tmp_path / run, "cfg.json", payload)
+            assert main([command, "--config", cfg, "--out", "res"]) == 0
+            assert capsys.readouterr() == (f"{command}: {summary} -> {Path('res', command)}\n", "")
+            written.append({p.name: p.read_bytes() for p in (tmp_path / run / "res" / command).iterdir()})
+        common = {"config.json", "reports.csv", "reports.jsonl", "verdict.json"}
+        assert set(written[0]) == common | ({f"{table}.csv"} if table else set())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "command, payload, flags, key",
+        [
+            ("simulate", _TINY, ["--horizon", "0"], "horizon"),
+            ("simulate", _TINY, ["--horizon", "-1"], "horizon"),
+            ("simulate", _TINY, ["--horizon", "nan"], "horizon"),
+            ("simulate", _TINY, ["--horizon", "inf"], "horizon"),
+            ("stability", _NOISE, ["--seed", "-3"], "seed"),
+            ("stability", {**_NOISE, "seed": -1}, [], "seed"),
+            ("simulate", {**_TINY, "horizon": math.inf}, [], "horizon"),
+            ("simulate", {**_TINY, "horizon": math.nan}, [], "horizon"),
+            ("simulate", {**_TINY, "horizon": 10**400}, [], "horizon"),
+            ("simulate", {**_TINY, "dt": math.nan}, [], "dt"),
+            ("simulate", {**_TINY, "params": {"eps": -math.inf}}, [], "params.eps"),
+            ("simulate", {"grid": {"n": 1, "points": 64, "lengths": [math.inf]}}, [], "grid.lengths[0]"),
+            ("sweep", {**_TINY, "sweep": {"tail_threshold": math.nan}}, [], "sweep.tail_threshold"),
+        ],
+    )
+    def test_bad_numbers_and_overrides_exit_2(self, tmp_path, capsys, command, payload, flags, key) -> None:
+        """Non-finite numbers, a negative seed and out-of-range overrides are
+        config errors naming the key; nothing is written."""
+        cfg = _write_config(tmp_path, "bad.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
+    def test_overrides_pass_the_schema(self) -> None:
+        with pytest.raises(ConfigError, match="must be finite") as info:
+            with_overrides(RunConfig(), horizon=math.nan)
+        assert info.value.path == "horizon"
