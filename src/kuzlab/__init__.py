@@ -44,7 +44,6 @@ from .dynamics import (
     solve_linear_forced,
     spectral_tail_fraction,
     step,
-    stiffness_ratio,
     support_radius,
 )
 from .energies import (

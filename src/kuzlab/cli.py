@@ -6,7 +6,8 @@ override is checked like the key it replaces. It runs the matching driver
 with the stepping keywords of ``_stepping`` and hands the result to
 ``_finish``, the one writer: it persists the stable results layout
 (config.json, reports.csv, reports.jsonl, verdict.json, extra tables) under
-the output directory, prints the summary line and picks the exit code.
+the output directory with telemetry.json beside it, the command's transform
+and stepper counts, prints the summary line and picks the exit code.
 ``check-thresholds`` prints closed-form constants and runs no driver.
 Exit codes: 0 success, 2 configuration or usage error, 3 initial-data guard
 violation, 4 runtime failure mid-run: a stability, decay or Klainerman run
@@ -26,6 +27,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import dynamics, fields
 from .config import (
     ExperimentKind,
     RunConfig,
@@ -72,6 +74,20 @@ _FAILING_COMMANDS = {ExperimentKind.STABILITY, ExperimentKind.DECAY, ExperimentK
 _FAILED = {BreakdownCause.HYPERBOLICITY, BreakdownCause.NUMERICAL, BreakdownCause.SUPPORT}
 
 
+def _counts() -> dict[str, int]:
+    """The library's running counts: transforms each way and stepper calls."""
+    return {
+        "forward_transforms": fields.transform_counts["forward"],
+        "inverse_transforms": fields.transform_counts["inverse"],
+        "stepper_calls": dynamics.advance_calls,
+    }
+
+
+# The counts as the running command started: main takes them, _finish writes
+# the command's share to telemetry.json.
+_counts_at_start = _counts()
+
+
 def _stepping(cfg: RunConfig) -> dict[str, Any]:
     """The stepping keywords every time-stepping driver takes from the config."""
     return {"kind": cfg.model, "scheme": cfg.scheme, "dt": cfg.dt, "cfl": cfg.cfl}
@@ -98,6 +114,8 @@ def _finish(
     verdict.update(extra or {})
     root = Path("results" if cfg.out_dir is None else cfg.out_dir)
     directory = write_experiment_dir(root, command, serialize_config(cfg), reports, verdict, tables)
+    telemetry = {key: n - _counts_at_start[key] for key, n in _counts().items()}
+    (directory / "telemetry.json").write_text(json.dumps(telemetry, indent=2) + "\n")
     print(f"{command}: {summary} -> {directory}")
     if cfg.experiment not in _FAILING_COMMANDS or result.cause not in _FAILED:
         return _EXIT_OK
@@ -321,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code instead of raising."""
+    global _counts_at_start
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
@@ -337,6 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         if args.command != "check-thresholds":
             cfg = replace(cfg, experiment=ExperimentKind(args.command))
+        _counts_at_start = _counts()
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

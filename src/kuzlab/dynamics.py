@@ -33,6 +33,7 @@ previous stage formed for w. The end-of-step evaluation takes 2n+5 and is
 carried with grad u and grad v. IMEX makes 4n+12 and carries no gradients.
 A run that keeps no reports steps on lean evaluations, without the report
 scalars and the inverse transform of Lap u they need: 5n+13 and 4n+11.
+``advance_calls`` counts the stepper's calls, one per step.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def _accel_kernel(
     factor = None
     if alpha_eff != 0.0:
         factor = 1.0 - alpha_eff * eps_col * v
-        fmin = factor.min(axis=grid.axes)
+        fmin = np.minimum.reduce(factor, axis=grid.axes)
         tripped = fmin <= p.hyp_floor
         if tripped.any():
             raise HyperbolicityBreakdown(np.asarray(fmin)[tripped].min(), p.hyp_floor, t, tripped)
@@ -275,10 +276,12 @@ def _accel_kernel(
         if grad_u is None:
             grad_u = _gradient_from_spectrum(grid, u_hat)
         grad_v = []
-        quad = np.zeros(v.shape)
         for g, mult in zip(grad_u, grid.derivative_multipliers):
             gv = _to_physical(grid, v_hat * mult, consume=True)
-            quad += g * gv
+            if quad is None:
+                quad = g * gv
+            else:
+                quad += g * gv
             if gradients:
                 grad_v.append(gv)
         quad *= beta_eff * eps_col
@@ -287,7 +290,11 @@ def _accel_kernel(
     if not gradients or grad_v is None:
         grad_u = grad_v = None
     lin_hat = _linear_hat(grid, u_hat, v_hat, p.c, nu_eff, eps_col)
-    num_hat = lin_hat if quad is None else lin_hat + grid.dealias_mask * _to_spectral(grid, quad)
+    num_hat = lin_hat
+    if quad is not None:
+        num_hat = _to_spectral(grid, quad)
+        num_hat *= grid.dealias_mask
+        num_hat += lin_hat
     rem_hat = None
     if remainder and factor is None:
         rem_hat = num_hat - lin_hat
@@ -387,11 +394,6 @@ def _admissible_dt(grid: Grid, c: float, dt: float, scheme: Scheme, cfl: float) 
     return min(dt, cfl_dt(grid, c, cfl)) if scheme is Scheme.EXPLICIT_RK4 else dt
 
 
-def stiffness_ratio(grid: Grid, p: PhysicalParams, dt: float) -> float:
-    """nu*eps*dt / min(dx)^2; above ~0.05 the explicit scheme is impractical."""
-    return p.nu * p.eps * dt / min(grid.spacings) ** 2
-
-
 @lru_cache(maxsize=64)
 def _linear_propagator(
     grid: Grid, dt: float, c: float, nu_eps: float
@@ -472,6 +474,11 @@ def _trapezoid(fnu: FloatArray, div: FloatArray, start: _Accel, end: _Accel, dt:
     )
 
 
+# Calls of the one stepper, _advance, since import: one per step, whatever
+# the number of members the step carries.
+advance_calls = 0
+
+
 def _advance(
     grid: Grid, u0: FloatArray, v0: FloatArray, t0: float, start: _Accel | None, dt: float,
     p: PhysicalParams, kind: ModelKind, scheme: Scheme, eps: float | FloatArray,
@@ -486,6 +493,9 @@ def _advance(
     non-finite fields and HyperbolicityBreakdown from any evaluation, each
     marking its members.
     """
+    global advance_calls
+    advance_calls += 1
+
     def evaluate(u: FloatArray, v: FloatArray, t: float, full: bool = True) -> _Accel:
         return _evaluate(
             grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps, full

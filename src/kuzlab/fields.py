@@ -3,9 +3,11 @@
 The spatial domain is a periodic box (R/L_1 Z) x ... x (R/L_n Z), n <= 3,
 sampled on a uniform tensor grid with power-of-two point counts.  All
 differential operators are exact spectral multipliers behind one real
-transform pair, ``_to_spectral``/``_to_physical``: numpy's rfftn/irfftn axis
-passes in their own order, bit for bit, the complex passes written in place
-into one array rather than a fresh array per axis.
+transform pair, ``_to_spectral``/``_to_physical``: rfftn/irfftn's axis passes
+in their own order, bit for bit, made by calling numpy's pocketfft ufuncs
+(the kernels behind ``numpy.fft``) without its Python wrappers, the complex
+passes written in place into one array rather than a fresh array per axis.
+``transform_counts`` counts the pair's calls, one per transform.
 
 Every norm of derivatives is one box-measure quadrature of
 m_k (1 + |k|^2)^s |f_k|^2 over the spectrum, ``_quadrature``, with m = 1 for
@@ -32,6 +34,14 @@ from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
+
+# The kernels numpy.fft's rfft/fft/ifft/irfft dispatch to; grids are powers of
+# two, so only the even-length real forward kernel is needed. A numpy without
+# them fails here, at import.
+from numpy.fft._pocketfft_umath import fft as _fft
+from numpy.fft._pocketfft_umath import ifft as _ifft
+from numpy.fft._pocketfft_umath import irfft as _irfft
+from numpy.fft._pocketfft_umath import rfft_n_even as _rfft
 
 from .errors import NonFiniteFieldError
 
@@ -266,19 +276,26 @@ class Field:
 # The transform pair acts on the trailing grid axes, so it also takes fields
 # stacked along leading member axes, each row transformed on its own.
 
+# Transforms the pair has taken since import: one per call, whatever the
+# number of axis passes.
+transform_counts = {"forward": 0, "inverse": 0}
+
 
 def _to_spectral(grid: Grid, values: FloatArray) -> ComplexArray:
     """Real transform of grid values to the half-spectrum: rfftn's own passes.
 
-    One rfft over the last axis, then the complex passes over the others in
-    rfftn's order, each written into the spectrum in place, so one array is
-    allocated where rfftn allocates one per axis. Bitwise rfftn's result; in
-    1-d, which has no complex passes, it is one rfft call, as is the inverse
-    one irfft call.
+    One real pass over the last axis, then the complex passes over the others
+    in rfftn's order, each written into the spectrum in place, so one array
+    is allocated where rfftn allocates one per axis. The passes call numpy's
+    pocketfft ufuncs with the scale numpy passes them (1 forward), so the
+    result is bitwise rfftn's; in 1-d, which has no complex passes, it is one
+    kernel call, as is the inverse.
     """
-    spec = np.fft.rfft(values)
+    transform_counts["forward"] += 1
+    spec = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), np.complex128)
+    _rfft(values, 1.0, out=spec)
     for axis in grid.axes[-2::-1]:
-        np.fft.fft(spec, axis=axis, out=spec)
+        _fft(spec, 1.0, axes=[(axis,), (), (axis,)], out=spec)
     return spec
 
 
@@ -286,14 +303,18 @@ def _to_physical(grid: Grid, spec: ComplexArray, *, consume: bool = False) -> Fl
     """Inverse real transform of a half-spectrum back to grid values: irfftn's own passes.
 
     The complex passes over all axes but the last go into one work array, in
-    place from the second pass on, then one irfft over the last axis. Bitwise
-    irfftn's result. consume lets the first pass overwrite spec itself; pass
-    it only for a fresh temporary that nothing else references.
+    place from the second pass on, then one real pass over the last axis,
+    each pass scaled by 1/N of its axis as numpy scales it. Bitwise irfftn's
+    result. consume lets the first pass overwrite spec itself; pass it only
+    for a fresh temporary that nothing else references.
     """
+    transform_counts["inverse"] += 1
     work = spec
     for axis in grid.axes[:-1]:
-        work = np.fft.ifft(work, axis=axis, out=work if consume or work is not spec else None)
-    return np.fft.irfft(work, grid.points[-1])
+        out = work if consume or work is not spec else np.empty_like(spec)
+        work = _ifft(work, 1.0 / grid.points[axis], axes=[(axis,), (), (axis,)], out=out)
+    points = grid.points[-1]
+    return _irfft(work, 1.0 / points, out=np.empty(work.shape[:-1] + (points,)))
 
 
 def _gradient_from_spectrum(grid: Grid, spec: ComplexArray) -> list[FloatArray]:

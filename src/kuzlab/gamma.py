@@ -213,11 +213,6 @@ def expand_gamma(index: GammaIndex) -> tuple[GammaTerm, ...]:
     return terms
 
 
-def time_order_needed(index: GammaIndex) -> int:
-    """Highest d_t order appearing in the expansion of the word."""
-    return max((term.derivative.time_order for term in expand_gamma(index)), default=0)
-
-
 def apply_gamma(
     jet: Jet,
     t: float,

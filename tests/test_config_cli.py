@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState
 from kuzlab.cli import main
+from kuzlab.dynamics import cfl_dt
 from kuzlab.config import (
     ExperimentKind,
     GaussianBump,
@@ -35,6 +36,7 @@ from kuzlab.config import (
 from kuzlab.energies import EnvelopeParams, energy_half_m, energy_m, thresholds
 from kuzlab.io import read_reports_csv, read_table_csv
 from kuzlab.jets import build_jet
+from helpers import count_ffts
 
 
 _DEFAULT_TEXT = """\
@@ -873,7 +875,7 @@ class TestOneWriter:
             assert main([command, "--config", cfg, "--out", "res"]) == 0
             assert capsys.readouterr() == (f"{command}: {summary} -> {Path('res', command)}\n", "")
             written.append({p.name: p.read_bytes() for p in (tmp_path / run / "res" / command).iterdir()})
-        common = {"config.json", "reports.csv", "reports.jsonl", "verdict.json"}
+        common = {"config.json", "reports.csv", "reports.jsonl", "telemetry.json", "verdict.json"}
         assert set(written[0]) == common | ({f"{table}.csv"} if table else set())
         assert written[0] == written[1]
 
@@ -903,6 +905,25 @@ class TestOneWriter:
         assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not out.exists()
+
+    def test_telemetry_counts_the_run(self, tmp_path, monkeypatch, capsys) -> None:
+        """telemetry.json holds the transforms count_ffts counts over the same
+        main call and one stepper call per step, and stays out of the verdict."""
+        cfg = _write_config(tmp_path, "cfg.json", _TINY)
+        counts = count_ffts(monkeypatch)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        monkeypatch.undo()
+        directory = tmp_path / "res" / "simulate"
+        telemetry = json.loads((directory / "telemetry.json").read_text())
+        steps = math.ceil(_TINY["horizon"] / cfl_dt(Grid.cube(1, 64), PhysicalParams().c))
+        assert telemetry == {
+            "forward_transforms": counts["forward"],
+            "inverse_transforms": counts["inverse"],
+            "stepper_calls": steps,
+        }
+        assert counts["forward"] > 0 and counts["inverse"] > 0
+        verdict = json.loads((directory / "verdict.json").read_text())
+        assert not set(telemetry) & set(verdict)
 
     def test_overrides_pass_the_schema(self) -> None:
         with pytest.raises(ConfigError, match="must be finite") as info:

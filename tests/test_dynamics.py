@@ -25,7 +25,6 @@ from kuzlab import (
     solve_linear_forced,
     spectral_tail_fraction,
     step,
-    stiffness_ratio,
     support_radius,
 )
 from kuzlab.dynamics import _advance, _linear_propagator, _tail_fraction
@@ -371,12 +370,6 @@ class TestMonitors:
         grid = Grid.cube(1, 32, origin_centered=True)
         state = SimState(Field.zeros(grid), Field.zeros(grid))
         assert support_radius(state) == 0.0
-
-    def test_stiffness_ratio(self) -> None:
-        grid = Grid.cube(1, 64)
-        p = PhysicalParams(nu=1.0, eps=0.1)
-        dx = min(grid.spacings)
-        assert stiffness_ratio(grid, p, 0.01) == pytest.approx(0.001 / dx**2)
 
 
 class TestSolveLinearForced:

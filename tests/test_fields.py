@@ -344,16 +344,17 @@ class TestTransformPair:
             tracemalloc.stop()
         assert peak <= 1.05 * values.nbytes
 
-    def test_one_dimensional_paths_skip_nd_transforms(self, monkeypatch) -> None:
-        """In every dimension, steps, reports with towers, jets, Klainerman
-        records, the forced solver and the public Field operations make their
-        transforms from rfft/irfft and complex passes, never rfftn/irfftn."""
+    @staticmethod
+    def _every_transform_path(monkeypatch, names: tuple[str, ...]) -> None:
+        """With the named numpy.fft functions refusing, run in every dimension
+        steps, reports with towers, jets, Klainerman records, the forced solver
+        and the public Field operations."""
 
         def refuse(*args, **kwargs):
-            raise RuntimeError("n-d real transform called from the library")
+            raise RuntimeError("numpy.fft wrapper called from the library")
 
-        monkeypatch.setattr(np.fft, "rfftn", refuse)
-        monkeypatch.setattr(np.fft, "irfftn", refuse)
+        for name in names:
+            monkeypatch.setattr(np.fft, name, refuse)
         for n in (1, 2, 3):
             grid = Grid.cube(n, 32 if n == 1 else 8, length=8.0, origin_centered=True)
             rng = np.random.default_rng(9)
@@ -372,3 +373,13 @@ class TestTransformPair:
             dealias(f)
             sobolev_norm(f, 1.5)
             poincare_check(mean_zero_project(f))
+
+    def test_one_dimensional_paths_skip_nd_transforms(self, monkeypatch) -> None:
+        """In every dimension the library makes its transforms from one real
+        pass and complex passes, never rfftn/irfftn."""
+        self._every_transform_path(monkeypatch, ("rfftn", "irfftn"))
+
+    def test_pair_skips_numpy_fft_wrappers(self, monkeypatch) -> None:
+        """The pair calls pocketfft's kernels itself: no path of the library
+        reaches numpy.fft's Python wrappers."""
+        self._every_transform_path(monkeypatch, ("rfft", "irfft", "fft", "ifft"))

@@ -24,7 +24,6 @@ from kuzlab.gamma import (
     expand_gamma,
     gamma_words,
     generalized_derivatives,
-    time_order_needed,
 )
 from kuzlab.jets import Jet, MultiIndex, build_jet
 
@@ -186,17 +185,6 @@ class TestExpandGamma:
         for index in gamma_words(2):
             for term in expand_gamma(index):
                 assert term.coeff == int(term.coeff)
-
-    def test_time_order_needed(self) -> None:
-        dt = Generator("dt")
-        l0 = Generator("L0")
-        omega = Generator("Omega", axis=0, axis2=1)
-        assert time_order_needed(GammaIndex((), 2)) == 0
-        assert time_order_needed(GammaIndex((omega,), 2)) == 0
-        assert time_order_needed(GammaIndex((dt,), 2)) == 1
-        assert time_order_needed(GammaIndex((dt, dt), 2)) == 2
-        assert time_order_needed(GammaIndex((l0, dt), 2)) == 2
-        assert time_order_needed(GammaIndex((omega, omega), 2)) == 0
 
 
 class TestApplyGamma:
