@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from kuzlab import Field, Grid, PhysicalParams, linear_regularity_experiment
+from kuzlab import Field, Grid, PhysicalParams, solve_linear_forced
 
 
 def main() -> None:
@@ -29,8 +29,8 @@ def main() -> None:
     def forcing(t: float) -> Field:
         return Field(grid, 0.3 * math.cos(t) * np.sin(x))
 
-    result = linear_regularity_experiment(
-        u0, u1, forcing, p, horizon=8.0, dt=0.05, report_every=20, tol=0.01
+    result = solve_linear_forced(
+        u0, u1, forcing, 8.0, p, dt=0.05, report_every=20, tol=0.01
     )
     print(f"nu eps = {p.nu * p.eps}, forcing 0.3 cos(t) sin(x), horizon 8")
     print(f"{'t':>5} {'lhs':>12} {'rhs':>12} {'margin':>9}")

@@ -90,7 +90,6 @@ from .experiments import (
     ViscousDecayResult,
     klainerman_experiment,
     lifespan_sweep,
-    linear_regularity_experiment,
     run_until_breakdown,
     stability_experiment,
     viscous_decay_experiment,
@@ -112,13 +111,9 @@ from .fields import (
 )
 from .gamma import GammaIndex, apply_gamma, expand_gamma, gamma_words, generalized_derivatives
 from .io import (
-    load_checkpoint,
-    load_field,
     read_reports_csv,
     read_reports_jsonl,
     read_table_csv,
-    save_checkpoint,
-    save_field,
     write_experiment_dir,
     write_reports_csv,
     write_reports_jsonl,

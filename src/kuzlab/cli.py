@@ -44,7 +44,6 @@ from .experiments import (
     BreakdownCause,
     klainerman_experiment,
     lifespan_sweep,
-    linear_regularity_experiment,
     run_until_breakdown,
     stability_experiment,
     viscous_decay_experiment,
@@ -253,12 +252,12 @@ def _cmd_linreg(cfg: RunConfig) -> int:
     if cfg.params.nu <= 0.0:
         raise ConfigError("params.nu", "linreg solves the damped linear problem and needs nu > 0")
     u0, u1 = initial_data(cfg)
-    result = linear_regularity_experiment(
+    result = dynamics.solve_linear_forced(
         u0,
         u1,
         _forcing_factory(cfg),
-        cfg.params,
         cfg.horizon,
+        cfg.params,
         dt=cfg.dt,
         report_every=cfg.report_every,
         tol=cfg.linreg.tol,

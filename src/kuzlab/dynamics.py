@@ -182,8 +182,8 @@ class SimState:
     part of the F_nu functional; div_accum carries
     int_0^t (||u_tt||_inf + ||Lap u||_inf) d tau, the divergence-criterion
     integrand whose steep growth evidences breakdown. _fsal, the evaluation
-    the next step starts from, is a pure function of the state, so equality,
-    repr and checkpoints ignore it.
+    the next step starts from, is a pure function of the state, so equality
+    and repr ignore it.
     """
 
     u: Field
@@ -596,22 +596,22 @@ def spectral_tail_fraction(state: SimState, p: PhysicalParams) -> float:
     return float(_tail_fraction(state.grid, p.c, *_spectra(state)))
 
 
-def support_radius(state: SimState, rel_tol: float = 1e-8) -> float:
+def support_radius(state: SimState) -> float:
     """Largest per-axis distance from the box center where (u, v) is active.
 
-    A grid point is active when |u| or |v| exceeds rel_tol times the
+    A grid point is active when |u| or |v| exceeds 1e-8 times the
     respective maximum; the radius is the max-norm distance so that values
     approach min(L_i)/2 as the support reaches the periodic wrap-around.
     """
-    return float(_support_radius(state.grid, state.u.values, state.v.values, rel_tol))
+    return float(_support_radius(state.grid, state.u.values, state.v.values))
 
 
-def _support_radius(grid: Grid, u: FloatArray, v: FloatArray, rel_tol: float = 1e-8) -> FloatArray:
+def _support_radius(grid: Grid, u: FloatArray, v: FloatArray) -> FloatArray:
     """support_radius of (u, v); one value per member when they are stacked."""
     active = np.zeros(u.shape, dtype=bool)
     for values in (u, v):
         size = np.abs(values)
-        active |= size > rel_tol * size.max(axis=grid.axes, keepdims=True)
+        active |= size > 1e-8 * size.max(axis=grid.axes, keepdims=True)
     radius = np.zeros(u.shape[: u.ndim - grid.n])
     for axis in range(grid.n):
         # The largest distance over active points, by the coordinates they reach.

@@ -221,13 +221,10 @@ def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
     return e_1, e_inf
 
 
-def klainerman_record(
-    jet: Jet, t: float, m: int, n_star: int | None = None
-) -> tuple[float, float, float]:
+def klainerman_record(jet: Jet, t: float, m: int) -> tuple[float, float, float]:
     """(ratio, E_{1,m}, E_{inf,m}) from one word sweep; see klainerman_ratio."""
     n = jet.grid.n
-    if n_star is None:
-        n_star = n // 2 + 1
+    n_star = n // 2 + 1
     if m + n_star > 2:
         raise ValueError(
             f"ratio at m = {m}, n* = {n_star} needs words of length {m + n_star} > 2"
@@ -241,13 +238,13 @@ def klainerman_record(
     return math.sqrt(e_inf) / (weight * math.sqrt(e_1)), e_1m, e_inf
 
 
-def klainerman_ratio(jet: Jet, t: float, m: int, n_star: int | None = None) -> float:
+def klainerman_ratio(jet: Jet, t: float, m: int) -> float:
     """sqrt(E_{inf,m}) / [(1+t)^{(1-n)/2} sqrt(E_{1,m+n*})], n* = [n/2 + 1].
 
     Returns 0 for identically zero fields; raises on the ill-posed case of a
     vanishing right side with a nonvanishing left side.
     """
-    return klainerman_record(jet, t, m, n_star)[0]
+    return klainerman_record(jet, t, m)[0]
 
 
 @dataclass(frozen=True)

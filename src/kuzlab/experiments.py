@@ -3,8 +3,9 @@
 Each driver wires the dynamics and energy layers into one reproducible
 experiment: lifespan scaling of the breakdown time against epsilon, the
 exponential stability envelope for perturbed pairs, global viscous decay
-of the multi-index energy, boundedness of the weighted Klainerman ratio,
-and the linear maximal-regularity inequality. Each nonlinear driver is a
+of the multi-index energy and boundedness of the weighted Klainerman
+ratio. The linear maximal-regularity inequality needs no driver: callers
+run dynamics.solve_linear_forced, which checks it. Each driver is a
 monitor plus a record function on one run loop, _run, which steps its
 members (one run, the sweep's epsilon points or the stability pair) stacked
 through the stepper a single state uses, so each equals its own serial run
@@ -24,7 +25,6 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_CFL,
-    LinearForcedResult,
     ModelKind,
     PhysicalParams,
     Scheme,
@@ -40,7 +40,6 @@ from .dynamics import (
     _trapezoid,
     cfl_dt,
     effective_coefficients,
-    solve_linear_forced,
 )
 from .energies import (
     EnergyReport,
@@ -99,6 +98,11 @@ class SweepRow:
     cause: BreakdownCause
     scaled: float | None
 
+    @property
+    def clean(self) -> bool:
+        """Whether the row enters the fit: it broke down at some t* > 0."""
+        return self.cause is not BreakdownCause.HORIZON and self.t_star is not None and self.t_star > 0.0
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -107,8 +111,9 @@ class SweepResult:
     The scaled column carries eps * t_star for n = 1, eps^2 * t_star for
     n = 2 and eps * log(t_star) for n = 3, matching the forms whose liminf
     the theory bounds away from zero. Rows whose run reached the horizon
-    are tainted: listed, but excluded from the fit. The fit is skipped
-    (slope None) with fewer than two clean rows.
+    are tainted: listed, but excluded from the fit, as are rows that ended
+    at t* = 0 (data on the hyperbolicity floor). The rest are the clean
+    rows; the fit is skipped (slope None) with fewer than two of them.
     """
 
     n: int
@@ -122,7 +127,7 @@ class SweepResult:
 
     @property
     def clean_rows(self) -> tuple[SweepRow, ...]:
-        return tuple(r for r in self.rows if r.cause is not BreakdownCause.HORIZON)
+        return tuple(r for r in self.rows if r.clean)
 
 
 def _rk4_amplification(grid: Grid, p: PhysicalParams, kind: ModelKind, dt: float) -> float:
@@ -400,7 +405,7 @@ def lifespan_sweep(
     loop, with epsilon per member and the tail monitor; the floor and
     non-finite steps end points as in run_until_breakdown, whose verdict
     each row equals bit for bit. Rows are sorted by epsilon before the fit;
-    runs that reach the horizon are reported but excluded from the fit.
+    only the clean rows (SweepRow.clean) enter it.
 
     Args:
         data_shape: grid -> (u0, u1) factory, shared by every epsilon.
@@ -431,7 +436,7 @@ def lifespan_sweep(
     ]
     rows.sort(key=lambda r: r.eps)
 
-    clean = [r for r in rows if r.cause is not BreakdownCause.HORIZON and r.t_star and r.t_star > 0.0]
+    clean = [r for r in rows if r.clean]
     slope = intercept = None
     if len(clean) >= 2:
         log_eps = np.log([r.eps for r in clean])
@@ -762,24 +767,3 @@ def klainerman_experiment(
     times = tuple(r.t for r in reports)
     radii = tuple(r.support_radius for r in reports)
     return KlainermanResult(m, times, tuple(ratios), radii, tuple(reports), cause)
-
-
-def linear_regularity_experiment(
-    u0: Field,
-    u1: Field,
-    f: Callable[[float], Field],
-    p: PhysicalParams,
-    horizon: float,
-    *,
-    dt: float | None = None,
-    report_every: int = 10,
-    tol: float = 0.01,
-) -> LinearForcedResult:
-    """Check the linear maximal-regularity inequality on a forced run.
-
-    Thin wrapper over the exact-propagator forced solver; the result's
-    margins expose (rhs - lhs)/rhs over the grid of reported horizons.
-    """
-    return solve_linear_forced(
-        u0, u1, f, horizon, p, dt=dt, report_every=report_every, tol=tol
-    )

@@ -1,15 +1,7 @@
-"""Stable on-disk formats: field snapshots, checkpoints, report tables.
+"""Stable on-disk formats: report tables and experiment directories.
 
 Formats (all versioned, all readable back by this module):
 
-* Field snapshot: NumPy ``.npz`` archive with keys ``format`` (string
-  ``kuzlab-field``), ``version``, ``lengths``, ``points``,
-  ``origin_centered`` and ``values`` (row-major float64 samples).
-* Checkpoint: ``.npz`` archive with keys ``format`` (``kuzlab-checkpoint``),
-  ``version``, the two field arrays ``u`` and ``v``, the grid metadata as in
-  a snapshot, scalars ``t``, ``fnu_accum``, ``div_accum``, one scalar per
-  ``PhysicalParams`` field and the model kind. Loading reproduces the exact
-  float64 bits, so a resumed run emits identical reports.
 * Energy report CSV: first line the comment ``# kuzlab-energy-report v1``,
   then a standard CSV header and rows. The columns are ``EnergyReport``'s
   fields in order, with ``e_m`` expanded in place as one ``e_m_<order>``
@@ -35,103 +27,13 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import ModelKind, PhysicalParams, SimState
 from .energies import EnergyReport
-from .fields import Field, Grid
 
-FIELD_FORMAT = "kuzlab-field"
-CHECKPOINT_FORMAT = "kuzlab-checkpoint"
 REPORT_FORMAT = "kuzlab-energy-report"
 TABLE_FORMAT = "kuzlab-table"
 FORMAT_VERSION = 1
 
 _SCALAR_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyReport) if f.name != "e_m")
-
-
-def _grid_payload(grid: Grid) -> dict[str, Any]:
-    return {
-        "lengths": np.asarray(grid.lengths, dtype=np.float64),
-        "points": np.asarray(grid.points, dtype=np.int64),
-        "origin_centered": np.asarray(grid.origin_centered),
-    }
-
-
-def _grid_from_payload(data: Mapping[str, Any]) -> Grid:
-    return Grid(
-        lengths=tuple(float(x) for x in np.asarray(data["lengths"])),
-        points=tuple(int(x) for x in np.asarray(data["points"])),
-        origin_centered=bool(np.asarray(data["origin_centered"])),
-    )
-
-
-def _check_format(data: Mapping[str, Any], expected: str, path: Path) -> None:
-    found = str(np.asarray(data.get("format", "")))
-    if found != expected:
-        raise ValueError(f"{path}: expected format {expected!r}, found {found!r}")
-    version = int(np.asarray(data["version"]))
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported {expected} version {version}")
-
-
-def save_field(path: str | Path, field: Field) -> Path:
-    """Write a self-describing field snapshot; returns the path written."""
-    path = Path(path)
-    np.savez(
-        path,
-        format=FIELD_FORMAT,
-        version=FORMAT_VERSION,
-        values=field.values,
-        **_grid_payload(field.grid),
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_field(path: str | Path) -> Field:
-    path = Path(path)
-    with np.load(path) as data:
-        _check_format(data, FIELD_FORMAT, path)
-        return Field(_grid_from_payload(data), np.array(data["values"]))
-
-
-def save_checkpoint(
-    path: str | Path,
-    state: SimState,
-    p: PhysicalParams,
-    kind: ModelKind = ModelKind.KUZNETSOV,
-) -> Path:
-    """Write a resumable checkpoint: fields, time, accumulators, parameters."""
-    path = Path(path)
-    np.savez(
-        path,
-        format=CHECKPOINT_FORMAT,
-        version=FORMAT_VERSION,
-        u=state.u.values,
-        v=state.v.values,
-        t=np.float64(state.t),
-        fnu_accum=np.float64(state.fnu_accum),
-        div_accum=np.float64(state.div_accum),
-        **{f.name: np.float64(getattr(p, f.name)) for f in dataclasses.fields(PhysicalParams)},
-        kind=kind.value,
-        **_grid_payload(state.grid),
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_checkpoint(path: str | Path) -> tuple[SimState, PhysicalParams, ModelKind]:
-    path = Path(path)
-    with np.load(path) as data:
-        _check_format(data, CHECKPOINT_FORMAT, path)
-        grid = _grid_from_payload(data)
-        state = SimState(
-            u=Field(grid, np.array(data["u"])),
-            v=Field(grid, np.array(data["v"])),
-            t=float(data["t"]),
-            fnu_accum=float(data["fnu_accum"]),
-            div_accum=float(data["div_accum"]),
-        )
-        p = PhysicalParams(**{f.name: float(data[f.name]) for f in dataclasses.fields(PhysicalParams)})
-        kind = ModelKind(str(np.asarray(data["kind"])))
-    return state, p, kind
 
 
 def report_columns(reports: Sequence[EnergyReport]) -> list[str]:
@@ -215,11 +117,8 @@ def read_reports_jsonl(path: str | Path) -> tuple[EnergyReport, ...]:
         if meta.get("format") != REPORT_FORMAT or meta.get("version") != FORMAT_VERSION:
             raise ValueError(f"{path}: missing {REPORT_FORMAT} metadata line")
         columns = meta["columns"]
-        reports = tuple(
-            _report_from_row(columns, [float(json.loads(line)[col]) for col in columns])
-            for line in fh
-            if line.strip()
-        )
+        rows = (json.loads(line) for line in fh if line.strip())
+        reports = tuple(_report_from_row(columns, [float(row[col]) for col in columns]) for row in rows)
     return reports
 
 

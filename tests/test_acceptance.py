@@ -45,13 +45,13 @@ from kuzlab import (
     l2_norm,
     lifespan_T0,
     lifespan_sweep,
-    linear_regularity_experiment,
     materialize_preset,
     parse_config,
     poincare_check,
     run_until_breakdown,
     serialize_config,
     sobolev_norm,
+    solve_linear_forced,
     spatial_derivative,
     stability_experiment,
     step,
@@ -538,8 +538,8 @@ def test_criterion_13_linear_maximal_regularity():
     def forcing(t: float) -> Field:
         return Field(grid, 0.3 * math.cos(t) * np.sin(x))
 
-    result = linear_regularity_experiment(
-        u0, u1, forcing, p, horizon=5.0, dt=0.05, tol=0.01
+    result = solve_linear_forced(
+        u0, u1, forcing, 5.0, p, dt=0.05, tol=0.01
     )
     worst = result.worst_margin
     # With c = 1 the margin at t = 0 is 0 for any data; the slack after it

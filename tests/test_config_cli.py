@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState
-from kuzlab.cli import main
-from kuzlab.dynamics import cfl_dt
+from kuzlab.cli import _forcing_factory, main
+from kuzlab.dynamics import cfl_dt, solve_linear_forced
 from kuzlab.config import (
     ExperimentKind,
     GaussianBump,
@@ -807,6 +807,33 @@ class TestCli:
         assert verdict["worst_margin"] >= -verdict["tol"]
         name, _, rows = read_table_csv(out / "linreg" / "margin_series.csv")
         assert name == "margin_series"
+
+    def test_linreg_writes_the_solver_result(self, tmp_path, capsys) -> None:
+        """The subcommand's series are solve_linear_forced's on the config's data,
+        forcing, horizon and stepping, and the run ends at the horizon."""
+        payload = {
+            "params": {"nu": 0.5, "eps": 0.2},
+            "grid": {"n": 1, "points": 32},
+            "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.01},
+            "horizon": 1.0,
+            "dt": 0.05,
+            "report_every": 4,
+            "linreg": {"forcing_amplitude": 0.5, "forcing_mode": [1], "forcing_omega": 1.0},
+        }
+        path = _write_config(tmp_path, "linreg.json", payload)
+        out = tmp_path / "res"
+        assert main(["linreg", "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        verdict = json.loads((out / "linreg" / "verdict.json").read_text())
+        cfg = parse_config(json.dumps(payload))
+        direct = solve_linear_forced(
+            *initial_data(cfg), _forcing_factory(cfg), cfg.horizon, cfg.params,
+            dt=cfg.dt, report_every=cfg.report_every, tol=cfg.linreg.tol,
+        )
+        assert verdict["times"] == list(direct.times)
+        assert verdict["lhs"] == list(direct.lhs)
+        assert verdict["rhs"] == list(direct.rhs)
+        assert verdict["times"][-1] == cfg.horizon
 
     def test_horizon_override_applies(self, tmp_path, capsys) -> None:
         cfg = _write_config(tmp_path, "sim.json", _FAST_SIM)

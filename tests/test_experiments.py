@@ -1,5 +1,5 @@
 """Tests for the experiment drivers: breakdown runs, sweeps, stability pairs,
-viscous decay, decay-ratio tracking, and the forced linear check.
+viscous decay and decay-ratio tracking.
 
 The focus is the orchestration contract (guards, verdict invariants, report
 cadence, determinism, worker independence); the quantitative theorems are
@@ -27,7 +27,6 @@ from kuzlab import (
     energy_wave,
     laplacian,
     make_report,
-    solve_linear_forced,
     step,
 )
 from kuzlab import dynamics, energies, experiments, jets
@@ -38,7 +37,6 @@ from kuzlab.experiments import (
     SweepRow,
     klainerman_experiment,
     lifespan_sweep,
-    linear_regularity_experiment,
     run_until_breakdown,
     stability_experiment,
     viscous_decay_experiment,
@@ -266,6 +264,19 @@ class TestLifespanSweep:
     def _travelling_sine(grid: Grid) -> tuple[Field, Field]:
         x = grid.coordinate_mesh(0)
         return Field(grid, 0.5 * np.sin(x)), Field(grid, 0.5 * np.cos(x))
+
+    def test_row_ending_at_t0_is_not_clean(self) -> None:
+        """Data on the hyperbolicity floor end their row at t* = 0. Such a row
+        is neither fitted nor clean, so one clean row leaves the fit skipped."""
+        p = PhysicalParams(alpha=1.0, beta=3.0, hyp_floor=0.9)
+        result = lifespan_sweep(
+            self._travelling_sine, [0.3, 0.05], p, 1, grid=Grid.cube(1, 64), horizon=20.0
+        )
+        ends = {r.eps: (r.t_star, r.cause) for r in result.rows}
+        assert ends[0.3] == (0.0, BreakdownCause.HYPERBOLICITY)
+        assert ends[0.05][1] is BreakdownCause.SPECTRAL
+        assert tuple(r.eps for r in result.clean_rows) == (0.05,)
+        assert result.slope is None and result.intercept is None
 
     @pytest.mark.parametrize("scheme,nu", [(Scheme.EXPLICIT_RK4, 0.0), (Scheme.IMEX, 0.05)])
     def test_rows_equal_serial_runs(self, scheme: Scheme, nu: float) -> None:
@@ -710,23 +721,3 @@ class TestLeanRuns:
         )
         assert len(seen) == 4 and all(math.isnan(x) for row in seen for x in row)
 
-
-class TestLinearRegularity:
-    def test_wrapper_matches_direct_solver(self) -> None:
-        grid = Grid.cube(1, 64)
-        u0, u1 = _smooth_pair(grid, 0.1)
-        p = PhysicalParams(nu=0.5, eps=0.2)
-
-        def forcing(t: float) -> Field:
-            return single_mode(grid, (1,), 0.3 * math.cos(t))
-
-        via_experiment = linear_regularity_experiment(
-            u0, u1, forcing, p, 1.0, dt=0.05, report_every=4
-        )
-        direct = solve_linear_forced(
-            u0, u1, forcing, 1.0, p, dt=0.05, report_every=4
-        )
-        assert via_experiment.times == direct.times
-        assert via_experiment.lhs == direct.lhs
-        assert via_experiment.rhs == direct.rhs
-        assert via_experiment.worst_margin == direct.worst_margin

@@ -1,4 +1,4 @@
-"""Tests for the on-disk formats: snapshots, checkpoints, report tables.
+"""Tests for the on-disk formats: report tables and experiment directories.
 
 Every format is checked for exact round-tripping (bit-level for float64
 payloads, including NaN columns), header/version rejection, and the
@@ -12,33 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from kuzlab import (
-    EnergyReport,
-    Field,
-    Grid,
-    ModelKind,
-    PhysicalParams,
-    Scheme,
-    SimState,
-    step,
-)
+from kuzlab import EnergyReport, ModelKind, PhysicalParams
 from kuzlab.io import (
     jsonable,
-    load_checkpoint,
-    load_field,
     read_reports_csv,
     read_reports_jsonl,
     read_table_csv,
     report_columns,
-    save_checkpoint,
-    save_field,
     write_experiment_dir,
     write_reports_csv,
     write_reports_jsonl,
     write_table_csv,
 )
-
-from helpers import band_limited_field, single_mode
 
 
 def _assert_reports_equal(got, expected) -> None:
@@ -68,67 +53,6 @@ def _sample_reports() -> list[EnergyReport]:
             min_hyp=0.975, div_accum=0.33333333333333331,
         ),
     ]
-
-
-class TestFieldSnapshot:
-    def test_round_trip_bits(self, tmp_path) -> None:
-        grid = Grid.cube(2, 32, length=3.5, origin_centered=True)
-        rng = np.random.default_rng(7)
-        field = band_limited_field(grid, rng, 0.3)
-        path = save_field(tmp_path / "field.npz", field)
-        loaded = load_field(path)
-        assert loaded.grid == grid
-        np.testing.assert_array_equal(loaded.values, field.values)
-
-    def test_wrong_format_rejected(self, tmp_path) -> None:
-        grid = Grid.cube(1, 16)
-        state = SimState(Field.zeros(grid), Field.zeros(grid))
-        path = save_checkpoint(tmp_path / "ckpt.npz", state, PhysicalParams(), ModelKind.WAVE)
-        with pytest.raises(ValueError, match="format"):
-            load_field(path)
-
-
-class TestCheckpoint:
-    def test_resume_is_bit_exact(self, tmp_path) -> None:
-        grid = Grid.cube(1, 64)
-        p = PhysicalParams(alpha=1.0, beta=2.0, nu=0.3, eps=0.1)
-        state = SimState(single_mode(grid, (1,), 0.1), single_mode(grid, (2,), 0.05))
-        for _ in range(5):
-            state = step(state, 0.02, p, ModelKind.KUZNETSOV, Scheme.IMEX)
-
-        path = save_checkpoint(tmp_path / "mid.npz", state, p, ModelKind.KUZNETSOV)
-        loaded_state, loaded_p, loaded_kind = load_checkpoint(path)
-        assert loaded_p == p
-        assert loaded_kind is ModelKind.KUZNETSOV
-        assert loaded_state.t == state.t
-        assert loaded_state.fnu_accum == state.fnu_accum
-        assert loaded_state.div_accum == state.div_accum
-        np.testing.assert_array_equal(loaded_state.u.values, state.u.values)
-        np.testing.assert_array_equal(loaded_state.v.values, state.v.values)
-
-        direct = step(state, 0.02, p, ModelKind.KUZNETSOV, Scheme.IMEX)
-        resumed = step(loaded_state, 0.02, p, ModelKind.KUZNETSOV, Scheme.IMEX)
-        np.testing.assert_array_equal(direct.u.values, resumed.u.values)
-        np.testing.assert_array_equal(direct.v.values, resumed.v.values)
-        assert direct.fnu_accum == resumed.fnu_accum
-
-    def test_archive_keys(self, tmp_path) -> None:
-        grid = Grid.cube(1, 16)
-        state = SimState(Field.zeros(grid), Field.zeros(grid))
-        path = save_checkpoint(tmp_path / "ckpt.npz", state, PhysicalParams(nu=0.25), ModelKind.WAVE)
-        with np.load(path) as data:
-            assert list(data.keys()) == [
-                "format", "version", "u", "v", "t", "fnu_accum", "div_accum",
-                "c", "nu", "eps", "alpha", "beta", "hyp_floor", "kind",
-                "lengths", "points", "origin_centered",
-            ]
-            assert float(data["nu"]) == 0.25
-
-    def test_wrong_format_rejected(self, tmp_path) -> None:
-        grid = Grid.cube(1, 16)
-        path = save_field(tmp_path / "field.npz", Field.zeros(grid))
-        with pytest.raises(ValueError, match="format"):
-            load_checkpoint(path)
 
 
 class TestReportTables:
