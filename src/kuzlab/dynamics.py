@@ -52,7 +52,6 @@ from .fields import (
     Field,
     FloatArray,
     Grid,
-    _gradient_from_spectrum,
     _quadrature,
     _to_physical,
     _to_spectral,
@@ -271,44 +270,63 @@ def _accel_kernel(
         tripped = fmin <= p.hyp_floor
         if tripped.any():
             raise HyperbolicityBreakdown(np.asarray(fmin)[tripped].min(), p.hyp_floor, t, tripped)
-    grad_sq = grad_v = None
+    grad_sq = None
+    kept_u, kept_v = [], []
     if quad is None and beta_eff != 0.0:
-        if grad_u is None:
-            grad_u = _gradient_from_spectrum(grid, u_hat)
-        grad_v = []
-        for g, mult in zip(grad_u, grid.derivative_multipliers):
+        # One pass over the axes: each component is summed into the quadratic
+        # term (and |grad u|^2) as it is formed, and kept only on request.
+        for axis, mult in enumerate(grid.derivative_multipliers):
+            g = _to_physical(grid, u_hat * mult, consume=True) if grad_u is None else grad_u[axis]
             gv = _to_physical(grid, v_hat * mult, consume=True)
             if quad is None:
                 quad = g * gv
             else:
                 quad += g * gv
+            if full:
+                if grad_sq is None:
+                    grad_sq = g * g
+                else:
+                    grad_sq += g * g
             if gradients:
-                grad_v.append(gv)
+                kept_u.append(g)
+                kept_v.append(gv)
+        del g, gv
         quad *= beta_eff * eps_col
-        if full:
-            grad_sq = sum(g * g for g in grad_u)
-    if not gradients or grad_v is None:
-        grad_u = grad_v = None
+    grad_u, grad_v = (kept_u, kept_v) if kept_v else (None, None)
     lin_hat = _linear_hat(grid, u_hat, v_hat, p.c, nu_eff, eps_col)
     num_hat = lin_hat
-    if quad is not None:
+    fresh = quad is not None
+    if fresh:
         num_hat = _to_spectral(grid, quad)
+        quad = None
         num_hat *= grid.dealias_mask
         num_hat += lin_hat
     rem_hat = None
     if remainder and factor is None:
         rem_hat = num_hat - lin_hat
     # A fresh sum is read no further, so its inverse may write into it.
-    acc = _to_physical(grid, num_hat, consume=quad is not None)
+    acc = _to_physical(grid, num_hat, consume=fresh)
+    num_hat = None
     if factor is not None:
         acc /= factor
         if remainder:
-            rem_hat = _to_spectral(grid, acc) - lin_hat
+            rem_hat = _to_spectral(grid, acc)
+            rem_hat -= lin_hat
+    lin_hat = None
     if not full:
         return _Accel(p, kind, u_hat, v_hat, acc, rem_hat, grad_u=grad_u, grad_v=grad_v)
-    fnu = 0.0 if grad_sq is None else np.sum(acc * grad_sq, axis=grid.axes)
+    fnu = 0.0
+    if grad_sq is not None:
+        grad_sq *= acc
+        fnu = np.sum(grad_sq, axis=grid.axes)
+        grad_sq = None
     fnu *= beta_eff * np.asarray(eps) * grid.cell_volume
     acc_sup = np.max(np.abs(acc), axis=grid.axes)
+    # The factor goes here, before the Laplacian's transform, not as soon as
+    # it is read: freed earlier, it leaves glibc a heap top to trim after each
+    # call and fault back in on the next, which took a 64^3 decay run from
+    # 108k minor faults to 202k.
+    factor = None
     lap_sup = np.max(
         np.abs(_to_physical(grid, -grid.k_squared * u_hat, consume=True)), axis=grid.axes
     )
@@ -394,11 +412,11 @@ def _admissible_dt(grid: Grid, c: float, dt: float, scheme: Scheme, cfl: float) 
     return min(dt, cfl_dt(grid, c, cfl)) if scheme is Scheme.EXPLICIT_RK4 else dt
 
 
-@lru_cache(maxsize=64)
-def _linear_propagator(
+def _propagator(
     grid: Grid, dt: float, c: float, nu_eps: float
 ) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Exact per-mode propagator of d/dt (u, v) = [[0, 1], [-c^2 k^2, -nu*eps*k^2]] (u, v)."""
+    """Exact per-mode propagator of d/dt (u, v) = [[0, 1], [-c^2 k^2, -nu*eps*k^2]] (u, v),
+    as four contiguous real blocks that hold no complex parent alive."""
     k2 = grid.k_squared
     a = nu_eps * k2
     b = c**2 * k2
@@ -410,19 +428,23 @@ def _linear_propagator(
     h_safe = np.where(small, 1.0, h)
     sinhc = np.where(small, 1.0 + h * h / 6.0, np.sinh(h_safe) / h_safe)
     pref = np.exp(-0.5 * a * dt)
-    e00 = (pref * (cosh_h + 0.5 * a * dt * sinhc)).real
-    e01 = (pref * dt * sinhc).real
-    e10 = (pref * (-b) * dt * sinhc).real
-    e11 = (pref * (cosh_h - 0.5 * a * dt * sinhc)).real
+    e00 = (pref * (cosh_h + 0.5 * a * dt * sinhc)).real.copy()
+    e01 = (pref * dt * sinhc).real.copy()
+    e10 = (pref * (-b) * dt * sinhc).real.copy()
+    e11 = (pref * (cosh_h - 0.5 * a * dt * sinhc)).real.copy()
     return e00, e01, e10, e11
+
+
+_linear_propagator = lru_cache(maxsize=64)(_propagator)
 
 
 @lru_cache(maxsize=8)
 def _stacked_propagator(
     grid: Grid, dt: float, c: float, nu_eps: tuple[float, ...]
 ) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Each member's exact propagator, stacked along a leading member axis."""
-    per_member = [_linear_propagator(grid, dt, c, x) for x in nu_eps]
+    """Each member's exact propagator, stacked along a leading member axis from
+    uncached blocks, so that the stack is the only copy kept."""
+    per_member = [_propagator(grid, dt, c, x) for x in nu_eps]
     return tuple(np.stack(entries) for entries in zip(*per_member))
 
 
@@ -524,16 +546,33 @@ def _advance(
             )
             return ev.acc, vel_hat, ev.grad_v
 
+        # The sums v0 + 2k2u + 2k3u + k4u and a1 + 2a2 + 2a3 + a4 grow as
+        # each stage ends, left to right as written, so a stage's velocity
+        # and u_tt are dropped once added.
         a1 = start.acc
         k2u = v0 + 0.5 * dt * a1
         a2, w_hat, grad_w = stage(0.5 * dt, v_hat, start.grad_v, k2u, True)
+        vel_sum = v0 + 2.0 * k2u
+        del k2u
         k3u = v0 + 0.5 * dt * a2
+        acc_sum = a1 + 2.0 * a2
+        del a2
         a3, w_hat, grad_w = stage(0.5 * dt, w_hat, grad_w, k3u, True)
+        vel_sum += 2.0 * k3u
+        del k3u
         k4u = v0 + dt * a3
+        acc_sum += 2.0 * a3
+        del a3
         a4 = stage(dt, w_hat, grad_w, k4u, False)[0]
         del w_hat, grad_w
-        u1 = u0 + dt / 6.0 * (v0 + 2.0 * k2u + 2.0 * k3u + k4u)
-        v1 = v0 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        vel_sum += k4u
+        del k4u
+        acc_sum += a4
+        del a4
+        u1 = u0 + dt / 6.0 * vel_sum
+        del vel_sum
+        v1 = v0 + dt / 6.0 * acc_sum
+        del acc_sum
     else:
         nu_eps = p.nu * eps
         if np.ndim(nu_eps) == 0:
@@ -544,6 +583,7 @@ def _advance(
         base = v_hat + dt * n1_hat
         up_hat = e00 * u_hat + e01 * base
         vp_hat = e10 * u_hat + e11 * base
+        del base
         vp = _to_physical(grid, vp_hat)
         n2_hat = _accel_kernel(
             grid, up_hat, vp_hat, vp, p, kind, t0 + dt, eps=eps, remainder=True
@@ -553,6 +593,8 @@ def _advance(
         base = v_hat + half * n1_hat
         u1 = _to_physical(grid, e00 * u_hat + e01 * base, consume=True)
         v1 = _to_physical(grid, e10 * u_hat + e11 * base + half * n2_hat, consume=True)
+        # Nothing but the end-of-step evaluation reads on.
+        del base, n1_hat, n2_hat
 
     finite = np.isfinite(u1).all(axis=grid.axes) & np.isfinite(v1).all(axis=grid.axes)
     if not finite.all():

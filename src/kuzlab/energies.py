@@ -50,6 +50,15 @@ def _l2_sq(grid: Grid, values) -> float:
     return grid.cell_volume * float(np.sum(values**2))
 
 
+def _cube_sum(values: FloatArray) -> float:
+    """sum(values**3) by multiplication, in the one temporary values**3 takes:
+    numpy's pow is far slower for a cube, and the two differ by at most an ulp
+    per element."""
+    cube = values * values
+    cube *= values
+    return float(np.sum(cube))
+
+
 def _grad_sq(grid: Grid, values: FloatArray, s: float = 0.0) -> float:
     """sum_i ||d_i f||_{H^s}^2 from one forward transform."""
     return _quadrature(grid, _to_spectral(grid, values), s, grid.gradient_weight)
@@ -94,7 +103,7 @@ def energy_nonl(
     grid = state.grid
     alpha_e = nonlinear_energy_alpha(p, kind)
     v = state.v.values
-    vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * float(np.sum(v**3))
+    vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * _cube_sum(v)
     return vt_term + p.c**2 * _grad_u_sq(state)
 
 
@@ -109,11 +118,11 @@ def f_nu(state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETS
     alpha_e = nonlinear_energy_alpha(p, kind)
     _, beta_eff, _ = effective_coefficients(p, kind)
     v = state.v.values
-    vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * float(np.sum(v**3))
+    vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * _cube_sum(v)
     grad_u = _grad_u(state)
-    grad_sq = grad_u[0] ** 2
-    for i in range(1, grid.n):
-        grad_sq = grad_sq + grad_u[i] ** 2
+    grad_sq = grad_u[0] * grad_u[0]
+    for g in grad_u[1:]:
+        grad_sq += g * g
     grad_term = grid.cell_volume * float(np.sum((p.c**2 - beta_eff * p.eps * v) * grad_sq))
     return vt_term + grad_term + state.fnu_accum
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,15 @@ from kuzlab import (
     step,
     support_radius,
 )
-from kuzlab.dynamics import _advance, _linear_propagator, _tail_fraction
+from kuzlab.dynamics import (
+    _accel_kernel,
+    _advance,
+    _evaluate,
+    _linear_propagator,
+    _stacked_propagator,
+    _tail_fraction,
+)
+from kuzlab.fields import _gradient_from_spectrum, _to_physical, _to_spectral
 from helpers import band_limited_field, count_ffts, single_mode
 
 
@@ -114,6 +123,26 @@ class TestPropagatorOracle:
             exact = expm(dt * a)
             got = np.array([[e00[idx], e01[idx]], [e10[idx], e11[idx]]])
             np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_blocks_own_their_data(self, stacked: bool) -> None:
+        """The cached blocks are real arrays of their own: a cold call keeps
+        their bytes, not the complex arrays their real parts were taken from,
+        and a one-member stack keeps no per-member copy beside the stack."""
+        grid = Grid.cube(3, 32)
+        grid.k_squared  # built and kept by the grid before tracing
+        tracemalloc.start()
+        try:
+            # Arguments no other call uses, so that both caches miss.
+            if stacked:
+                blocks = _stacked_propagator(grid, 0.0123, 1.0, (0.41,))
+            else:
+                blocks = _linear_propagator(grid, 0.0123, 1.0, 0.37)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(e.base is None and e.flags.c_contiguous for e in blocks)
+        assert retained <= 1.05 * sum(e.nbytes for e in blocks)
 
     def test_imex_exact_on_linear_wave(self) -> None:
         """The IMEX step integrates every linear kind exactly per mode."""
@@ -337,6 +366,67 @@ class TestFsal:
     def test_tail_fraction_reads_carried_spectra(self) -> None:
         carried, fresh, p = self._carried_and_fresh(ModelKind.KUZNETSOV, Scheme.IMEX)
         assert spectral_tail_fraction(carried, p) == spectral_tail_fraction(fresh, p)
+
+
+class TestWorkingSet:
+    """What one warm step allocates at its peak, in units of the spectrum's
+    bytes, on a one-member 32^3 stack whose caches are already built."""
+
+    @pytest.mark.parametrize(
+        "scheme,full,budget",
+        [(Scheme.IMEX, True, 12.5), (Scheme.IMEX, False, 10.5), (Scheme.EXPLICIT_RK4, True, 20.0)],
+    )
+    def test_warm_step_peak(self, scheme: Scheme, full: bool, budget: float) -> None:
+        grid = Grid.cube(3, 32)
+        p = PhysicalParams(nu=0.5 if scheme is Scheme.IMEX else 0.0)
+        kind = ModelKind.KUZNETSOV
+        rng = np.random.default_rng(3)
+        u, v = (band_limited_field(grid, rng, 0.2).values[None] for _ in range(2))
+        eps = np.array([0.1])
+        dt = cfl_dt(grid, p.c)
+        start = _evaluate(
+            grid, _to_spectral(grid, u), _to_spectral(grid, v), v, 0.0, p, kind, scheme, eps, full
+        )
+        u, v, start = _advance(grid, u, v, 0.0, start, dt, p, kind, scheme, eps)
+        tracemalloc.start()
+        try:
+            _advance(grid, u, v, dt, start, dt, p, kind, scheme, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * start.u_hat.nbytes
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scheme,nu", [(Scheme.EXPLICIT_RK4, 0.0), (Scheme.IMEX, 0.5)])
+    def test_full_scalars_keep_their_formulas(self, n: int, members: int, scheme: Scheme, nu: float) -> None:
+        """An end-of-step evaluation's F_nu integrand, sup |u_tt| and sup |Lap u|
+        are bitwise those of the formulas written out, |grad u|^2 as a sum."""
+        grid = Grid.cube(n, 16)
+        p = PhysicalParams(nu=nu)
+        kind = ModelKind.KUZNETSOV
+        rng = np.random.default_rng(31)
+        u, v = (
+            np.stack([band_limited_field(grid, rng, 0.2).values for _ in range(members)])
+            for _ in range(2)
+        )
+        eps = np.linspace(0.05, 0.15, members)
+        if members == 1:
+            u, v, eps = u[0], v[0], float(eps[0])
+        dt = cfl_dt(grid, p.c)
+        u, v, end = _advance(grid, u, v, 0.0, None, dt, p, kind, scheme, eps)
+        acc = _accel_kernel(grid, end.u_hat, end.v_hat, v, p, kind, eps=eps).acc
+        grad_u = _gradient_from_spectrum(grid, end.u_hat)
+        fnu = np.sum(acc * sum(g * g for g in grad_u), axis=grid.axes)
+        fnu *= p.beta * np.asarray(eps) * grid.cell_volume
+        lap = _to_physical(grid, -grid.k_squared * end.u_hat)
+        np.testing.assert_array_equal(end.fnu, fnu)
+        np.testing.assert_array_equal(end.acc_sup, np.max(np.abs(acc), axis=grid.axes))
+        np.testing.assert_array_equal(end.lap_sup, np.max(np.abs(lap), axis=grid.axes))
+        if scheme is Scheme.EXPLICIT_RK4:
+            np.testing.assert_array_equal(end.acc, acc)
+            for got, want in zip(end.grad_u, grad_u):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestMonitors:
