@@ -30,6 +30,7 @@ from .dynamics import (
     hyperbolicity_factor,
     support_radius,
 )
+from .errors import NonFiniteFieldError
 from .fields import (
     Field,
     FloatArray,
@@ -42,7 +43,7 @@ from .fields import (
     gradient_values,
     laplacian_values,
 )
-from .gamma import apply_gamma, expand_gamma, gamma_words
+from .gamma import _term_factors, _word_values, expand_gamma, gamma_words
 from .jets import Jet, MultiIndex, apply_multi_derivative, build_jet
 
 
@@ -171,13 +172,19 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
 
     Returns E_{1,m_sum}, then E_{1,m_sup} and E_{inf,m_sup}, which restrict
     the sum and the sup to words of length <= m_sup; m_sup <= m_sum.
-    Every word is applied to u_t and to each d_i u, each with a memo of
-    the mixed derivatives D^A the words take of it: one inverse transform of
-    a held spectrum per distinct A, or none for a held layer or gradient.
+    The sources u_t, d_1 u, ..., d_n u are taken one at a time. A source's
+    memo holds the mixed derivatives D^A the words take of it (one inverse
+    transform of a held spectrum per distinct A, or none for a held layer
+    or gradient) and is released before the next source's is filled. Each
+    word field is formed by the term loop apply_gamma runs, in two reused
+    buffers; its square-sum is added to the word's energy and must be
+    finite, else NonFiniteFieldError. Words of length <= m_sup also keep
+    their pointwise density, summed over the sources in order.
     """
     grid = jet.grid
     n = grid.n
     words = gamma_words(n, m_sum)
+    n_sup = sum(len(word.word) <= m_sup for word in words)
 
     def derivative(key: tuple[int, ...], axis: int | None) -> FloatArray:
         """D^key of u_t (axis None) or of d_axis u, from what the jet holds."""
@@ -191,31 +198,26 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
         mult = grid.derivative_multipliers[axis] * _derivative_multiplier(grid, spatial)
         return _to_physical(grid, jet.spectrum(k) * mult, consume=True)
 
-    keys = {term.derivative.orders for word in words for term in expand_gamma(word)}
-    sources: list[tuple[Jet, dict[tuple[int, ...], FloatArray]]] = []
-    for axis in (None, *range(n)):
+    plans = [_term_factors(grid, t, expand_gamma(word)) for word in words]
+    keys = {key for plan in plans for key, _ in plan}
+    sums = [0.0] * len(words)
+    buf = np.empty(grid.shape)
+    total = np.empty(grid.shape)
+    densities = [np.empty(grid.shape) for _ in range(n_sup)]
+    for s, axis in enumerate((None, *range(n))):
         memo = {key: derivative(key, axis) for key in keys}
-        # A word of length <= m_sum takes at most m_sum time derivatives.
-        layers = tuple(Field(grid, memo[(k,) + (0,) * n]) for k in range(m_sum + 1))
-        sources.append((Jet(grid, layers), memo))
-
-    e_1 = e_1_sup = 0.0
-    density = np.empty(grid.shape)
-    square = np.empty(grid.shape)
-    density_sup = np.zeros(grid.shape)
-    for word in words:
-        for s, (source, memo) in enumerate(sources):
-            values = apply_gamma(source, t, word, memo).values
-            if s == 0:
-                np.square(values, out=density)
-            else:
-                density += np.square(values, out=square)
-        energy = grid.cell_volume * float(np.sum(density))
-        e_1 += energy
-        if len(word.word) <= m_sup:
-            e_1_sup += energy
-            np.maximum(density_sup, density, out=density_sup)
-    return e_1, e_1_sup, float(np.max(density_sup))
+        for w, plan in enumerate(plans):
+            values = _word_values(plan, memo.__getitem__, buf, total)
+            square = np.square(values, out=densities[w] if s == 0 and w < n_sup else buf)
+            sums[w] += float(np.sum(square))
+            if not math.isfinite(sums[w]):
+                raise NonFiniteFieldError(f"word {words[w]} has a non-finite field")
+            if s and w < n_sup:
+                densities[w] += square
+        del memo
+    e_1 = sum(grid.cell_volume * word_sum for word_sum in sums)
+    e_1_sup = sum(grid.cell_volume * float(np.sum(density)) for density in densities)
+    return e_1, e_1_sup, max(float(np.max(density)) for density in densities)
 
 
 def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
@@ -226,7 +228,7 @@ def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
     """
     if m < 0 or m > 2:
         raise ValueError("klainerman energies support m = 0, 1, 2")
-    e_1, _, e_inf = _klainerman_sweep(jet, t, m, m)
+    _, e_1, e_inf = _klainerman_sweep(jet, t, m, m)
     return e_1, e_inf
 
 

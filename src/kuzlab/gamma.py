@@ -11,7 +11,8 @@ Products Gamma^A are ordered words over this alphabet (length <= 2 here).
 ``expand_gamma`` rewrites a word as an exact finite sum of terms
 coeff * t^a * x^b * D^A by the product rule, applying factors right to left,
 so e.g. the word (d_t, L0) expands to d_t + t d_t^2 + sum_i x_i d_{x_i} d_t.
-``apply_gamma`` evaluates such an expansion on a jet at a given time.
+``apply_gamma`` evaluates such an expansion on a jet at a given time, by the
+term loop ``_word_values`` that the Klainerman sweep also runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, Grid
 from .jets import Jet, MultiIndex, apply_multi_derivative
 
 MAX_WORD_LENGTH = 2
@@ -213,18 +214,51 @@ def expand_gamma(index: GammaIndex) -> tuple[GammaTerm, ...]:
     return terms
 
 
+def _term_factors(grid: Grid, t: float, terms: tuple[GammaTerm, ...]) -> list[tuple[tuple[int, ...], list]]:
+    """Per term, the orders of its D^A and the factors that weight it: thin
+    per-axis coordinate powers with the term's weight folded into the first."""
+    coords = [grid._axis_view(grid.axis_coordinates(axis), axis) for axis in range(grid.n)]
+    plan = []
+    for term in terms:
+        weight = term.coeff * t**term.t_power
+        factors = [coords[axis] ** power for axis, power in enumerate(term.x_powers) if power > 0]
+        if factors:
+            factors[0] = weight * factors[0]
+        elif weight != 1.0:
+            factors = [weight]
+        plan.append((term.derivative.orders, factors))
+    return plan
+
+
+def _word_values(plan, derivative, buf: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Sum the weighted terms of a word into total and return it: the first
+    term is formed in total itself, every later one in buf. derivative maps
+    the orders of D^A to its grid values."""
+    for i, (key, factors) in enumerate(plan):
+        piece = derivative(key)
+        out = buf if i else total
+        for factor in factors:
+            piece = np.multiply(piece, factor, out=out)
+        if i:
+            total += piece
+        elif piece is not total:
+            np.copyto(total, piece)
+    return total
+
+
 def apply_gamma(
     jet: Jet,
     t: float,
     index: GammaIndex,
     derivative_memo: dict[tuple[int, ...], "np.ndarray"] | None = None,
 ) -> Field:
-    """Evaluate Gamma^word u termwise on the jet at time t.
+    """Evaluate Gamma^word u termwise on the jet at time t, as a checked Field.
 
     Requires an origin-centered grid (the coordinate weights x_i are
     meaningful only there) and sufficient jet order for every d_t power in
     the expansion.  A derivative_memo dict may be shared across calls on the
     same jet to avoid recomputing D^A u for repeated mixed derivatives.
+    The term loop is _word_values, which the Klainerman sweep also runs.
     """
     grid = jet.grid
     if not grid.origin_centered:
@@ -235,31 +269,14 @@ def apply_gamma(
     needed = max((term.derivative.time_order for term in terms), default=0)
     if needed > jet.order:
         raise ValueError(f"word {index} needs jet order {needed}, jet has {jet.order}")
-    # Coordinate powers stay thin per-axis arrays, the term's weight folded
-    # into the first. The first term is formed in the sum's own array and
-    # every later one in one preallocated buffer.
-    coords = [grid._axis_view(grid.axis_coordinates(axis), axis) for axis in range(grid.n)]
+    memo = {} if derivative_memo is None else derivative_memo
+
+    def derivative(key: tuple[int, ...]) -> np.ndarray:
+        if key not in memo:
+            memo[key] = apply_multi_derivative(jet, MultiIndex(key)).values
+        return memo[key]
+
+    # The buffer first: the other order ran a 2-d record half again slower.
     buf = np.empty(grid.shape)
     total = np.empty(grid.shape)
-    for i, term in enumerate(terms):
-        key = term.derivative.orders
-        if derivative_memo is not None and key in derivative_memo:
-            piece = derivative_memo[key]
-        else:
-            piece = apply_multi_derivative(jet, term.derivative).values
-            if derivative_memo is not None:
-                derivative_memo[key] = piece
-        weight = term.coeff * t**term.t_power
-        factors = [coords[axis] ** power for axis, power in enumerate(term.x_powers) if power > 0]
-        if factors:
-            factors[0] = weight * factors[0]
-        elif weight != 1.0:
-            factors = [weight]
-        out = buf if i else total
-        for factor in factors:
-            piece = np.multiply(piece, factor, out=out)
-        if i:
-            total += piece
-        elif piece is not total:
-            np.copyto(total, piece)
-    return Field(grid, total)
+    return Field(grid, _word_values(_term_factors(grid, t, terms), derivative, buf, total))

@@ -9,6 +9,7 @@ properties on random admissible data.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,9 @@ from kuzlab import (
     theorem_45_energy,
     thresholds,
 )
+from kuzlab import energies
 from kuzlab.energies import _klainerman_sweep, _theorem_45_index_set
+from kuzlab.errors import NonFiniteFieldError
 from kuzlab.gamma import apply_gamma, gamma_words
 from kuzlab.jets import Jet, MultiIndex, build_jet
 
@@ -256,6 +259,39 @@ class TestTowerEnergies:
         assert energy_m(jet, 0) == pytest.approx(expected, rel=1e-11)
 
 
+def _swept_word_fields(monkeypatch, jet: Jet, t: float, m_sum: int, m_sup: int):
+    """Run the sweep, recording each word field it forms and the memo it read.
+
+    Returns the recorded fields and apply_gamma's fields on a jet of the same
+    memo, both indexed [source][word]; the sources come one at a time, each
+    with a memo of its own.
+    """
+    recorded: list[tuple[dict, np.ndarray]] = []
+    word_values = energies._word_values
+
+    def recording(plan, derivative, buf, total):
+        values = word_values(plan, derivative, buf, total)
+        recorded.append((derivative.__self__, values.copy()))
+        return values
+
+    monkeypatch.setattr(energies, "_word_values", recording)
+    _klainerman_sweep(jet, t, m_sum, m_sup)
+    monkeypatch.undo()
+    grid, n = jet.grid, jet.grid.n
+    words = gamma_words(n, m_sum)
+    assert len(recorded) == (n + 1) * len(words)
+    swept, applied = [], []
+    for s in range(n + 1):
+        block = recorded[s * len(words) : (s + 1) * len(words)]
+        memo = block[0][0]
+        assert all(entry[0] is memo for entry in block)
+        assert all(memo is not other[0] for other in recorded[: s * len(words)])
+        source = Jet(grid, tuple(Field(grid, memo[(k,) + (0,) * n]) for k in range(m_sum + 1)))
+        swept.append([values for _, values in block])
+        applied.append([apply_gamma(source, t, word, dict(memo)).values for word in words])
+    return swept, applied
+
+
 class TestKlainerman:
     def test_m0_equals_unit_speed_wave_energy(self) -> None:
         grid = Grid.cube(1, 64, origin_centered=True)
@@ -379,6 +415,100 @@ class TestKlainerman:
         counts = count_ffts(monkeypatch)
         klainerman_record(jet, state.t, 0)
         assert counts == {"forward": 0, "inverse": 17}
+
+    @pytest.mark.parametrize("n,points", [(1, 64), (2, 32), (3, 16)])
+    def test_word_fields_are_apply_gamma_bitwise(self, monkeypatch, n: int, points: int) -> None:
+        """For every word and source, the sweep's word field is bitwise
+        apply_gamma's on the same derivatives: one evaluator serves both. For
+        u_t those derivatives are the ones its shifted jet gives apply_gamma."""
+        grid = Grid.cube(n, points, length=8.0, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        state = _stepped(grid, p, Scheme.EXPLICIT_RK4, 43)
+        jet = build_jet(state, p, 3)
+        t = 0.3 + state.t
+        swept, applied = _swept_word_fields(monkeypatch, jet, t, 2, 1)
+        for swept_fields, applied_fields in zip(swept, applied):
+            for values, expected in zip(swept_fields, applied_fields):
+                assert np.array_equal(values, expected)
+        shifted = jet.shift_time(1)
+        for values, word in zip(swept[0], gamma_words(n, 2)):
+            assert np.array_equal(values, apply_gamma(shifted, t, word).values)
+
+    @pytest.mark.parametrize("n,points,m", [(1, 64, 0), (1, 64, 1), (2, 32, 0), (3, 16, 0)])
+    def test_record_matches_pointwise_reference(self, monkeypatch, n: int, points: int, m: int) -> None:
+        """E_{1,m} and E_{inf,m} are bitwise a pointwise density summed over
+        the sources in order (u_t, then each d_i u); the ratio agrees with
+        the same formula over all words of length <= m + n* to 1e-14."""
+        grid = Grid.cube(n, points, length=8.0, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        state = _stepped(grid, p, Scheme.EXPLICIT_RK4, 47)
+        jet = build_jet(state, p, 3)
+        t = 1.5
+        m_sum = m + n // 2 + 1
+        _, applied = _swept_word_fields(monkeypatch, jet, t, m_sum, m)
+        e_1 = e_1m = 0.0
+        density_sup = np.zeros(grid.shape)
+        for w, word in enumerate(gamma_words(n, m_sum)):
+            density = np.square(applied[0][w])
+            for fields in applied[1:]:
+                density += np.square(fields[w])
+            energy = grid.cell_volume * float(np.sum(density))
+            e_1 += energy
+            if len(word.word) <= m:
+                e_1m += energy
+                np.maximum(density_sup, density, out=density_sup)
+        e_inf = float(np.max(density_sup))
+        ratio, record_e_1m, record_e_inf = klainerman_record(jet, t, m)
+        assert (record_e_1m, record_e_inf) == (e_1m, e_inf)
+        expected = math.sqrt(e_inf) / ((1.0 + t) ** ((1 - n) / 2.0) * math.sqrt(e_1))
+        assert ratio == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n,points,budget", [(2, 128, 14.0), (3, 32, 19.5)])
+    def test_sweep_peak(self, n: int, points: int, budget: float) -> None:
+        """What a record's sweep allocates at its peak, in full-grid field
+        sizes, on a jet whose caches are already built: one source's memo
+        at a time plus the word buffers, not every source's memo at once."""
+        grid = Grid.cube(n, points, length=8.0, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        state = _stepped(grid, p, Scheme.EXPLICIT_RK4, 53)
+        jet = build_jet(state, p, 3)
+        klainerman_record(jet, state.t, 0)
+        tracemalloc.start()
+        try:
+            klainerman_record(jet, state.t, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * state.u.values.nbytes
+
+    @pytest.mark.parametrize("plant", ["gradient", "spectrum"])
+    def test_non_finite_word_raises(self, plant: str) -> None:
+        """A NaN in what the jet holds reaches a word field and must raise:
+        a held gradient through its checked Field, a held spectrum through
+        the square-sum of the words that differentiate it."""
+        grid = Grid.cube(2, 16, length=8.0, origin_centered=True)
+        p = PhysicalParams(eps=0.1)
+        state = _stepped(grid, p, Scheme.EXPLICIT_RK4, 59)
+        jet = build_jet(state, p, 3)
+        if plant == "gradient":
+            bad = jet._gradients[0][1].copy()
+            bad[3, 5] = np.nan
+            jet._gradients[0] = [jet._gradients[0][0], bad]
+        else:
+            bad = jet._spectra[0].copy()
+            bad[2, 1] = np.nan
+            jet._spectra[0] = bad
+        with pytest.raises(NonFiniteFieldError):
+            klainerman_record(jet, state.t, 0)
+
+    def test_overflowing_squares_raise(self) -> None:
+        """Finite word fields whose squares overflow make E_{1,m} infinite,
+        which the square-sum check reports as non-finite."""
+        grid = Grid.cube(2, 16, length=8.0, origin_centered=True)
+        rng = np.random.default_rng(61)
+        layers = tuple(Field(grid, 1e160 * band_limited_field(grid, rng, 1.0).values) for _ in range(4))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteFieldError):
+            klainerman_record(Jet(grid, layers), 0.5, 0)
 
     def test_ratio_validation(self) -> None:
         grid = Grid.cube(2, 16, origin_centered=True)
