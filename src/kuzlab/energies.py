@@ -179,11 +179,15 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
     word field is formed by the term loop apply_gamma runs, in two reused
     buffers; its square-sum is added to the word's energy and must be
     finite, else NonFiniteFieldError. Words of length <= m_sup also keep
-    their pointwise density, summed over the sources in order.
+    their pointwise density, summed over the sources in order. Like
+    apply_gamma, needs an origin-centered grid.
     """
     grid = jet.grid
+    if not grid.origin_centered:
+        raise ValueError("gamma application needs an origin-centered grid")
     n = grid.n
     words = gamma_words(n, m_sum)
+    # gamma_words lists words by length, so those of length <= m_sup come first.
     n_sup = sum(len(word.word) <= m_sup for word in words)
 
     def derivative(key: tuple[int, ...], axis: int | None) -> FloatArray:
@@ -203,16 +207,15 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
     sums = [0.0] * len(words)
     buf = np.empty(grid.shape)
     total = np.empty(grid.shape)
-    densities = [np.empty(grid.shape) for _ in range(n_sup)]
-    for s, axis in enumerate((None, *range(n))):
+    densities = [np.zeros(grid.shape) for _ in range(n_sup)]
+    for axis in (None, *range(n)):
         memo = {key: derivative(key, axis) for key in keys}
         for w, plan in enumerate(plans):
-            values = _word_values(plan, memo.__getitem__, buf, total)
-            square = np.square(values, out=densities[w] if s == 0 and w < n_sup else buf)
+            square = np.square(_word_values(plan, memo, buf, total), out=buf)
             sums[w] += float(np.sum(square))
             if not math.isfinite(sums[w]):
                 raise NonFiniteFieldError(f"word {words[w]} has a non-finite field")
-            if s and w < n_sup:
+            if w < n_sup:
                 densities[w] += square
         del memo
     e_1 = sum(grid.cell_volume * word_sum for word_sum in sums)

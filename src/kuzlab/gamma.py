@@ -230,12 +230,12 @@ def _term_factors(grid: Grid, t: float, terms: tuple[GammaTerm, ...]) -> list[tu
     return plan
 
 
-def _word_values(plan, derivative, buf: np.ndarray, total: np.ndarray) -> np.ndarray:
+def _word_values(plan, memo: dict, buf: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Sum the weighted terms of a word into total and return it: the first
-    term is formed in total itself, every later one in buf. derivative maps
-    the orders of D^A to its grid values."""
+    term is formed in total itself, every later one in buf. memo maps the
+    orders of each D^A in the plan to its grid values."""
     for i, (key, factors) in enumerate(plan):
-        piece = derivative(key)
+        piece = memo[key]
         out = buf if i else total
         for factor in factors:
             piece = np.multiply(piece, factor, out=out)
@@ -270,13 +270,11 @@ def apply_gamma(
     if needed > jet.order:
         raise ValueError(f"word {index} needs jet order {needed}, jet has {jet.order}")
     memo = {} if derivative_memo is None else derivative_memo
-
-    def derivative(key: tuple[int, ...]) -> np.ndarray:
+    plan = _term_factors(grid, t, terms)
+    for key, _ in plan:
         if key not in memo:
             memo[key] = apply_multi_derivative(jet, MultiIndex(key)).values
-        return memo[key]
-
     # The buffer first: the other order ran a 2-d record half again slower.
     buf = np.empty(grid.shape)
     total = np.empty(grid.shape)
-    return Field(grid, _word_values(_term_factors(grid, t, terms), derivative, buf, total))
+    return Field(grid, _word_values(plan, memo, buf, total))

@@ -269,9 +269,9 @@ def _swept_word_fields(monkeypatch, jet: Jet, t: float, m_sum: int, m_sup: int):
     recorded: list[tuple[dict, np.ndarray]] = []
     word_values = energies._word_values
 
-    def recording(plan, derivative, buf, total):
-        values = word_values(plan, derivative, buf, total)
-        recorded.append((derivative.__self__, values.copy()))
+    def recording(plan, memo, buf, total):
+        values = word_values(plan, memo, buf, total)
+        recorded.append((memo, values.copy()))
         return values
 
     monkeypatch.setattr(energies, "_word_values", recording)
@@ -509,6 +509,15 @@ class TestKlainerman:
         layers = tuple(Field(grid, 1e160 * band_limited_field(grid, rng, 1.0).values) for _ in range(4))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteFieldError):
             klainerman_record(Jet(grid, layers), 0.5, 0)
+
+    def test_off_origin_grid_raises(self) -> None:
+        """The coordinate weights x_i mean something only on an origin-centered
+        grid; on any other the record refuses, as apply_gamma does."""
+        grid = Grid.cube(2, 16)
+        jet = Jet(grid, (Field.zeros(grid),) * 4)
+        for evaluate in (klainerman_ratio, klainerman_record, klainerman_energies):
+            with pytest.raises(ValueError, match="origin-centered"):
+                evaluate(jet, 0.5, 0)
 
     def test_ratio_validation(self) -> None:
         grid = Grid.cube(2, 16, origin_centered=True)
