@@ -18,7 +18,6 @@ writes its directory and the cause first.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -49,7 +48,7 @@ from .experiments import (
     viscous_decay_experiment,
 )
 from .fields import Field, dealias_values, linf_norm
-from .io import jsonable, write_experiment_dir
+from .io import dumps_strict, jsonable, write_experiment_dir
 from .jets import build_jet
 
 _EXIT_OK = 0
@@ -114,7 +113,7 @@ def _finish(
     root = Path("results" if cfg.out_dir is None else cfg.out_dir)
     directory = write_experiment_dir(root, command, serialize_config(cfg), reports, verdict, tables)
     telemetry = {key: n - _counts_at_start[key] for key, n in _counts().items()}
-    (directory / "telemetry.json").write_text(json.dumps(telemetry, indent=2) + "\n")
+    (directory / "telemetry.json").write_text(dumps_strict(telemetry))
     print(f"{command}: {summary} -> {directory}")
     if cfg.experiment not in _FAILING_COMMANDS or result.cause not in _FAILED:
         return _EXIT_OK
@@ -304,8 +303,7 @@ def _cmd_check_thresholds(cfg: RunConfig) -> int:
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        payload = {k: v for k, v in lines.items()}
-        (out / "thresholds.json").write_text(json.dumps(jsonable(payload), indent=2) + "\n")
+        (out / "thresholds.json").write_text(dumps_strict(lines))
         print(f"written -> {out / 'thresholds.json'}")
     return _EXIT_OK
 

@@ -18,11 +18,11 @@ and an exponential integrating-factor Heun scheme (IMEX) that advances the
 stiff linear part c^2 Lap u + nu*eps Lap u_t with the exact per-mode 2x2
 propagator and treats the quasilinear remainder explicitly. Both call one
 spectral acceleration kernel and start each step from the previous step's
-end-of-step evaluation (FSAL), which a rebuilt state reproduces bitwise.
-The kernel and the stepper also take ensembles: fields stacked along a
-leading member axis, transformed over the trailing grid axes, with one
-perturbation scale per member and every check and reduction per member,
-so that each member's row is bitwise its own single-state step.
+end-of-step evaluation (FSAL), which a state rebuilt from its carried
+spectra reproduces bitwise. The kernel and the stepper also take
+ensembles: fields stacked along a leading member axis, transformed over the
+trailing grid axes, with one perturbation scale per member and every check
+and reduction per member, so each member's row is its own step bitwise.
 
 Transform counts per warm step, n the dimension, for models with the
 gradient coupling: RK4 makes 5n+14. Each of its three later stages takes
@@ -30,12 +30,14 @@ n+3 (the stage velocity forward, its n gradients, the quadratic term's
 pair): a stage displacement u0 + h*w has the known spectrum and the
 gradient grad u0 + h*grad w, from the carried grad u and the gradient the
 previous stage formed for w. The end-of-step evaluation takes 2n+5 and is
-carried with grad u and grad v. IMEX makes 4n+12 and carries no gradients
-and no u_tt, only its transform split into remainder and linear part;
-_acceleration rebuilds u_tt from them on request, by one inverse transform.
-A run that keeps no reports steps on lean evaluations, without the report
-scalars and the inverse transform of Lap u they need: 5n+13 and 4n+11.
-``advance_calls`` counts the stepper's calls, one per step.
+carried with grad u and grad v. IMEX makes 4n+9: its update's spectra go
+to the end-of-step evaluation as they are, and only v is inverted, for the
+kernel's factor (step inverts u as well). It carries no gradients and no
+u_tt, only its transform split into remainder and linear part; _acceleration
+rebuilds u_tt from them on request, by one inverse transform. A run that
+keeps no reports steps on lean evaluations, without the report scalars and
+the inverse transform of Lap u they need: 5n+13 and 4n+8. ``advance_calls``
+counts the stepper's calls, one per step.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ class SimState:
     part of the F_nu functional; div_accum carries
     int_0^t (||u_tt||_inf + ||Lap u||_inf) d tau, the divergence-criterion
     integrand whose steep growth evidences breakdown. _fsal, the evaluation
-    the next step starts from, is a pure function of the state, so equality
-    and repr ignore it.
+    the next step starts from, holds the spectra an IMEX step's u and v are
+    the inverse transforms of; equality and repr ignore it.
     """
 
     u: Field
@@ -483,6 +485,8 @@ def step(
     u1, v1, end = _advance(
         grid, state.u.values, state.v.values, state.t, start, dt, p, kind, scheme, p.eps
     )
+    if u1 is None:  # an IMEX step leaves u1 as its carried spectrum
+        u1 = _to_physical(grid, end.u_hat)
     # The end-of-step evaluation closes the trapezoid rule for both running
     # integrals and, carried on the new state, is the next step's first stage.
     fnu, div = _trapezoid(state.fnu_accum, state.div_accum, start, end, dt)
@@ -511,11 +515,11 @@ def _advance(
 
     The fields may be stacked along leading member axes with eps one scale
     per member (see _accel_kernel); each member's row comes out bitwise as
-    its own step would give it. start is (u0, v0)'s evaluation (_evaluate).
-    Returns the new fields and their evaluation, as full as start, which
-    validates them and is the next step's start. Raises StepRejected on
-    non-finite fields and HyperbolicityBreakdown from any evaluation, each
-    marking its members.
+    its own step would give it. start is (u0, v0)'s evaluation (_evaluate),
+    all that IMEX reads. Returns the new fields (IMEX forms no u1) and their
+    evaluation, as full as start, which validates them and is the next
+    step's start. Raises StepRejected on non-finite fields and
+    HyperbolicityBreakdown from any evaluation, each marking its members.
     """
     global advance_calls
     advance_calls += 1
@@ -585,17 +589,20 @@ def _advance(
         del up_hat, vp_hat, vp
         half = 0.5 * dt
         base = v_hat + half * n1_hat
-        u1 = _to_physical(grid, e00 * u_hat + e01 * base, consume=True)
-        v1 = _to_physical(grid, e10 * u_hat + e11 * base + half * n2_hat, consume=True)
-        # Nothing but the end-of-step evaluation reads on.
+        u1_hat = e00 * u_hat + e01 * base
+        v1_hat = e10 * u_hat + e11 * base + half * n2_hat
+        # Nothing but the end-of-step evaluation reads on: it takes the spectra
+        # as they are, and v1 for the kernel's factor.
         del base, n1_hat, n2_hat
+        u1, v1 = None, _to_physical(grid, v1_hat)
 
-    finite = np.isfinite(u1).all(axis=grid.axes) & np.isfinite(v1).all(axis=grid.axes)
+    finite = np.isfinite(u1_hat if u1 is None else u1).all(axis=grid.axes)
+    finite &= np.isfinite(v1).all(axis=grid.axes)
     if not finite.all():
         raise StepRejected(f"non-finite fields after step from t = {t0:.6g}", ~finite)
-    return u1, v1, _evaluate(
-        grid, _to_spectral(grid, u1), _to_spectral(grid, v1), v1, t0 + dt, p, kind, scheme, eps, start.full
-    )
+    if u1 is not None:  # RK4 forms the new fields, and transforms them
+        u1_hat, v1_hat = _to_spectral(grid, u1), _to_spectral(grid, v1)
+    return u1, v1, _evaluate(grid, u1_hat, v1_hat, v1, t0 + dt, p, kind, scheme, eps, start.full)
 
 
 @lru_cache(maxsize=8)

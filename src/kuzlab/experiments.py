@@ -51,7 +51,7 @@ from .energies import (
     thresholds,
 )
 from .errors import GuardViolation, HyperbolicityBreakdown, StepRejected
-from .fields import Field, FloatArray, Grid, _to_spectral, gradient_values, linf_norm
+from .fields import Field, FloatArray, Grid, _to_physical, _to_spectral, gradient_values, linf_norm
 from .jets import build_jet
 
 DEFAULT_TAIL_THRESHOLD = 0.01
@@ -226,9 +226,11 @@ def _run(
     ends at the last accepted time when a step trips the hyperbolicity
     floor (HYPERBOLICITY) or goes non-finite (NUMERICAL) for it, and the
     step is redone for the rest. After each accepted state, t = 0 included,
-    monitor(u, v, ev, div_accum) sees the live members' fields, evaluation
-    and running ||u_tt||_inf + ||Lap u||_inf integral, and ends those it
-    returns a cause for. With together, the first to end ends all.
+    monitor(fields, ev, div_accum) sees the live members' evaluation, their
+    running ||u_tt||_inf + ||Lap u||_inf integral and fields() -> (u, v),
+    and ends those it returns a cause for. With together, the first to end
+    ends all. IMEX steps read only the evaluation's spectra and drop (u, v);
+    fields(), records and ends form them again, bitwise those spectra's inverses.
 
     record receives live members as states carrying their evaluation: all
     of them at t = 0 and after every report_every steps, and those that end
@@ -254,7 +256,14 @@ def _run(
     ev: _Accel | None = None  # the live members' evaluation at t, once made
     t, k, recorded = 0.0, 0, -1  # recorded: the step of the live members' last record
 
+    def fields() -> tuple[FloatArray, FloatArray]:
+        nonlocal u, v
+        u = _to_physical(grid, ev.u_hat) if u is None else u
+        v = _to_physical(grid, ev.v_hat) if v is None else v
+        return u, v
+
     def states(rows: Sequence[int]) -> list[SimState]:
+        u, v = fields()
         return [
             _state(Field(grid, u[i]), Field(grid, v[i]), t, float(fnu[i]), float(div[i]),
                    None if ev is None else _rows(ev, i))
@@ -275,7 +284,7 @@ def _run(
             if cause is not None:
                 ends[i] = (t, cause)
         keep = ~gone
-        live, eps, u, v, fnu, div = live[keep], eps[keep], u[keep], v[keep], fnu[keep], div[keep]
+        live, eps, u, v, fnu, div = (None if a is None else a[keep] for a in (live, eps, u, v, fnu, div))
         ev = None if ev is None else _rows(ev, keep)
 
     while live.size:
@@ -287,10 +296,13 @@ def _run(
             elif k == steps:
                 break
             else:
-                u_next, v_next, ev_next = _advance(grid, u, v, t, ev, dt_step, p, kind, scheme, eps)
+                if scheme is Scheme.IMEX:
+                    u = v = None  # read by no IMEX step
+                # A step that raises leaves (u, v) as they were.
+                u, v, ev_next = _advance(grid, u, v, t, ev, dt_step, p, kind, scheme, eps)
                 if full:
                     fnu, div = _trapezoid(fnu, div, ev, ev_next, dt_step)
-                u, v, ev, t, k = u_next, v_next, ev_next, t + dt_step, k + 1
+                ev, t, k = ev_next, t + dt_step, k + 1
         except HyperbolicityBreakdown as exc:
             end([BreakdownCause.HYPERBOLICITY if m else None for m in exc.members])
             continue
@@ -298,7 +310,7 @@ def _run(
             end([BreakdownCause.NUMERICAL if m else None for m in exc.members])
             continue
         if monitor is not None:
-            end(monitor(u, v, ev, div))
+            end(monitor(fields, ev, div))
         if record is not None and live.size and (k % report_every == 0 or k == steps):
             record(states(range(live.size)))
             recorded = k
@@ -350,7 +362,7 @@ def run_until_breakdown(
     grid = initial[0].grid
     reports: list[EnergyReport] = []
 
-    def monitor(u, v, ev, div):
+    def monitor(fields, ev, div):
         tail = _tail_fraction(grid, p.c, ev.u_hat, ev.v_hat) > tail_threshold
         big = np.zeros(len(div), bool) if div_threshold is None else div >= div_threshold
         return [BreakdownCause.SPECTRAL if a else BreakdownCause.DIVERGENCE if b else None
@@ -425,7 +437,7 @@ def lifespan_sweep(
         raise ValueError(f"grid dimension {grid.n} does not match n = {n}")
     u0, u1 = data_shape(grid)
 
-    def monitor(u, v, ev, div):
+    def monitor(fields, ev, div):
         tail = _tail_fraction(grid, p_base.c, ev.u_hat, ev.v_hat) > tail_threshold
         return [BreakdownCause.SPECTRAL if over else None for over in tail]
 
@@ -515,7 +527,7 @@ def stability_experiment(
     rows: list[tuple[float, float, float, EnergyReport]] = []  # (t, d, A, report)
     a_accum, g_prev = 0.0, None
 
-    def monitor(u, v, ev, div):
+    def monitor(fields, ev, div):
         # Accumulates A(t) by the trapezoid rule from the first run's evaluation.
         nonlocal a_accum, g_prev
         g_now = max(ev.acc_sup[0], ev.lap_sup[0])
@@ -746,8 +758,8 @@ def klainerman_experiment(
     ratios: list[float] = []
     reports: list[EnergyReport] = []
 
-    def monitor(u, v, ev, div):
-        return [BreakdownCause.SUPPORT if r >= limit else None for r in _support_radius(grid, u, v)]
+    def monitor(fields, ev, div):
+        return [BreakdownCause.SUPPORT if r >= limit else None for r in _support_radius(grid, *fields())]
 
     def record(states: list[SimState]) -> None:
         (s,) = states

@@ -12,7 +12,7 @@ Formats (all versioned, all readable back by this module):
 
 Experiment results live one directory per experiment containing
 ``config.json``, ``reports.csv`` (plus ``reports.jsonl``) and
-``verdict.json``.
+``verdict.json``, strict JSON with null for a non-finite value.
 """
 
 from __future__ import annotations
@@ -155,7 +155,9 @@ def read_table_csv(path: str | Path) -> tuple[str, list[str], list[list[str]]]:
 
 
 def jsonable(obj: Any) -> Any:
-    """Recursively convert dataclasses, enums and arrays to JSON-ready values."""
+    """Recursively convert dataclasses, enums and arrays to JSON values, non-finite floats to None."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
@@ -164,13 +166,18 @@ def jsonable(obj: Any) -> Any:
         return obj.value
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.integer):
         return obj.item()
     if isinstance(obj, Mapping):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj
+
+
+def dumps_strict(obj: Any) -> str:
+    """obj as indented strict JSON, non-finite floats as null, with a newline."""
+    return json.dumps(jsonable(obj), indent=2, allow_nan=False) + "\n"
 
 
 def write_experiment_dir(
@@ -192,7 +199,7 @@ def write_experiment_dir(
     (directory / "config.json").write_text(config_text)
     write_reports_csv(directory / "reports.csv", reports)
     write_reports_jsonl(directory / "reports.jsonl", reports)
-    (directory / "verdict.json").write_text(json.dumps(jsonable(verdict), indent=2) + "\n")
+    (directory / "verdict.json").write_text(dumps_strict(verdict))
     for table_name, (columns, rows) in (tables or {}).items():
         write_table_csv(directory / f"{table_name}.csv", table_name, columns, rows)
     return directory

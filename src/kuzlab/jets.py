@@ -46,7 +46,7 @@ class Jet:
 
     A jet also holds, by layer, the transforms and gradients already at hand
     when it was built; spectrum() transforms any other layer once, on first
-    use. A jet built by hand from its layers alone gives the same results.
+    use. Built by hand from the same layers and transforms, a jet agrees.
     """
 
     grid: Grid

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState
+from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState, experiments
 from kuzlab.cli import _forcing_factory, main
 from kuzlab.dynamics import cfl_dt, solve_linear_forced
 from kuzlab.config import (
@@ -951,6 +951,72 @@ class TestOneWriter:
         assert counts["forward"] > 0 and counts["inverse"] > 0
         verdict = json.loads((directory / "verdict.json").read_text())
         assert not set(telemetry) & set(verdict)
+
+    def test_written_json_is_strict(self, tmp_path, capsys) -> None:
+        """verdict.json, telemetry.json and thresholds.json parse as strict JSON,
+        with null where a value is not finite: the towers of a decay run on
+        data at the floor, and the sup-norm guard of a model without alpha."""
+
+        def refuse(token: str) -> None:
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        floor = {
+            "grid": {"n": 1, "points": 128},
+            "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.5},
+            "params": {"eps": 0.5, "nu": 0.5, "hyp_floor": 0.9},
+            "scheme": "imex",
+            "horizon": 3.0,
+        }
+        out = tmp_path / "res"
+        assert main(["decay", "--config", _write_config(tmp_path, "floor.json", floor), "--out", str(out)]) == 4
+        verdict = json.loads((out / "decay" / "verdict.json").read_text(), parse_constant=refuse)
+        assert verdict["e_half_bound"] is None and verdict["sqrt_e_half_initial"] is None
+        assert verdict["e_theorem"] == [None] and verdict["threshold_value"] > 0.0
+        json.loads((out / "decay" / "telemetry.json").read_text(), parse_constant=refuse)
+        wave = {"model": "damped_wave", "grid": {"n": 1, "points": 64}, "params": {"nu": 0.5}}
+        assert main(["check-thresholds", "--config", _write_config(tmp_path, "wave.json", wave), "--out", str(out)]) == 0
+        capsys.readouterr()
+        data = json.loads((out / "thresholds.json").read_text(), parse_constant=refuse)
+        assert data["sup-norm guard 1/(2 alpha eps)"] is None and data["B"] == 10.0
+
+    def test_decay_telemetry_steps_on_spectra(self, tmp_path, monkeypatch, capsys) -> None:
+        """A 3-d IMEX decay run's telemetry reads, per step, 2 forward and 1
+        inverse transform fewer than a step that round-trips its update through
+        physical space (6 forward, 4n+6 inverse): the update's spectra go to
+        the end-of-step evaluation as they are, and u is not formed."""
+        n = 3
+        payload = {
+            "grid": {"n": n, "points": 8},
+            "preset": {"kind": "sine_mode", "mode": [1, 1, 1], "amplitude": 0.001},
+            "params": {"nu": 1.0, "eps": 0.1},
+            "scheme": "imex",
+            "horizon": 1.5,
+            "report_every": 2,
+            "decay": {"m": 2},
+        }
+        cfg = _write_config(tmp_path, "decay3.json", payload)
+        counts = count_ffts(monkeypatch)
+        in_steps = dict.fromkeys(counts, 0)
+        real_advance = experiments._advance
+
+        def advance(*args):
+            before = dict(counts)
+            out = real_advance(*args)
+            for key in counts:
+                in_steps[key] += counts[key] - before[key]
+            return out
+
+        monkeypatch.setattr(experiments, "_advance", advance)
+        assert main(["decay", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        telemetry = json.loads((tmp_path / "res" / "decay" / "telemetry.json").read_text())
+        steps = telemetry["stepper_calls"]
+        round_trip = {"forward": 6, "inverse": 4 * n + 6}
+        assert steps == 5
+        for key, fewer in (("forward", 2), ("inverse", 1)):
+            outside = counts[key] - in_steps[key]
+            assert telemetry[f"{key}_transforms"] == outside + steps * (round_trip[key] - fewer)
 
     def test_overrides_pass_the_schema(self) -> None:
         with pytest.raises(ConfigError, match="must be finite") as info:

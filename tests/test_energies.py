@@ -916,7 +916,9 @@ class TestEnergyReport:
         report = make_report(state, p, half_m=2, jet=jet)
         monkeypatch.undo()
         assert counts == {"forward": 1, "inverse": 3}
+        # A jet of the layers and the state's spectra, which an IMEX state is.
         plain = Jet(grid, jet.layers)
+        plain._spectra.update({0: state._fsal.u_hat, 1: state._fsal.v_hat})
         assert (report.e_half_m, report.s_half_m) == (energy_half_m(plain, 2), s_half_m(plain, 2))
 
     def test_min_hyp_reporting(self) -> None:

@@ -17,15 +17,14 @@ import pytest
 from kuzlab import (
     Field,
     GuardViolation,
+    HyperbolicityBreakdown,
     ModelKind,
     PhysicalParams,
     Scheme,
     SimState,
     StepRejected,
-    acceleration,
     cfl_dt,
     energy_wave,
-    laplacian,
     make_report,
     step,
 )
@@ -42,7 +41,7 @@ from kuzlab.experiments import (
     viscous_decay_experiment,
     _scaled_lifespan,
 )
-from kuzlab.fields import Grid
+from kuzlab.fields import Grid, _to_physical
 
 from helpers import band_limited_field, count_ffts, single_mode
 
@@ -402,9 +401,11 @@ class TestStability:
         su, sv = SimState(*u), SimState(*v)
 
         def sup(s: SimState) -> float:
-            # The kernel's u_tt, which the driver's A(t) reads: a carry-free copy's.
-            acc = acceleration(SimState(s.u, s.v, s.t), p, ModelKind.KUZNETSOV).values
-            return max(np.max(np.abs(acc)), np.max(np.abs(laplacian(s.u).values)))
+            # The kernel's u_tt and Lap u on the state's spectra, which the
+            # driver's A(t) reads: an IMEX state is its carried spectra.
+            ev = dynamics._accel_kernel(grid, *dynamics._spectra(s), s.v.values, p, ModelKind.KUZNETSOV)
+            lap = dynamics._to_physical(grid, -grid.k_squared * ev.u_hat)
+            return max(np.max(np.abs(ev.acc)), np.max(np.abs(lap)))
 
         def distance() -> float:
             dv = su.v.values - sv.v.values
@@ -508,7 +509,8 @@ class TestViscousDecay:
     @pytest.mark.parametrize("m", [2, 4])
     def test_imex_carried_layer_two_keeps_the_reports(self, monkeypatch, m: int) -> None:
         """Reading layer 2 from the IMEX carry moves every record by roundoff
-        only: within 1e-12 relative of the kernel's layer 2."""
+        only: within 1e-12 relative of the kernel's layer 2 on the carried
+        spectra, which an IMEX state is."""
         grid = Grid.cube(2, 16)
         rng = np.random.default_rng(43)
         u0, u1 = band_limited_field(grid, rng, 1e-5), band_limited_field(grid, rng, 1e-5)
@@ -518,10 +520,12 @@ class TestViscousDecay:
             return viscous_decay_experiment(u0, u1, p, m, 1.0, report_every=2)
 
         carried = run()
-        # Records of carry-free states take layer 2 from the kernel.
-        monkeypatch.setattr(
-            experiments, "_state", lambda u, v, t, fnu, div, carry: dynamics._state(u, v, t, fnu, div, None)
-        )
+        # Records of states carrying the kernel's evaluation take layer 2 from it.
+        def kernel_state(u, v, t, fnu, div, carry):
+            ev = dynamics._accel_kernel(grid, carry.u_hat, carry.v_hat, v.values, p, carry.kind, t)
+            return dynamics._state(u, v, t, fnu, div, ev)
+
+        monkeypatch.setattr(experiments, "_state", kernel_state)
         kernel = run()
         assert carried.times == kernel.times and len(carried.times) > 2
         for name in ("e_theorem", "e_half", "s_half"):
@@ -697,7 +701,7 @@ class TestLeanRuns:
     @pytest.mark.parametrize("scheme,nu", [(Scheme.EXPLICIT_RK4, 0.0), (Scheme.IMEX, 0.5)])
     def test_warm_step_transform_counts(self, monkeypatch, n: int, scheme: Scheme, nu: float) -> None:
         """A sweep, which keeps no records, steps in 5n+13 transforms under RK4
-        and 4n+11 under IMEX; a run that records steps in 5n+14 and 4n+12."""
+        and 4n+8 under IMEX; a run that records steps in 5n+14 and 4n+9."""
         grid = Grid.cube(n, 16)
         p = PhysicalParams(nu=nu, eps=0.1)
         horizon = 3.0 * cfl_dt(grid, p.c)
@@ -706,8 +710,8 @@ class TestLeanRuns:
         full = self._step_counts(monkeypatch, lambda: run_until_breakdown(
             _smooth_pair(grid), p, horizon, report_every=2, scheme=scheme))
         rk4 = scheme is Scheme.EXPLICIT_RK4
-        assert lean == [5 * n + 13 if rk4 else 4 * n + 11] * 3
-        assert full == [5 * n + 14 if rk4 else 4 * n + 12] * 3
+        assert lean == [5 * n + 13 if rk4 else 4 * n + 8] * 3
+        assert full == [5 * n + 14 if rk4 else 4 * n + 9] * 3
 
     def test_monitor_of_a_lean_run_sees_nan_scalars(self, monkeypatch) -> None:
         """Without a record the run loop forms neither the scalars nor div_accum."""
@@ -715,7 +719,7 @@ class TestLeanRuns:
         p = PhysicalParams(eps=0.1)
         seen = []
 
-        def monitor(u, v, ev, div):
+        def monitor(fields, ev, div):
             seen.append((ev.acc_sup, ev.lap_sup, ev.fnu, *div))
             return [None]
 
@@ -725,3 +729,97 @@ class TestLeanRuns:
         )
         assert len(seen) == 4 and all(math.isnan(x) for row in seen for x in row)
 
+
+
+class TestSpectralState:
+    """An IMEX run's state is its evaluation: its physical fields are formed
+    on read, as the inverse transforms of the carried spectra."""
+
+    @staticmethod
+    def _data(grid: Grid) -> tuple[Field, Field]:
+        """Data whose eps = 0.5 run trips a 0.603 floor at t = 0.2 (dt = 0.1) in
+        the end-of-step evaluation, with the predictor still above it."""
+        x = grid.coordinate_mesh(0)
+        c = [[-0.676, -0.291, 0.493, 0.119], [-0.004, 0.176, 0.288, -0.283]]
+        return tuple(
+            Field(grid, sum(c[i][j] * f((j + 1) * x + (i + 1) * j) for j in range(4)))
+            for i, f in enumerate((np.sin, np.cos))
+        )
+
+    @staticmethod
+    def _run(members, eps, p) -> tuple[list, list[list[SimState]]]:
+        calls: list[list[SimState]] = []
+        ends = experiments._run(
+            members, eps, p, ModelKind.KUZNETSOV, Scheme.IMEX, 1.0, 0.1, dynamics.DEFAULT_CFL,
+            record=calls.append, report_every=4,
+        )
+        return ends, calls
+
+    @staticmethod
+    def _assert_same(a: SimState, b: SimState) -> None:
+        assert (a.t, a.fnu_accum, a.div_accum) == (b.t, b.fnu_accum, b.div_accum)
+        for x, y in ((a.u, b.u), (a.v, b.v)):
+            np.testing.assert_array_equal(x.values, y.values)
+        for name in ("u_hat", "v_hat", "rem_hat", "acc_sup", "lap_sup", "fnu"):
+            np.testing.assert_array_equal(getattr(a._fsal, name), getattr(b._fsal, name), err_msg=name)
+
+    def _check_ending_member(self, p: PhysicalParams, cause: BreakdownCause, t_end: float) -> None:
+        """Member 1 of three ends at t_end; its end record holds its last
+        accepted state with fields rebuilt from its spectra, and the others
+        equal their solo runs bit for bit."""
+        grid = Grid.cube(1, 32)
+        data, eps = self._data(grid), [0.1, 0.5, 0.2]
+        ends, calls = self._run([data] * 3, eps, p)
+        assert ends[1] == (pytest.approx(t_end), cause)
+        assert ends[0] == ends[2] == (None, BreakdownCause.HORIZON)
+        (last,) = next(call for call in calls if len(call) == 1)
+        assert last.t == ends[1][0] and last.t not in (0.0, 0.4)  # not a report step
+        np.testing.assert_array_equal(last.u.values, _to_physical(grid, last._fsal.u_hat))
+        np.testing.assert_array_equal(last.v.values, _to_physical(grid, last._fsal.v_hat))
+        solo_ends, solo_calls = self._run([data], [eps[1]], p)
+        assert solo_ends == [ends[1]]
+        self._assert_same(last, solo_calls[-1][0])
+        survivors = [call for call in calls if len(call) != 1]
+        for member, row in ((0, 0), (2, -1)):
+            solo_ends, solo_calls = self._run([data], [eps[member]], p)
+            assert solo_ends == [ends[member]] and len(solo_calls) == len(survivors)
+            for call, (solo,) in zip(survivors, solo_calls):
+                self._assert_same(call[row], solo)
+
+    def test_floor_in_the_end_of_step_evaluation(self, monkeypatch) -> None:
+        tripped = []
+        real_evaluate = dynamics._evaluate
+
+        def evaluate(*args):
+            try:
+                return real_evaluate(*args)
+            except HyperbolicityBreakdown as exc:
+                tripped.append(exc.members)
+                raise
+
+        monkeypatch.setattr(dynamics, "_evaluate", evaluate)
+        self._check_ending_member(
+            PhysicalParams(nu=0.5, hyp_floor=0.603), BreakdownCause.HYPERBOLICITY, 0.2
+        )
+        assert [m.tolist() for m in tripped[:1]] == [[False, True, False]]
+
+    def test_non_finite_update(self, monkeypatch) -> None:
+        """From its third step on, member 1's propagator block e11 is NaN:
+        its update goes non-finite, which the end-of-step check catches."""
+        p = PhysicalParams(nu=0.5)
+        real_propagator = dynamics._stacked_propagator
+        seen = {}
+
+        def propagator(grid, dt, c, nu_eps):
+            blocks = real_propagator(grid, dt, c, nu_eps)
+            bad = p.nu * 0.5
+            if bad in nu_eps:
+                seen[nu_eps] = seen.get(nu_eps, 0) + 1
+                if seen[nu_eps] >= 3:
+                    e11 = blocks[3].copy()
+                    e11[nu_eps.index(bad)] = math.nan
+                    blocks = (*blocks[:3], e11)
+            return blocks
+
+        monkeypatch.setattr(dynamics, "_stacked_propagator", propagator)
+        self._check_ending_member(p, BreakdownCause.NUMERICAL, 0.2)
