@@ -16,13 +16,16 @@ to (gamma+1)/c^2, and the full model keeps all terms.
 Two integrators are provided: classic explicit RK4 under a CFL restriction,
 and an exponential integrating-factor Heun scheme (IMEX) that advances the
 stiff linear part c^2 Lap u + nu*eps Lap u_t with the exact per-mode 2x2
-propagator and treats the quasilinear remainder explicitly. Both call one
-spectral acceleration kernel and start each step from the previous step's
-end-of-step evaluation (FSAL), which a state rebuilt from its carried
-spectra reproduces bitwise. The kernel and the stepper also take
-ensembles: fields stacked along a leading member axis, transformed over the
-trailing grid axes, with one perturbation scale per member and every check
-and reduction per member, so each member's row is its own step bitwise.
+propagator and treats the quasilinear remainder explicitly. The propagator
+depends on |k|^2 alone, so it is cached as four tables over the grid's
+distinct |k|^2, and a step gathers each block onto the spectrum where it
+reads it. Both call one spectral acceleration kernel and start each step
+from the previous step's end-of-step evaluation (FSAL), which a state
+rebuilt from its carried spectra reproduces bitwise. The kernel and the
+stepper also take ensembles: fields stacked along a leading member axis,
+transformed over the trailing grid axes, with one perturbation scale per
+member and every check and reduction per member, so each member's row is
+its own step bitwise.
 
 Transform counts per warm step, n the dimension, for models with the
 gradient coupling: RK4 makes 5n+14. Each of its three later stages takes
@@ -278,23 +281,20 @@ def _accel_kernel(
     kept_u, kept_v = [], []
     if quad is None and beta_eff != 0.0:
         # One pass over the axes: each component is summed into the quadratic
-        # term (and |grad u|^2) as it is formed, and kept only on request.
+        # term (and |grad u|^2) as it is formed, and kept only on request. A
+        # pair not kept takes its own products, and goes before the next.
         for axis, mult in enumerate(grid.derivative_multipliers):
             g = _to_physical(grid, u_hat * mult, consume=True) if grad_u is None else grad_u[axis]
             gv = _to_physical(grid, v_hat * mult, consume=True)
-            if quad is None:
-                quad = g * gv
-            else:
-                quad += g * gv
-            if full:
-                if grad_sq is None:
-                    grad_sq = g * g
-                else:
-                    grad_sq += g * g
             if gradients:
                 kept_u.append(g)
                 kept_v.append(gv)
-        del g, gv
+            prod = g * gv if gradients else np.multiply(gv, g, out=gv)
+            quad = prod if quad is None else np.add(quad, prod, out=quad)
+            if full:
+                sq = g * g if gradients or grad_u is not None else np.multiply(g, g, out=g)
+                grad_sq = sq if grad_sq is None else np.add(grad_sq, sq, out=grad_sq)
+            g = gv = prod = sq = None
         quad *= beta_eff * eps_col
     grad_u, grad_v = (kept_u, kept_v) if kept_v else (None, None)
     lin_hat = _linear_hat(grid, u_hat, v_hat, p.c, nu_eff, eps_col)
@@ -418,40 +418,44 @@ def _admissible_dt(grid: Grid, c: float, dt: float, scheme: Scheme, cfl: float) 
     return min(dt, cfl_dt(grid, c, cfl)) if scheme is Scheme.EXPLICIT_RK4 else dt
 
 
+@lru_cache(maxsize=64)
 def _propagator(
-    grid: Grid, dt: float, c: float, nu_eps: float
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Exact per-mode propagator of d/dt (u, v) = [[0, 1], [-c^2 k^2, -nu*eps*k^2]] (u, v),
-    as four contiguous real blocks that hold no complex parent alive."""
-    k2 = grid.k_squared
-    a = nu_eps * k2
+    grid: Grid, dt: float, c: float, nu_eps: float | tuple[float, ...]
+) -> tuple[np.ndarray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Exact per-mode propagator of d/dt (u, v) = [[0, 1], [-c^2 k^2, -nu*eps*k^2]] (u, v)
+    on the grid's distinct |k|^2 (Grid.k_squared_table): the index, then the
+    four contiguous real tables, one row per member when nu_eps is a tuple.
+    table[..., index] is the entry on the transform layout."""
+    k2, index = grid.k_squared_table
+    a = np.asarray(nu_eps)[..., None] * k2
     b = c**2 * k2
     s = np.sqrt((a * a - 4.0 * b).astype(complex))
     h = 0.5 * dt * s
-    cosh_h = np.cosh(h)
+    # Near exp's range pref*cosh h would be 0*inf (pref leaves the normal
+    # range past 708.4): modes past this bound are formed below, and their h
+    # is zeroed here so that cosh and sinh stay finite.
+    stiff = 0.5 * a * dt > 700.0
+    h_mild = np.where(stiff, 0.0, h)
+    cosh_h = np.cosh(h_mild)
     # sinh(h)/h with a series fallback where h ~ 0 (k = 0 and critical modes).
     small = np.abs(h) < 1e-8
     h_safe = np.where(small, 1.0, h)
-    sinhc = np.where(small, 1.0 + h * h / 6.0, np.sinh(h_safe) / h_safe)
+    sinhc = np.where(small, 1.0 + h * h / 6.0, np.sinh(h_mild) / h_safe)
     pref = np.exp(-0.5 * a * dt)
+    if stiff.any():
+        # pref*cosh h and pref*sinh(h)/h from e^(h - a dt/2) and e^(-h - a dt/2),
+        # by exponents -2b dt/(s + a) and -dt (s + a)/2 that cancel nothing.
+        total = (s + a)[stiff]
+        grow = np.exp(-2.0 * dt * np.broadcast_to(b, a.shape)[stiff] / total)
+        decay = np.exp(-0.5 * dt * total)
+        pref[stiff] = 1.0
+        cosh_h[stiff] = 0.5 * (grow + decay)
+        sinhc[stiff] = 0.5 * (grow - decay) / h_safe[stiff]
     e00 = (pref * (cosh_h + 0.5 * a * dt * sinhc)).real.copy()
     e01 = (pref * dt * sinhc).real.copy()
     e10 = (pref * (-b) * dt * sinhc).real.copy()
     e11 = (pref * (cosh_h - 0.5 * a * dt * sinhc)).real.copy()
-    return e00, e01, e10, e11
-
-
-_linear_propagator = lru_cache(maxsize=64)(_propagator)
-
-
-@lru_cache(maxsize=8)
-def _stacked_propagator(
-    grid: Grid, dt: float, c: float, nu_eps: tuple[float, ...]
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Each member's exact propagator, stacked along a leading member axis from
-    uncached blocks, so that the stack is the only copy kept."""
-    per_member = [_propagator(grid, dt, c, x) for x in nu_eps]
-    return tuple(np.stack(entries) for entries in zip(*per_member))
+    return index, e00, e01, e10, e11
 
 
 def step(
@@ -573,14 +577,15 @@ def _advance(
         del acc_sum
     else:
         nu_eps = p.nu * eps
-        if np.ndim(nu_eps) == 0:
-            e00, e01, e10, e11 = _linear_propagator(grid, dt, p.c, nu_eps)
-        else:
-            e00, e01, e10, e11 = _stacked_propagator(grid, dt, p.c, tuple(nu_eps.tolist()))
+        index, *tables = _propagator(
+            grid, dt, p.c, nu_eps if np.ndim(nu_eps) == 0 else tuple(nu_eps.tolist())
+        )
+        # Each block is gathered from its table where it is read, and dropped.
+        e00, e01, e10, e11 = (lambda t=t: t[..., index] for t in tables)
         n1_hat = start.rem_hat
         base = v_hat + dt * n1_hat
-        up_hat = e00 * u_hat + e01 * base
-        vp_hat = e10 * u_hat + e11 * base
+        up_hat = e00() * u_hat + e01() * base
+        vp_hat = e10() * u_hat + e11() * base
         del base
         vp = _to_physical(grid, vp_hat)
         n2_hat = _accel_kernel(
@@ -589,8 +594,8 @@ def _advance(
         del up_hat, vp_hat, vp
         half = 0.5 * dt
         base = v_hat + half * n1_hat
-        u1_hat = e00 * u_hat + e01 * base
-        v1_hat = e10 * u_hat + e11 * base + half * n2_hat
+        u1_hat = e00() * u_hat + e01() * base
+        v1_hat = e10() * u_hat + e11() * base + half * n2_hat
         # Nothing but the end-of-step evaluation reads on: it takes the spectra
         # as they are, and v1 for the kernel's factor.
         del base, n1_hat, n2_hat
@@ -734,7 +739,8 @@ def solve_linear_forced(
     steps = max(1, math.ceil(horizon / dt - 1e-12))
     dt = horizon / steps
     nu_eps = p.nu * p.eps
-    e00, e01, e10, e11 = _linear_propagator(grid, dt, p.c, nu_eps)
+    index, *tables = _propagator(grid, dt, p.c, nu_eps)
+    e00, e01, e10, e11 = (t[index] for t in tables)
     cell = grid.cell_volume
     k_fourth = grid.k_squared**2
 

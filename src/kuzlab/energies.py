@@ -36,7 +36,6 @@ from .fields import (
     FloatArray,
     Grid,
     _derivative_multiplier,
-    _gradient_from_spectrum,
     _quadrature,
     _to_physical,
     _to_spectral,
@@ -68,14 +67,6 @@ def _grad_sq(grid: Grid, values: FloatArray, s: float = 0.0) -> float:
 def _grad_u_sq(state: SimState) -> float:
     """||grad u||^2 from the state's spectrum of u (see SimState._u_hat)."""
     return _quadrature(state.grid, state._u_hat, weight=state.grid.gradient_weight)
-
-
-def _grad_u(state: SimState) -> list[FloatArray]:
-    """grad u: the carried one when the state has it."""
-    ev = state._fsal
-    if ev is not None and ev.grad_u is not None:
-        return ev.grad_u
-    return _gradient_from_spectrum(state.grid, state._u_hat)
 
 
 def energy_wave(state: SimState, p: PhysicalParams) -> float:
@@ -120,11 +111,20 @@ def f_nu(state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETS
     _, beta_eff, _ = effective_coefficients(p, kind)
     v = state.v.values
     vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * _cube_sum(v)
-    grad_u = _grad_u(state)
-    grad_sq = grad_u[0] * grad_u[0]
-    for g in grad_u[1:]:
-        grad_sq += g * g
-    grad_term = grid.cell_volume * float(np.sum((p.c**2 - beta_eff * p.eps * v) * grad_sq))
+    # |grad u|^2 one component at a time: a carried component is read as it
+    # is, a formed one squared in place and dropped before the next.
+    carried = getattr(state._fsal, "grad_u", None)
+    grad_sq = None
+    for axis, mult in enumerate(grid.derivative_multipliers):
+        if carried is None:
+            g = _to_physical(grid, state._u_hat * mult, consume=True)
+            sq = np.multiply(g, g, out=g)
+        else:
+            sq = carried[axis] * carried[axis]
+        grad_sq = sq if grad_sq is None else np.add(grad_sq, sq, out=grad_sq)
+        g = sq = None
+    grad_sq *= p.c**2 - beta_eff * p.eps * v
+    grad_term = grid.cell_volume * float(np.sum(grad_sq))
     return vt_term + grad_term + state.fnu_accum
 
 

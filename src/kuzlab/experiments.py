@@ -248,7 +248,9 @@ def _run(
         steps, dt_step = _resolve_step(grid, p_i, kind, horizon, dt, scheme, cfl)
     if report_every < 1:
         raise ValueError("report_every must be >= 1")
-    u, v = (np.stack([m[i].values for m in members]) for i in (0, 1))
+    # A single member's data is viewed, not copied: the run writes into neither.
+    u, v = ((f.values[None] for f in members[0]) if len(members) == 1
+            else (np.stack([m[i].values for m in members]) for i in (0, 1)))
     live, eps = np.arange(len(eps)), np.array(eps, dtype=float)
     full = record is not None
     fnu = div = np.full(len(eps), 0.0 if full else math.nan)

@@ -665,6 +665,23 @@ class TestCli:
         assert name == "decay_series"
         assert len(rows) >= 2
 
+    def test_decay_run_with_stiff_modes(self, tmp_path, capsys) -> None:
+        """A step so long that nu eps |k|^2 dt / 2 passes exp's range on most
+        modes still has a finite propagator: the run reaches its horizon."""
+        payload = {
+            "grid": {"n": 1, "points": 256},
+            "horizon": 2.0,
+            "params": {"nu": 1.0, "eps": 1.0},
+            "scheme": "imex",
+            "dt": 0.5,
+        }
+        cfg = _write_config(tmp_path, "stiff.json", payload)
+        out = tmp_path / "res"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        name, _, rows = read_table_csv(out / "decay" / "decay_series.csv")
+        assert float(rows[-1][0]) == pytest.approx(2.0)
+
     def test_stability_run_identical_under_seed(self, tmp_path, capsys) -> None:
         payload = {
             "grid": {"n": 1, "points": 64},

@@ -34,9 +34,8 @@ from kuzlab.dynamics import (
     _accel_kernel,
     _advance,
     _evaluate,
-    _linear_propagator,
+    _propagator,
     _spectra,
-    _stacked_propagator,
     _state,
     _tail_fraction,
 )
@@ -114,13 +113,40 @@ class TestAcceleration:
         assert fmin_wave == 1.0
 
 
+def _dense_blocks(grid: Grid, dt: float, c: float, nu_eps: float) -> list[np.ndarray]:
+    """The four propagator blocks formed on every mode of the transform layout,
+    by the formula the tables are evaluated with (outside its stiff modes)."""
+    k2 = grid.k_squared
+    a = nu_eps * k2
+    b = c**2 * k2
+    s = np.sqrt((a * a - 4.0 * b).astype(complex))
+    h = 0.5 * dt * s
+    cosh_h = np.cosh(h)
+    small = np.abs(h) < 1e-8
+    h_safe = np.where(small, 1.0, h)
+    sinhc = np.where(small, 1.0 + h * h / 6.0, np.sinh(h_safe) / h_safe)
+    pref = np.exp(-0.5 * a * dt)
+    return [
+        (pref * (cosh_h + 0.5 * a * dt * sinhc)).real,
+        (pref * dt * sinhc).real,
+        (pref * (-b) * dt * sinhc).real,
+        (pref * (cosh_h - 0.5 * a * dt * sinhc)).real,
+    ]
+
+
+def _gathered(grid: Grid, dt: float, c: float, nu_eps) -> list[np.ndarray]:
+    """The propagator's tables gathered onto the transform layout."""
+    index, *tables = _propagator(grid, dt, c, nu_eps)
+    return [t[..., index] for t in tables]
+
+
 class TestPropagatorOracle:
     @pytest.mark.parametrize("c,nu_eps", [(1.0, 0.0), (1.0, 0.05), (0.5, 1.0), (2.0, 0.3)])
     def test_matches_matrix_exponential(self, c: float, nu_eps: float) -> None:
-        """Per-mode entries equal expm(dt * [[0, 1], [-c^2 k^2, -nu eps k^2]])."""
+        """Gathered entries equal expm(dt * [[0, 1], [-c^2 k^2, -nu eps k^2]])."""
         grid = Grid.cube(1, 32, length=3.0)
         dt = 0.07
-        e00, e01, e10, e11 = _linear_propagator(grid, dt, c, nu_eps)
+        e00, e01, e10, e11 = _gathered(grid, dt, c, nu_eps)
         k2 = grid.k_squared
         for idx in [0, 1, 5, 16]:
             a = np.array([[0.0, 1.0], [-(c**2) * k2[idx], -nu_eps * k2[idx]]])
@@ -128,25 +154,80 @@ class TestPropagatorOracle:
             got = np.array([[e00[idx], e01[idx]], [e10[idx], e11[idx]]])
             np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            Grid.cube(3, 64),
+            Grid.cube(1, 256),
+            Grid.cube(2, 256, length=80.0, origin_centered=True),
+            Grid.cube(2, 128, length=3.0),
+            Grid((3.0, 5.0, 7.0), (16, 32, 8)),
+        ],
+        ids=["64^3", "1d-256", "256^2-L80-centred", "128^2-L3", "16x32x8"],
+    )
+    def test_tables_gather_to_the_dense_blocks(self, grid: Grid, members: int) -> None:
+        """Gathered table entries are the dense formula's bit for bit, one row
+        per member when stacked."""
+        # None of these reaches the stiff modes, where the formula breaks down.
+        for dt, c, nu_eps in [(0.05, 1.0, 0.0), (0.05, 1.0, 0.05), (0.0123, 0.5, 1.0), (0.1, 2.0, 0.1)]:
+            if members == 1:
+                got = _gathered(grid, dt, c, nu_eps)
+                want = _dense_blocks(grid, dt, c, nu_eps)
+            else:
+                scales = (nu_eps, 0.5 * nu_eps + 0.01, 2.0 * nu_eps)
+                got = _gathered(grid, dt, c, scales)
+                per_member = [_dense_blocks(grid, dt, c, x) for x in scales]
+                want = [np.stack(rows) for rows in zip(*per_member)]
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                np.testing.assert_array_equal(g, w)
+
     @pytest.mark.parametrize("stacked", [False, True])
     def test_blocks_own_their_data(self, stacked: bool) -> None:
-        """The cached blocks are real arrays of their own: a cold call keeps
-        their bytes, not the complex arrays their real parts were taken from,
-        and a one-member stack keeps no per-member copy beside the stack."""
+        """A cold call keeps the grid's index and distinct |k|^2 and the four
+        real tables, each an array of its own: none of the complex arrays the
+        tables were taken from, and nothing of the transform layout's size
+        beyond the int32 index."""
         grid = Grid.cube(3, 32)
         grid.k_squared  # built and kept by the grid before tracing
         tracemalloc.start()
         try:
-            # Arguments no other call uses, so that both caches miss.
-            if stacked:
-                blocks = _stacked_propagator(grid, 0.0123, 1.0, (0.41,))
-            else:
-                blocks = _linear_propagator(grid, 0.0123, 1.0, 0.37)
+            # Arguments no other call uses, so that the cache misses.
+            entry = _propagator(grid, 0.0123, 1.0, (0.41,) if stacked else 0.37)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert all(e.base is None and e.flags.c_contiguous for e in blocks)
-        assert retained <= 1.05 * sum(e.nbytes for e in blocks)
+        index, *tables = entry
+        k2_values, grid_index = grid.k_squared_table
+        assert index is grid_index and index.dtype == np.int32 and index.shape == grid.spectral_shape
+        assert all(t.base is None and t.flags.c_contiguous for t in tables)
+        assert all(t.shape == ((1,) if stacked else ()) + k2_values.shape for t in tables)
+        kept = index.nbytes + k2_values.nbytes + sum(t.nbytes for t in tables)
+        assert retained <= 1.05 * kept
+
+    def test_stiff_modes_match_high_precision_expm(self) -> None:
+        """Modes with nu eps |k|^2 dt / 2 far past exp's range keep finite,
+        exact entries: those of a 50-digit matrix exponential."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        grid = Grid.cube(1, 256)
+        dt, c, nu_eps = 0.5, 1.0, 1.0
+        blocks = _gathered(grid, dt, c, nu_eps)
+        k2 = grid.k_squared
+        assert (0.5 * nu_eps * k2 * dt > 709.8).sum() > 0
+        worst = 0.0
+        for idx in range(k2.size):
+            m = mpmath.matrix([[0, 1], [-(c**2) * mpmath.mpf(k2[idx]), -nu_eps * mpmath.mpf(k2[idx])]])
+            exact = mpmath.expm(dt * m)
+            for e, (i, j) in zip(blocks, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+                want = exact[i, j]
+                # e11 vanishes exactly at the critically damped mode |k| = 2.
+                if abs(want) <= 1e-30:
+                    assert abs(e[idx]) <= 1e-30
+                else:
+                    worst = max(worst, float(abs((e[idx] - want) / want)))
+        assert worst <= 1e-11
 
     def test_imex_exact_on_linear_wave(self) -> None:
         """The IMEX step integrates every linear kind exactly per mode."""
@@ -433,7 +514,7 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize(
         "scheme,full,budget",
-        [(Scheme.IMEX, True, 10.5), (Scheme.IMEX, False, 9.5), (Scheme.EXPLICIT_RK4, True, 20.0)],
+        [(Scheme.IMEX, True, 9.5), (Scheme.IMEX, False, 8.5), (Scheme.EXPLICIT_RK4, True, 20.0)],
     )
     def test_warm_step_peak(self, scheme: Scheme, full: bool, budget: float) -> None:
         grid = Grid.cube(3, 32)

@@ -174,6 +174,23 @@ class TestQuadraticFunctionals:
             energy_wave(state, p), rel=1e-13
         )
 
+    def test_f_nu_peak_on_imex_state(self) -> None:
+        """An IMEX carry holds no gradient, so F_nu forms grad u itself, one
+        component at a time: its peak stays under 3.5 spectrum sizes on 32^3."""
+        grid = Grid.cube(3, 32)
+        p = PhysicalParams(nu=0.5)
+        state = _stepped(grid, p, Scheme.IMEX, 3)
+        assert state._fsal.grad_u is None
+        expected = f_nu(state, p)  # builds the grid's caches before tracing
+        tracemalloc.start()
+        try:
+            value = f_nu(state, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak <= 3.5 * state._fsal.u_hat.nbytes
+
 
 class TestTowerEnergies:
     def _wave_jet(self, grid: Grid, k: int, a: float, d: float, c: float, order: int) -> Jet:

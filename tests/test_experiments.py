@@ -804,22 +804,21 @@ class TestSpectralState:
         assert [m.tolist() for m in tripped[:1]] == [[False, True, False]]
 
     def test_non_finite_update(self, monkeypatch) -> None:
-        """From its third step on, member 1's propagator block e11 is NaN:
-        its update goes non-finite, which the end-of-step check catches."""
+        """From its third step on, member 1's row of the propagator table e11
+        is NaN: its update goes non-finite, which the end-of-step check catches."""
         p = PhysicalParams(nu=0.5)
-        real_propagator = dynamics._stacked_propagator
+        real_propagator = dynamics._propagator
         seen = {}
 
         def propagator(grid, dt, c, nu_eps):
-            blocks = real_propagator(grid, dt, c, nu_eps)
+            index, *tables = real_propagator(grid, dt, c, nu_eps)
             bad = p.nu * 0.5
-            if bad in nu_eps:
+            if isinstance(nu_eps, tuple) and bad in nu_eps:
                 seen[nu_eps] = seen.get(nu_eps, 0) + 1
                 if seen[nu_eps] >= 3:
-                    e11 = blocks[3].copy()
-                    e11[nu_eps.index(bad)] = math.nan
-                    blocks = (*blocks[:3], e11)
-            return blocks
+                    tables[3] = tables[3].copy()
+                    tables[3][nu_eps.index(bad)] = math.nan
+            return (index, *tables)
 
-        monkeypatch.setattr(dynamics, "_stacked_propagator", propagator)
+        monkeypatch.setattr(dynamics, "_propagator", propagator)
         self._check_ending_member(p, BreakdownCause.NUMERICAL, 0.2)
