@@ -13,19 +13,27 @@ everything but c, the strongly damped wave keeps the viscosity, the Westervelt
 model drops the gradient coupling and strengthens the cumulative coefficient
 to (gamma+1)/c^2, and the full model keeps all terms.
 
+Only this module knows the linear part, the strongly damped wave operator
+L = [[0, 1], [c^2 Lap, nu_eff*eps Lap]] on (u, v): per mode [[0, 1], [-b, -a]]
+with a = nu_eff*eps |k|^2 (_damping: zero for the wave kind whatever nu is)
+and b = c^2 |k|^2, eigenvalues (-a +- s)/2 with s = sqrt(a^2 - 4b) (_eigen).
+From them _propagator forms the exact flow exp(dt L) and _rk4_amplification
+RK4's largest amplification. The one step rule, _resolve_step, takes
+horizon/steps, steps the fewest that keep the step within the requested dt
+(the CFL step by default), and refuses an RK4 step that amplifies a mode of
+L; the run loop and the forced linear solver both step by it.
+
 Two integrators are provided: classic explicit RK4 under a CFL restriction,
-and an exponential integrating-factor Heun scheme (IMEX) that advances the
-stiff linear part c^2 Lap u + nu*eps Lap u_t with the exact per-mode 2x2
-propagator and treats the quasilinear remainder explicitly. The propagator
+and an exponential integrating-factor Heun scheme (IMEX) that advances L by
+its exact flow and treats the quasilinear remainder explicitly. The flow
 depends on |k|^2 alone, so it is cached as four tables over the grid's
-distinct |k|^2, and a step gathers each block onto the spectrum where it
-reads it. Both call one spectral acceleration kernel and start each step
-from the previous step's end-of-step evaluation (FSAL), which a state
-rebuilt from its carried spectra reproduces bitwise. The kernel and the
-stepper also take ensembles: fields stacked along a leading member axis,
-transformed over the trailing grid axes, with one perturbation scale per
-member and every check and reduction per member, so each member's row is
-its own step bitwise.
+distinct |k|^2, and a step gathers each block where it reads it. Both call
+one spectral acceleration kernel and start each step from the previous
+step's end-of-step evaluation (FSAL), which a state rebuilt from its carried
+spectra reproduces bitwise. The kernel and the stepper also take ensembles:
+fields stacked along a leading member axis, transformed over the trailing
+grid axes, with one perturbation scale per member and every check and
+reduction per member, so each member's row is its own step bitwise.
 
 Transform counts per warm step, n the dimension, for models with the
 gradient coupling: RK4 makes 5n+14. Each of its three later stages takes
@@ -53,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HyperbolicityBreakdown, StepRejected
+from .errors import GuardViolation, HyperbolicityBreakdown, StepRejected
 from .fields import (
     ComplexArray,
     Field,
@@ -232,14 +240,19 @@ def hyperbolicity_factor(
     return Field(v.grid, values), float(values.min())
 
 
+def _damping(p: PhysicalParams, kind: ModelKind, eps: float | FloatArray) -> float | FloatArray:
+    """nu_eff*eps, L's damping: every site that forms L reads it here."""
+    return effective_coefficients(p, kind)[2] * eps
+
+
 def _linear_hat(
-    grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, c: float, nu_eff: float,
+    grid: Grid, u_hat: ComplexArray, v_hat: ComplexArray, p: PhysicalParams, kind: ModelKind,
     eps: float | FloatArray,
 ) -> ComplexArray:
     """Transform of the linear part c^2 Lap u + nu_eff*eps Lap v of u_tt's numerator."""
-    lin_hat = c**2 * u_hat
-    if nu_eff > 0.0:
-        lin_hat += nu_eff * eps * v_hat
+    lin_hat = p.c**2 * u_hat
+    if effective_coefficients(p, kind)[2] > 0.0:
+        lin_hat += _damping(p, kind, eps) * v_hat
     lin_hat *= -grid.k_squared
     return lin_hat
 
@@ -266,7 +279,7 @@ def _accel_kernel(
     holds one perturbation scale per member in place of p.eps, the floor is
     checked and the scalars are reduced per member.
     """
-    alpha_eff, beta_eff, nu_eff = effective_coefficients(p, kind)
+    alpha_eff, beta_eff, _ = effective_coefficients(p, kind)
     if eps is None:
         eps = p.eps
     eps_col = np.asarray(eps)[(...,) + (None,) * grid.n]
@@ -297,7 +310,7 @@ def _accel_kernel(
             g = gv = prod = sq = None
         quad *= beta_eff * eps_col
     grad_u, grad_v = (kept_u, kept_v) if kept_v else (None, None)
-    lin_hat = _linear_hat(grid, u_hat, v_hat, p.c, nu_eff, eps_col)
+    lin_hat = _linear_hat(grid, u_hat, v_hat, p, kind, eps_col)
     num_hat = lin_hat
     fresh = quad is not None
     if fresh:
@@ -401,11 +414,17 @@ def _acceleration(
             state.grid, *_spectra(state), state.v.values, p, kind, state.t, gradients=gradients
         )
     if ev.acc is None:
-        lin_hat = _linear_hat(
-            state.grid, ev.u_hat, ev.v_hat, p.c, effective_coefficients(p, kind)[2], p.eps
-        )
+        lin_hat = _linear_hat(state.grid, ev.u_hat, ev.v_hat, p, kind, p.eps)
         ev = replace(ev, acc=_to_physical(state.grid, ev.rem_hat + lin_hat, consume=True))
     return ev
+
+
+def _eigen(k2: FloatArray, c: float, nu_eps: float | tuple[float, ...]) -> tuple:
+    """a = nu_eps*|k|^2, b = c^2 |k|^2 and complex s = sqrt(a^2 - 4b) on k2, L's
+    eigenvalues being (-a +- s)/2; one row per member when nu_eps is a tuple."""
+    a = np.asarray(nu_eps)[..., None] * k2
+    b = c**2 * k2
+    return a, b, np.sqrt((a * a - 4.0 * b).astype(complex))
 
 
 def cfl_dt(grid: Grid, c: float, cfl: float = DEFAULT_CFL) -> float:
@@ -418,18 +437,55 @@ def _admissible_dt(grid: Grid, c: float, dt: float, scheme: Scheme, cfl: float) 
     return min(dt, cfl_dt(grid, c, cfl)) if scheme is Scheme.EXPLICIT_RK4 else dt
 
 
+def _rk4_amplification(grid: Grid, p: PhysicalParams, kind: ModelKind, dt: float) -> float:
+    """Largest |R(dt*lambda)|, R RK4's stability polynomial, over L's eigenvalues
+    on the grid's distinct |k|^2 (k_squared_table): the dense scan's, bitwise."""
+    a, _, s = _eigen(grid.k_squared_table[0], p.c, _damping(p, kind, p.eps))
+    z = dt * (0.5 * (-a + np.stack((s, -s))))
+    return float(np.max(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))))
+
+
+# Headroom over 1 for roundoff in |R| on the purely oscillatory modes, where
+# |R| sits a hair below 1; a genuine instability grows far beyond it.
+_AMPLIFICATION_SLACK = 1e-12
+
+
+def _resolve_step(
+    grid: Grid, p: PhysicalParams, kind: ModelKind, horizon: float, dt: float | None,
+    scheme: Scheme, cfl: float,
+) -> tuple[int, float]:
+    """The step rule: the number of uniform steps landing on horizon and the step.
+
+    The step is horizon / steps, steps the fewest that keep it at most dt up
+    to 1e-12 of a step (dt the CFL step when None, and shrunk to it under
+    RK4). Raises GuardViolation when the explicit scheme would amplify some
+    mode of L: its run would end on a numerical instability that the
+    monitors cannot tell from a physical breakdown.
+    """
+    if horizon <= 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    dt = cfl_dt(grid, p.c, cfl) if dt is None else _admissible_dt(grid, p.c, dt, scheme, cfl)
+    steps = max(1, math.ceil(horizon / dt - 1e-12))
+    dt = horizon / steps
+    if scheme is Scheme.EXPLICIT_RK4:
+        amplification = _rk4_amplification(grid, p, kind, dt)
+        if amplification > 1.0 + _AMPLIFICATION_SLACK:
+            raise GuardViolation(
+                f"explicit RK4 amplifies a linear mode by {amplification:.6g} "
+                f"per step at dt = {dt:.6g}; use scheme: \"imex\""
+            )
+    return steps, dt
+
+
 @lru_cache(maxsize=64)
 def _propagator(
     grid: Grid, dt: float, c: float, nu_eps: float | tuple[float, ...]
 ) -> tuple[np.ndarray, FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Exact per-mode propagator of d/dt (u, v) = [[0, 1], [-c^2 k^2, -nu*eps*k^2]] (u, v)
-    on the grid's distinct |k|^2 (Grid.k_squared_table): the index, then the
-    four contiguous real tables, one row per member when nu_eps is a tuple.
-    table[..., index] is the entry on the transform layout."""
+    """The exact flow exp(dt L) on the grid's distinct |k|^2 (Grid.k_squared_table):
+    the index, then four contiguous real tables, one row per member when nu_eps
+    is a tuple; table[..., index] is the entry on the transform layout."""
     k2, index = grid.k_squared_table
-    a = np.asarray(nu_eps)[..., None] * k2
-    b = c**2 * k2
-    s = np.sqrt((a * a - 4.0 * b).astype(complex))
+    a, b, s = _eigen(k2, c, nu_eps)
     h = 0.5 * dt * s
     # Near exp's range pref*cosh h would be 0*inf (pref leaves the normal
     # range past 708.4): modes past this bound are formed below, and their h
@@ -576,7 +632,7 @@ def _advance(
         v1 = v0 + dt / 6.0 * acc_sum
         del acc_sum
     else:
-        nu_eps = p.nu * eps
+        nu_eps = _damping(p, kind, eps)
         index, *tables = _propagator(
             grid, dt, p.c, nu_eps if np.ndim(nu_eps) == 0 else tuple(nu_eps.tolist())
         )
@@ -729,18 +785,14 @@ def solve_linear_forced(
     """
     if p.nu <= 0.0:
         raise ValueError("solve_linear_forced requires nu > 0")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
     grid = u0.grid
     if u1.grid != grid:
         raise ValueError("u0 and u1 must share one grid")
-    if dt is None:
-        dt = cfl_dt(grid, p.c)
-    steps = max(1, math.ceil(horizon / dt - 1e-12))
-    dt = horizon / steps
-    nu_eps = p.nu * p.eps
+    kind = ModelKind.DAMPED_WAVE
+    steps, dt = _resolve_step(grid, p, kind, horizon, dt, Scheme.IMEX, DEFAULT_CFL)
+    nu_eps = _damping(p, kind, p.eps)
     index, *tables = _propagator(grid, dt, p.c, nu_eps)
-    e00, e01, e10, e11 = (t[index] for t in tables)
+    e00, e01, e10, e11 = (t[..., index] for t in tables)
     cell = grid.cell_volume
     k_fourth = grid.k_squared**2
 

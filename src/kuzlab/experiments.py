@@ -10,6 +10,7 @@ monitor plus a record function on one run loop, _run, which steps its
 members (one run, the sweep's epsilon points or the stability pair) stacked
 through the stepper a single state uses, so each equals its own serial run
 bit for bit; a run that ends mid-way keeps its records and names its cause.
+The step is dynamics._resolve_step's: nothing here forms the linear part.
 Drivers are deterministic given their arguments; persistence of configs and
 results lives in the io and cli layers.
 """
@@ -30,15 +31,14 @@ from .dynamics import (
     Scheme,
     SimState,
     _Accel,
-    _admissible_dt,
     _advance,
     _evaluate,
+    _resolve_step,
     _rows,
     _state,
     _support_radius,
     _tail_fraction,
     _trapezoid,
-    cfl_dt,
     effective_coefficients,
 )
 from .energies import (
@@ -128,59 +128,6 @@ class SweepResult:
     @property
     def clean_rows(self) -> tuple[SweepRow, ...]:
         return tuple(r for r in self.rows if r.clean)
-
-
-def _rk4_amplification(grid: Grid, p: PhysicalParams, kind: ModelKind, dt: float) -> float:
-    """Largest |R(dt*lambda)| over the grid's modes, R the RK4 stability polynomial.
-
-    lambda runs over both eigenvalues of the linear part
-    [[0, 1], [-c^2 |k|^2, -nu_eff*eps |k|^2]] of the model at each |k|^2.
-    """
-    _, _, nu_eff = effective_coefficients(p, kind)
-    k2 = grid.k_squared
-    a = nu_eff * p.eps * k2
-    root = np.sqrt((a * a - 4.0 * p.c**2 * k2).astype(complex))
-    worst = 0.0
-    for lam in (0.5 * (-a + root), 0.5 * (-a - root)):
-        z = dt * lam
-        r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst
-
-
-# Headroom over 1 for roundoff in |R| on the purely oscillatory modes, where
-# |R| sits a hair below 1; a genuine instability grows far beyond it.
-_AMPLIFICATION_SLACK = 1e-12
-
-
-def _resolve_step(
-    grid: Grid,
-    p: PhysicalParams,
-    kind: ModelKind,
-    horizon: float,
-    dt: float | None,
-    scheme: Scheme,
-    cfl: float,
-) -> tuple[int, float]:
-    """Number of uniform steps and the step, as the stepper takes it, landing on horizon.
-
-    Raises GuardViolation when the explicit scheme would amplify some mode
-    of the linear part: its run would end on a numerical instability that
-    the monitors cannot tell from a physical breakdown.
-    """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    dt = cfl_dt(grid, p.c, cfl) if dt is None else _admissible_dt(grid, p.c, dt, scheme, cfl)
-    steps = max(1, math.ceil(horizon / dt - 1e-12))
-    dt = horizon / steps
-    if scheme is Scheme.EXPLICIT_RK4:
-        amplification = _rk4_amplification(grid, p, kind, dt)
-        if amplification > 1.0 + _AMPLIFICATION_SLACK:
-            raise GuardViolation(
-                f"explicit RK4 amplifies a linear mode by {amplification:.6g} "
-                f"per step at dt = {dt:.6g}; use scheme: \"imex\""
-            )
-    return steps, _admissible_dt(grid, p.c, dt, scheme, cfl)
 
 
 def _check_run_guards(

@@ -14,6 +14,7 @@ from kuzlab import dynamics
 from kuzlab import (
     Field,
     Grid,
+    GuardViolation,
     HyperbolicityBreakdown,
     ModelKind,
     PhysicalParams,
@@ -22,6 +23,7 @@ from kuzlab import (
     acceleration,
     cfl_dt,
     effective_coefficients,
+    energy_wave,
     hyperbolicity_factor,
     laplacian,
     solve_linear_forced,
@@ -30,16 +32,19 @@ from kuzlab import (
     support_radius,
 )
 from kuzlab.dynamics import (
+    DEFAULT_CFL,
     _Accel,
     _accel_kernel,
     _advance,
     _evaluate,
     _propagator,
+    _resolve_step,
+    _rk4_amplification,
     _spectra,
     _state,
     _tail_fraction,
 )
-from kuzlab.fields import _gradient_from_spectrum, _to_physical, _to_spectral
+from kuzlab.fields import _gradient_from_spectrum, _quadrature, _to_physical, _to_spectral
 from helpers import band_limited_field, count_ffts, single_mode
 
 
@@ -242,6 +247,24 @@ class TestPropagatorOracle:
         expected = 0.4 * np.sin(2.0 * grid.coordinate_mesh(0)) * math.cos(2.0 * t)
         np.testing.assert_allclose(state.u.values, expected, atol=1e-12)
 
+    def test_imex_wave_ignores_viscosity(self) -> None:
+        """The wave kind has no viscosity, whatever params.nu says: its IMEX
+        run at nu = 1 is the nu = 0 run bit for bit and keeps its energy."""
+        grid = Grid.cube(1, 64)
+        x = grid.coordinate_mesh(0)
+        data = Field(grid, 0.01 * np.sin(x)), Field(grid, 0.01 * np.cos(x))
+        finals = []
+        for nu in (0.0, 1.0):
+            p = PhysicalParams(nu=nu, eps=0.5)
+            state = SimState(*data)
+            for _ in range(200):
+                state = step(state, cfl_dt(grid, p.c), p, ModelKind.WAVE, Scheme.IMEX)
+            ratio = energy_wave(state, p) / energy_wave(SimState(*data), p)
+            assert abs(ratio - 1.0) <= 1e-12, ratio
+            finals.append(state)
+        for got, want in zip((finals[1].u, finals[1].v), (finals[0].u, finals[0].v)):
+            np.testing.assert_array_equal(got.values, want.values)
+
     def test_imex_exact_on_damped_wave(self) -> None:
         grid = Grid.cube(1, 32)
         p = PhysicalParams(c=1.0, nu=2.0, eps=0.1)
@@ -253,6 +276,70 @@ class TestPropagatorOracle:
             fine = step(fine, 0.05, p, ModelKind.DAMPED_WAVE, Scheme.IMEX)
         np.testing.assert_allclose(coarse.u.values, fine.u.values, atol=1e-13)
         np.testing.assert_allclose(coarse.v.values, fine.v.values, atol=1e-13)
+
+
+def _dense_amplification(grid: Grid, p: PhysicalParams, kind: ModelKind, dt: float) -> float:
+    """The RK4 guard's scan as it was written over every mode of the layout."""
+    _, _, nu_eff = effective_coefficients(p, kind)
+    k2 = grid.k_squared
+    a = nu_eff * p.eps * k2
+    root = np.sqrt((a * a - 4.0 * p.c**2 * k2).astype(complex))
+    worst = 0.0
+    for lam in (0.5 * (-a + root), 0.5 * (-a - root)):
+        z = dt * lam
+        r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+        worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
+class TestStepRule:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            Grid.cube(1, 256),
+            Grid.cube(2, 256, length=80.0, origin_centered=True),
+            Grid.cube(3, 64),
+            Grid((3.0, 5.0, 7.0), (16, 32, 8)),
+        ],
+        ids=["1d-256", "256^2-L80-centred", "64^3", "16x32x8"],
+    )
+    @pytest.mark.parametrize("kind", [ModelKind.KUZNETSOV, ModelKind.WESTERVELT])
+    @pytest.mark.parametrize("nu", [0.0, 0.5])
+    def test_guard_on_distinct_k2_equals_dense_scan(self, grid: Grid, kind: ModelKind, nu: float) -> None:
+        """The guard scans |k|^2's distinct values; its largest |R| is the
+        dense scan's bit for bit, at, below and far past the CFL step."""
+        p = PhysicalParams(c=1.3, nu=nu, eps=0.2)
+        limit = cfl_dt(grid, p.c)
+        for dt in (0.3 * limit, limit, 4.0 * limit):
+            assert _rk4_amplification(grid, p, kind, dt) == _dense_amplification(grid, p, kind, dt)
+
+    def test_step_lands_on_horizon(self) -> None:
+        """horizon / steps, steps the fewest keeping the step at most dt."""
+        grid = Grid.cube(1, 64)
+        p = PhysicalParams()
+        limit = cfl_dt(grid, p.c)
+        for scheme in Scheme:
+            steps, dt = _resolve_step(grid, p, ModelKind.KUZNETSOV, 1.0, None, scheme, DEFAULT_CFL)
+            assert steps == math.ceil(1.0 / limit - 1e-12) and dt == 1.0 / steps
+
+    def test_rk4_shrunk_and_guarded_imex_neither(self) -> None:
+        """RK4 shrinks a long step to the CFL step and refuses a stiff one with
+        the guard's message; IMEX takes the step as asked, unguarded."""
+        grid = Grid.cube(1, 256)
+        p = PhysicalParams(nu=0.5, eps=0.1)
+        kind = ModelKind.KUZNETSOV
+        with pytest.raises(GuardViolation, match=r"^explicit RK4 amplifies a linear mode by 1\d\d\.\d* "
+                           r"per step at dt = 0\.\d+; use scheme: \"imex\"$"):
+            _resolve_step(grid, p, kind, 1.0, 0.5, Scheme.EXPLICIT_RK4, DEFAULT_CFL)
+        soft = PhysicalParams(nu=0.0, eps=0.1)
+        shrunk = _resolve_step(grid, soft, kind, 1.0, 0.5, Scheme.EXPLICIT_RK4, DEFAULT_CFL)
+        assert shrunk == _resolve_step(grid, soft, kind, 1.0, None, Scheme.EXPLICIT_RK4, DEFAULT_CFL)
+        assert _resolve_step(grid, p, kind, 1.0, 0.5, Scheme.IMEX, DEFAULT_CFL) == (2, 0.5)
+
+    def test_horizon_must_be_positive(self) -> None:
+        grid = Grid.cube(1, 16)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            _resolve_step(grid, PhysicalParams(), ModelKind.KUZNETSOV, 0.0, None, Scheme.IMEX, DEFAULT_CFL)
 
 
 class TestStep:
@@ -632,3 +719,50 @@ class TestSolveLinearForced:
 
         result = solve_linear_forced(zero, zero, forcing, 3.0, p, dt=0.005)
         assert result.worst_margin > 0.0
+
+    @pytest.mark.parametrize("dt", [None, 0.013])
+    def test_step_and_series_as_the_loop_wrote_them(self, dt: float | None) -> None:
+        """The solver's step is h / ceil(h / dt - 1e-12), dt the CFL step by
+        default, and its series are those of the loop as first written, bit
+        for bit."""
+        grid = Grid.cube(2, 16, length=3.0)
+        p = PhysicalParams(nu=0.7, eps=0.3)
+        rng = np.random.default_rng(2)
+        u0, u1, profile = (band_limited_field(grid, rng) for _ in range(3))
+
+        def forcing(t: float) -> Field:
+            return Field(grid, math.sin(2.0 * t) * profile.values)
+
+        horizon, every = 0.5, 3
+        result = solve_linear_forced(u0, u1, forcing, horizon, p, dt=dt, report_every=every, tol=1.0)
+        steps = math.ceil(horizon / (cfl_dt(grid, p.c) if dt is None else dt) - 1e-12)
+        h = horizon / steps
+        assert result.times[1] == every * h
+
+        nu_eps = p.nu * p.eps
+        index, *tables = _propagator(grid, h, p.c, nu_eps)
+        e00, e01, e10, e11 = (t[index] for t in tables)
+        cell, k4 = grid.cell_volume, grid.k_squared**2
+        grad_sq = lambda spec: _quadrature(grid, spec, weight=grid.gradient_weight)
+        lap_sq = lambda spec: _quadrature(grid, spec, weight=k4)
+        l2_sq = lambda values: cell * float(np.sum(values**2))
+        u_hat, v_hat = _to_spectral(grid, u0.values), _to_spectral(grid, u1.values)
+        diss = force = 0.0
+        lap_prev, f_prev = lap_sq(u_hat), forcing(0.0)
+        f_sq_prev, f1_hat = l2_sq(f_prev.values), _to_spectral(grid, f_prev.values)
+        rhs0 = 0.5 * grad_sq(v_hat) + 0.5 * lap_prev
+        lhs, rhs = [0.5 * (grad_sq(v_hat) + p.c**2 * lap_prev) + 0.5 * nu_eps * 0.0], [rhs0]
+        half = 0.5 * h
+        for i in range(steps):
+            f_next = forcing((i + 1) * h)
+            f2_hat = _to_spectral(grid, f_next.values)
+            base_v = v_hat + half * f1_hat
+            u_hat, v_hat = e00 * u_hat + e01 * base_v, e10 * u_hat + e11 * base_v + half * f2_hat
+            lap_now, f_sq_now = lap_sq(u_hat), l2_sq(f_next.values)
+            diss += half * (lap_prev + lap_now)
+            force += half * (f_sq_prev + f_sq_now)
+            lap_prev, f_sq_prev, f1_hat = lap_now, f_sq_now, f2_hat
+            if (i + 1) % every == 0 or i == steps - 1:
+                lhs.append(0.5 * (grad_sq(v_hat) + p.c**2 * lap_now) + 0.5 * nu_eps * diss)
+                rhs.append(rhs0 + force / (2.0 * nu_eps))
+        assert result.lhs == tuple(lhs) and result.rhs == tuple(rhs)
