@@ -100,23 +100,17 @@ from .fields import (
     SobolevOrder,
     dealias,
     gradient,
-    l2_inner,
     l2_norm,
     laplacian,
     linf_norm,
-    mean_zero_project,
-    poincare_check,
     sobolev_norm,
     spatial_derivative,
 )
 from .gamma import GammaIndex, apply_gamma, expand_gamma, gamma_words, generalized_derivatives
 from .io import (
     read_reports_csv,
-    read_reports_jsonl,
-    read_table_csv,
     write_experiment_dir,
     write_reports_csv,
-    write_reports_jsonl,
     write_table_csv,
 )
 from .jets import Jet, MultiIndex, apply_multi_derivative, build_jet

@@ -5,14 +5,16 @@ overrides through ``with_overrides``, which re-parses the config, so an
 override is checked like the key it replaces. It runs the matching driver
 with the stepping keywords of ``_stepping`` and hands the result to
 ``_finish``, the one writer: it persists the stable results layout
-(config.json, reports.csv, reports.jsonl, verdict.json, extra tables) under
-the output directory with telemetry.json beside it, the command's transform
-and stepper counts, prints the summary line and picks the exit code.
+(config.json, reports.csv, verdict.json, extra tables) under the output
+directory with telemetry.json beside it, the command's transform and stepper
+counts, prints the summary line and picks the exit code.
 ``check-thresholds`` prints closed-form constants and runs no driver.
 Exit codes: 0 success, 2 configuration or usage error, 3 initial-data guard
 violation, 4 runtime failure mid-run: a stability, decay or Klainerman run
 cut short by the floor, a non-finite step or the support monitor, which
-writes its directory and the cause first.
+writes its directory and the cause first, or check-thresholds on data at
+the floor, which writes thresholds.json first. A config that every section
+accepts ends in one of these codes, never in a traceback.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .config import (
 )
 from .dynamics import SimState, effective_coefficients
 from .energies import EnergyReport, energy_m, lifespan_T0, thresholds
-from .errors import ConfigError, GuardViolation, KuzlabError
+from .errors import ConfigError, GuardViolation, HyperbolicityBreakdown, KuzlabError
 from .experiments import (
     BreakdownCause,
     klainerman_experiment,
@@ -250,6 +252,8 @@ def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:
 def _cmd_linreg(cfg: RunConfig) -> int:
     if cfg.params.nu <= 0.0:
         raise ConfigError("params.nu", "linreg solves the damped linear problem and needs nu > 0")
+    if cfg.params.c > 1.0:
+        raise ConfigError("params.c", "linreg's inequality is calibrated for c <= 1")
     u0, u1 = initial_data(cfg)
     result = dynamics.solve_linear_forced(
         u0,
@@ -281,8 +285,11 @@ def _cmd_check_thresholds(cfg: RunConfig) -> int:
     record = thresholds(p, cfg.envelope)
     u0, u1 = initial_data(cfg)
     m0 = cfg.grid.n // 2 + 2
-    jet = build_jet(SimState(u0, u1), p, m0 + 1, cfg.model)
-    e_m0_initial = energy_m(jet, m0)
+    floor = None
+    try:
+        e_m0_initial = energy_m(build_jet(SimState(u0, u1), p, m0 + 1, cfg.model), m0)
+    except HyperbolicityBreakdown as exc:  # data at the floor: NaN, as a run's t = 0 towers
+        e_m0_initial, floor = math.nan, exc
     t0 = lifespan_T0(e_m0_initial, p, cfg.envelope)
     lines = {
         "B": record.b,
@@ -305,6 +312,9 @@ def _cmd_check_thresholds(cfg: RunConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "thresholds.json").write_text(dumps_strict(lines))
         print(f"written -> {out / 'thresholds.json'}")
+    if floor is not None:
+        print(f"run failed: {floor}", file=sys.stderr)
+        return _EXIT_RUNTIME
     return _EXIT_OK
 
 

@@ -6,7 +6,8 @@ absent keys the field default. Only ``Grid`` (scalar-or-list ``points`` and
 ``lengths``) and ``Preset`` (tagged by ``kind``) have their own shapes.
 Every number must be finite; numbers that must be positive are listed by
 dotted path in ``_POSITIVE_PATHS``; other preconditions live in each
-section's ``__post_init__``.
+section's ``__post_init__``, and those that join two sections (a preset's
+arity, ``klainerman.m`` against the grid's dimension) in ``parse_config``.
 ``parse_config`` composed with ``serialize_config`` is the identity on configs.
 """
 
@@ -22,11 +23,12 @@ from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .dynamics import ModelKind, PhysicalParams, Scheme, SimState, support_radius
+from .dynamics import ModelKind, PhysicalParams, Scheme, SimState, effective_coefficients, support_radius
 from .energies import EnvelopeParams, energy_half_m, energy_m, thresholds
-from .errors import ConfigError
+from .errors import ConfigError, GuardViolation, HyperbolicityBreakdown
 from .experiments import DEFAULT_SUPPORT_FRACTION
 from .fields import Field, FloatArray, Grid
+from .gamma import MAX_WORD_LENGTH
 from .jets import MAX_JET_ORDER, build_jet
 
 
@@ -179,8 +181,8 @@ class RunConfig:
     CFL 0.4 with automatic dt, horizon 10, a report every 10 steps, no jet
     towers enabled, unit envelope constants, experiment 'simulate', seed 0.
     When relative_to_threshold is set, preset amplitudes are in units of the
-    relevant smallness threshold (inviscid m0-tower for nu = 0, viscous
-    half-m tower for nu > 0).
+    relevant smallness threshold (inviscid m0-tower for nu_eff = 0, viscous
+    half-m tower for nu_eff > 0).
     """
 
     model: ModelKind = ModelKind.KUZNETSOV
@@ -359,6 +361,13 @@ def parse_config(text: str) -> RunConfig:
     if cfg.seed < 0:
         raise ConfigError("seed", "must be >= 0")
     _check_preset_arity(cfg.preset, cfg.grid)
+    word_length = cfg.klainerman.m + cfg.grid.n // 2 + 1
+    if word_length > MAX_WORD_LENGTH:
+        raise ConfigError(
+            "klainerman.m",
+            f"the ratio at m = {cfg.klainerman.m} on a {cfg.grid.n}d grid needs words of length "
+            f"m + n//2 + 1 = {word_length}, beyond the cap {MAX_WORD_LENGTH}",
+        )
     return cfg
 
 
@@ -428,10 +437,15 @@ def materialize_preset(preset: Preset, grid: Grid) -> tuple[Field, Field]:
     return Field(grid, u0_vals), Field(grid, u1_vals)
 
 
+def _viscous(cfg: RunConfig) -> bool:
+    """Whether the configured model damps: nu_eff > 0 (never for the wave kind)."""
+    return effective_coefficients(cfg.params, cfg.model)[2] > 0.0
+
+
 def _data_scale_target(cfg: RunConfig) -> tuple[float, int]:
     """Threshold value and tower order governing relative amplitudes."""
     record = thresholds(cfg.params, cfg.envelope)
-    if cfg.params.nu > 0.0:
+    if _viscous(cfg):
         return record.sqrt_e_half_max, cfg.decay.m
     m0 = cfg.grid.n // 2 + 2
     return record.sqrt_e_m0_max, m0
@@ -443,7 +457,8 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
     With relative_to_threshold set, the data are rescaled so the relevant
     tower at t = 0 satisfies sqrt(E(0)) = amplitude * threshold; the scaling
     is solved by a short fixed-point iteration because the towers are not
-    exactly quadratic in the data for nonlinear models.
+    exactly quadratic in the data for nonlinear models. Scaled data that
+    reach the hyperbolicity floor have no tower: GuardViolation.
     """
     u0, u1 = materialize_preset(cfg.preset, cfg.grid)
     if not cfg.relative_to_threshold:
@@ -460,10 +475,13 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
     for _ in range(8):
         state = SimState(Field(cfg.grid, scale * values0), Field(cfg.grid, scale * values1))
         # No jet outlives its tower evaluation.
-        if cfg.params.nu > 0.0:
-            tower = energy_half_m(build_jet(state, cfg.params, m // 2 + 1, cfg.model), m)
-        else:
-            tower = energy_m(build_jet(state, cfg.params, m + 1, cfg.model), m)
+        try:
+            if _viscous(cfg):
+                tower = energy_half_m(build_jet(state, cfg.params, m // 2 + 1, cfg.model), m)
+            else:
+                tower = energy_m(build_jet(state, cfg.params, m + 1, cfg.model), m)
+        except HyperbolicityBreakdown as exc:
+            raise GuardViolation(f"threshold-relative data reach the floor: {exc}") from exc
         current = math.sqrt(tower)
         if current == 0.0:
             raise ConfigError("preset", "zero data cannot be scaled to a threshold")

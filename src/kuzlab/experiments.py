@@ -561,13 +561,13 @@ def viscous_decay_experiment(
 ) -> ViscousDecayResult:
     """Verify the small-data global decay claims on one viscous run.
 
-    Preconditions: for nu > 0 the data must pass the smallness threshold
+    Preconditions: for nu_eff > 0 the data must pass the smallness threshold
     sqrt(E_{m/2}(0)) <= sqrt(2) nu / (sqrt(3/2 + c^2) C_m max(alpha, beta))
-    with the configured C_m. With nu = 0 the run is a control: the
-    threshold and the monotonicity claim are both withdrawn. One member of
-    the run loop, with no monitor. Data that start at the hyperbolicity
-    floor end it at t = 0 with one record whose towers are NaN, so neither
-    claim holds.
+    with the configured C_m. With nu_eff = 0 (nu = 0, or the wave kind,
+    which nothing damps) the run is a control: the threshold and the
+    monotonicity claim are both withdrawn. One member of the run loop, with
+    no monitor. Data that start at the hyperbolicity floor end it at t = 0
+    with one record whose towers are NaN, so neither claim holds.
 
     Args:
         m: even Sobolev level of the towers (m >= 2).
@@ -575,13 +575,14 @@ def viscous_decay_experiment(
             multi-index energy.
 
     Raises:
-        GuardViolation: nu > 0 data fail the threshold at t = 0.
+        GuardViolation: nu_eff > 0 data fail the threshold at t = 0.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"m must be even and >= 2, got {m}")
     if env is None:
         env = EnvelopeParams()
-    threshold_value = thresholds(p, env).sqrt_e_half_max if p.nu > 0.0 else math.inf
+    viscous = effective_coefficients(p, kind)[2] > 0.0
+    threshold_value = thresholds(p, env).sqrt_e_half_max if viscous else math.inf
     e_theorem: list[float] = []
     reports: list[EnergyReport] = []
 
@@ -609,7 +610,7 @@ def viscous_decay_experiment(
     e_half = tuple(r.e_half_m for r in reports)
 
     monotone_ok: bool | None = None
-    if p.nu > 0.0:
+    if viscous:
         slack = slack_rel * e_theorem[0] * report_every
         # A NaN initial energy (data at the floor) holds no claim, even alone.
         monotone_ok = not math.isnan(slack) and all(
@@ -691,10 +692,10 @@ def klainerman_experiment(
 
     Raises:
         ValueError: support_fraction outside (0, 1/2).
-        GuardViolation: viscous parameters, non-centered grid, or data
-            failing the sup-norm guard.
+        GuardViolation: a damped model (nu_eff != 0), non-centered grid,
+            or data failing the sup-norm guard.
     """
-    if p.nu != 0.0:
+    if effective_coefficients(p, kind)[2] != 0.0:
         raise GuardViolation("the decay-ratio experiment is inviscid: set nu = 0")
     grid = u0.grid
     if not grid.origin_centered:

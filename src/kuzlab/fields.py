@@ -18,12 +18,10 @@ Functions
 ---------
 spatial_derivative, laplacian, gradient
     Spectral differentiation (odd orders zero the Nyquist mode).
-sobolev_norm, l2_norm, linf_norm, l2_inner
-    Norms and pairings with box-measure weighting.
+sobolev_norm, l2_norm, linf_norm
+    Norms with box-measure weighting.
 dealias
     2/3-rule truncation for quadratic nonlinearities.
-mean_zero_project, poincare_check
-    The mean-zero periodic class and its Poincare inequality.
 """
 
 from __future__ import annotations
@@ -428,15 +426,8 @@ def sobolev_norm(f: Field, s: float | SobolevOrder) -> float:
     return sobolev_norm_values(f.grid, f.values, order.s)
 
 
-def l2_inner(f: Field, g: Field) -> float:
-    """Box-measure-weighted discrete L^2 inner product."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return f.grid.cell_volume * float(np.sum(f.values * g.values))
-
-
 def l2_norm(f: Field) -> float:
-    """Quadrature L^2 norm, sqrt(l2_inner(f, f))."""
+    """Quadrature L^2 norm: sqrt(cell volume * sum of f^2)."""
     return math.sqrt(f.grid.cell_volume * float(np.sum(f.values**2)))
 
 
@@ -453,48 +444,3 @@ def dealias(f: Field) -> Field:
     Idempotent and L^2-contractive.
     """
     return Field(f.grid, dealias_values(f.grid, f.values))
-
-
-def mean_zero_project(f: Field, axis: int = 0) -> Field:
-    """Remove the per-line mean along one axis.
-
-    The output integrates to zero along every line in the given periodic
-    direction, the class in which the Poincare inequality restores L^2
-    control.
-    """
-    if not 0 <= axis < f.grid.n:
-        raise IndexError(f"axis {axis} out of range for dimension {f.grid.n}")
-    return Field(f.grid, f.values - f.values.mean(axis=axis, keepdims=True))
-
-
-def poincare_check(
-    f: Field, axis: int = 0, mean_tol: float = 1e-10
-) -> tuple[float, float, float]:
-    """Evaluate both sides of the Poincare inequality along one axis.
-
-    Returns
-    -------
-    (lhs, rhs, constant) : tuple of float
-        lhs = ||f||_{L^2}, rhs = ||d f/d x_axis||_{L^2}, and the sharp
-        periodic constant L_axis/(2 pi); asserts lhs <= constant * rhs.
-
-    Raises
-    ------
-    ValueError
-        If f is not mean-zero along the axis (relative to its amplitude).
-    """
-    scale = float(np.max(np.abs(f.values), initial=0.0))
-    mean = float(np.max(np.abs(f.values.mean(axis=axis))))
-    if mean > mean_tol * max(scale, 1.0):
-        raise ValueError(
-            f"per-line mean {mean:.3e} along axis {axis} exceeds tolerance; "
-            "apply mean_zero_project first"
-        )
-    lhs = l2_norm(f)
-    rhs = l2_norm(spatial_derivative(f, axis, 1))
-    constant = f.grid.lengths[axis] / (2.0 * math.pi)
-    if lhs > constant * rhs * (1.0 + 1e-9) + 1e-300:
-        raise AssertionError(
-            f"Poincare inequality violated: {lhs:.12e} > {constant:.6g} * {rhs:.12e}"
-        )
-    return lhs, rhs, constant

@@ -1,18 +1,19 @@
 """Stable on-disk formats: report tables and experiment directories.
 
-Formats (all versioned, all readable back by this module):
+Formats (all versioned):
 
 * Energy report CSV: first line the comment ``# kuzlab-energy-report v1``,
   then a standard CSV header and rows. The columns are ``EnergyReport``'s
   fields in order, with ``e_m`` expanded in place as one ``e_m_<order>``
-  column per tower order in the run. A JSON-lines twin carries the same rows
-  with a leading metadata object.
+  column per tower order in the run; a non-finite value is written as
+  ``nan`` or ``inf``, which ``float`` reads back. ``read_reports_csv`` reads
+  the file back exactly.
 * Generic table CSV (sweep rows, stability series, inequality margins):
   first line ``# kuzlab-table v1 <name>``, then a CSV header and rows.
 
 Experiment results live one directory per experiment containing
-``config.json``, ``reports.csv`` (plus ``reports.jsonl``) and
-``verdict.json``, strict JSON with null for a non-finite value.
+``config.json``, ``reports.csv`` and ``verdict.json``, strict JSON with null
+for a non-finite value.
 """
 
 from __future__ import annotations
@@ -93,35 +94,6 @@ def read_reports_csv(path: str | Path) -> tuple[EnergyReport, ...]:
     return reports
 
 
-def write_reports_jsonl(path: str | Path, reports: Sequence[EnergyReport]) -> Path:
-    """JSON-lines twin of the CSV: metadata object, then one object per row."""
-    path = Path(path)
-    columns = report_columns(reports)
-    with path.open("w") as fh:
-        fh.write(
-            json.dumps(
-                {"format": REPORT_FORMAT, "version": FORMAT_VERSION, "columns": columns}
-            )
-            + "\n"
-        )
-        for report in reports:
-            row = dict(zip(columns, _report_row(report, columns)))
-            fh.write(json.dumps(row) + "\n")
-    return path
-
-
-def read_reports_jsonl(path: str | Path) -> tuple[EnergyReport, ...]:
-    path = Path(path)
-    with path.open() as fh:
-        meta = json.loads(fh.readline())
-        if meta.get("format") != REPORT_FORMAT or meta.get("version") != FORMAT_VERSION:
-            raise ValueError(f"{path}: missing {REPORT_FORMAT} metadata line")
-        columns = meta["columns"]
-        rows = (json.loads(line) for line in fh if line.strip())
-        reports = tuple(_report_from_row(columns, [float(row[col]) for col in columns]) for row in rows)
-    return reports
-
-
 def write_table_csv(
     path: str | Path,
     name: str,
@@ -137,21 +109,6 @@ def write_table_csv(
         for row in rows:
             writer.writerow(["" if v is None else v for v in row])
     return path
-
-
-def read_table_csv(path: str | Path) -> tuple[str, list[str], list[list[str]]]:
-    """Read a generic table; returns (name, columns, string rows)."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        header = fh.readline().strip()
-        prefix = f"# {TABLE_FORMAT} v{FORMAT_VERSION} "
-        if not header.startswith(prefix):
-            raise ValueError(f"{path}: missing {TABLE_FORMAT} header comment")
-        name = header.removeprefix(prefix)
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = [row for row in reader if row]
-    return name, columns, rows
 
 
 def jsonable(obj: Any) -> Any:
@@ -191,14 +148,13 @@ def write_experiment_dir(
     """Materialize the stable results layout for one experiment.
 
     Creates ``<root>/<name>/`` holding ``config.json`` (the full provenance
-    config), ``reports.csv`` and ``reports.jsonl``, ``verdict.json``, and one
-    ``<table>.csv`` per extra named table.
+    config), ``reports.csv``, ``verdict.json``, and one ``<table>.csv`` per
+    extra named table.
     """
     directory = Path(root) / name
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "config.json").write_text(config_text)
     write_reports_csv(directory / "reports.csv", reports)
-    write_reports_jsonl(directory / "reports.jsonl", reports)
     (directory / "verdict.json").write_text(dumps_strict(verdict))
     for table_name, (columns, rows) in (tables or {}).items():
         write_table_csv(directory / f"{table_name}.csv", table_name, columns, rows)

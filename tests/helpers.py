@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 
-from kuzlab import Field, Grid, dealias, fields
+from kuzlab import Field, Grid, dealias, fields, l2_norm, spatial_derivative
+from kuzlab.io import FORMAT_VERSION, TABLE_FORMAT
 
 
 def band_limited_field(
@@ -43,3 +48,63 @@ def count_ffts(monkeypatch) -> dict[str, int]:
     counts = {"forward": 0, "inverse": 0}
     monkeypatch.setattr(fields, "transform_counts", counts)
     return counts
+
+
+def read_table_csv(path: str | Path) -> tuple[str, list[str], list[list[str]]]:
+    """Read a generic table back; returns (name, columns, string rows)."""
+    path = Path(path)
+    with path.open(newline="") as fh:
+        header = fh.readline().strip()
+        prefix = f"# {TABLE_FORMAT} v{FORMAT_VERSION} "
+        if not header.startswith(prefix):
+            raise ValueError(f"{path}: missing {TABLE_FORMAT} header comment")
+        name = header.removeprefix(prefix)
+        reader = csv.reader(fh)
+        columns = next(reader)
+        rows = [row for row in reader if row]
+    return name, columns, rows
+
+
+def mean_zero_project(f: Field, axis: int = 0) -> Field:
+    """Remove the per-line mean along one axis.
+
+    The output integrates to zero along every line in the given periodic
+    direction, the class in which the Poincare inequality restores L^2
+    control.
+    """
+    if not 0 <= axis < f.grid.n:
+        raise IndexError(f"axis {axis} out of range for dimension {f.grid.n}")
+    return Field(f.grid, f.values - f.values.mean(axis=axis, keepdims=True))
+
+
+def poincare_check(
+    f: Field, axis: int = 0, mean_tol: float = 1e-10
+) -> tuple[float, float, float]:
+    """Evaluate both sides of the Poincare inequality along one axis.
+
+    Returns
+    -------
+    (lhs, rhs, constant) : tuple of float
+        lhs = ||f||_{L^2}, rhs = ||d f/d x_axis||_{L^2}, and the sharp
+        periodic constant L_axis/(2 pi); asserts lhs <= constant * rhs.
+
+    Raises
+    ------
+    ValueError
+        If f is not mean-zero along the axis (relative to its amplitude).
+    """
+    scale = float(np.max(np.abs(f.values), initial=0.0))
+    mean = float(np.max(np.abs(f.values.mean(axis=axis))))
+    if mean > mean_tol * max(scale, 1.0):
+        raise ValueError(
+            f"per-line mean {mean:.3e} along axis {axis} exceeds tolerance; "
+            "apply mean_zero_project first"
+        )
+    lhs = l2_norm(f)
+    rhs = l2_norm(spatial_derivative(f, axis, 1))
+    constant = f.grid.lengths[axis] / (2.0 * math.pi)
+    if lhs > constant * rhs * (1.0 + 1e-9) + 1e-300:
+        raise AssertionError(
+            f"Poincare inequality violated: {lhs:.12e} > {constant:.6g} * {rhs:.12e}"
+        )
+    return lhs, rhs, constant

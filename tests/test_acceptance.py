@@ -47,7 +47,6 @@ from kuzlab import (
     lifespan_sweep,
     materialize_preset,
     parse_config,
-    poincare_check,
     run_until_breakdown,
     serialize_config,
     sobolev_norm,
@@ -62,6 +61,7 @@ from kuzlab.dynamics import SimState, acceleration
 from kuzlab.fields import gradient_values
 from kuzlab.gamma import GammaIndex, apply_gamma, generalized_derivatives
 from kuzlab.jets import MultiIndex
+from helpers import poincare_check
 
 
 def _verdict(name: str, ok: bool, detail: str) -> bool:

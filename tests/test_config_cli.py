@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState, experiments
@@ -34,9 +35,10 @@ from kuzlab.config import (
     with_overrides,
 )
 from kuzlab.energies import EnvelopeParams, energy_half_m, energy_m, thresholds
-from kuzlab.io import read_reports_csv, read_table_csv
+from kuzlab.gamma import MAX_WORD_LENGTH
+from kuzlab.io import read_reports_csv
 from kuzlab.jets import build_jet
-from helpers import count_ffts
+from helpers import count_ffts, read_table_csv
 
 
 _DEFAULT_TEXT = """\
@@ -140,8 +142,13 @@ def _positive_path_config(path: str, value: float) -> dict:
 
 
 @st.composite
-def _configs(draw) -> dict:
-    """A schema-valid config that sets a value in every section."""
+def _configs(draw, any_klainerman_m: bool = False) -> dict:
+    """A schema-valid config that sets a value in every section.
+
+    klainerman.m is drawn where parse_config accepts it on the drawn
+    dimension n (m + n//2 + 1 <= 2); with any_klainerman_m, anywhere the
+    klainerman section accepts it (0, 1 or 2), whatever n is.
+    """
     pos = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 100))
     num = st.one_of(st.floats(-1e3, 1e3), st.integers(-100, 100))
     n = draw(st.integers(1, 3))
@@ -209,7 +216,10 @@ def _configs(draw) -> dict:
             "c2_cap": draw(pos),
         },
         "decay": {"m": draw(st.sampled_from([2, 4, 6, 10])), "slack_rel": draw(pos)},
-        "klainerman": {"m": draw(st.integers(0, 2)), "support_fraction": draw(st.floats(1e-3, 0.49))},
+        "klainerman": {
+            "m": draw(st.integers(0, 2 if any_klainerman_m else MAX_WORD_LENGTH - n // 2 - 1)),
+            "support_fraction": draw(st.floats(1e-3, 0.49)),
+        },
         "linreg": {
             "forcing_amplitude": draw(num),
             "forcing_mode": draw(st.lists(st.integers(-3, 3), max_size=3)),
@@ -485,6 +495,26 @@ class TestThresholdRelativeScaling:
         target = 0.25 * thresholds(cfg.params, cfg.envelope).sqrt_e_half_max
         assert math.sqrt(energy_half_m(jet, 2)) == pytest.approx(target, rel=1e-10)
 
+    def test_undamped_wave_scales_to_the_inviscid_threshold(self) -> None:
+        """The wave kind has nu_eff = 0 whatever nu is: its data scale to the
+        inviscid m0-tower, as for nu = 0."""
+        cfg = parse_config(
+            json.dumps(
+                {
+                    "model": "wave",
+                    "params": {"nu": 1.0},
+                    "grid": {"n": 1, "points": 64},
+                    "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.5},
+                    "relative_to_threshold": True,
+                }
+            )
+        )
+        u0, u1 = initial_data(cfg)
+        m0 = cfg.grid.n // 2 + 2
+        jet = build_jet(SimState(u0, u1), cfg.params, m0 + 1, cfg.model)
+        target = 0.5 * thresholds(cfg.params, cfg.envelope).sqrt_e_m0_max
+        assert math.sqrt(energy_m(jet, m0)) == pytest.approx(target, rel=1e-10)
+
     def test_absolute_amplitudes_without_flag(self) -> None:
         cfg = parse_config('{"preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.125}}')
         u0, _ = initial_data(cfg)
@@ -539,6 +569,7 @@ class TestCli:
                 {"grid": _KLAINERMAN_GRID, "klainerman": {"support_fraction": 0.6}},
                 "klainerman: support_fraction ",
             ),
+            ("linreg", {"params": {"nu": 0.5, "c": 2.0}}, "params.c: "),
         ],
     )
     def test_schema_valid_preconditions_exit_2(self, tmp_path, capsys, command, payload, named) -> None:
@@ -634,6 +665,35 @@ class TestCli:
         assert "B" in text and "T_0" in text and "r_star" in text
         data = json.loads((out / "thresholds.json").read_text())
         assert data["B"] == pytest.approx(10.0)
+
+    def test_check_thresholds_at_the_floor_writes_then_exits_4(self, tmp_path, capsys) -> None:
+        """Data at the hyperbolicity floor have no E_m0(0): like a run's t = 0
+        towers it is NaN, null in thresholds.json, and the command exits 4."""
+        payload = {
+            "grid": {"n": 1, "points": 64},
+            "params": {"eps": 0.5, "hyp_floor": 0.9},
+            "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.5},
+        }
+        cfg = _write_config(tmp_path, "floor.json", payload)
+        assert main(["check-thresholds", "--config", cfg, "--out", str(tmp_path / "res")]) == 4
+        assert "run failed: hyperbolicity factor" in capsys.readouterr().err
+        written = json.loads((tmp_path / "res" / "thresholds.json").read_text())
+        assert written["E_m0(0) of configured data"] is None
+        assert written["T_0 (lifespan floor)"] is None
+        assert written["B"] == 10.0
+
+    def test_threshold_relative_data_at_the_floor_exit_3(self, tmp_path, capsys) -> None:
+        """Data scaled to 100 thresholds reach the floor before any run: an
+        initial-data guard violation."""
+        payload = {
+            **_FAST_SIM,
+            "params": {"eps": 0.5},
+            "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 100.0},
+            "relative_to_threshold": True,
+        }
+        cfg = _write_config(tmp_path, "rel.json", payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "res")]) == 3
+        assert "guard violation: threshold-relative data reach the floor" in capsys.readouterr().err
 
     def test_check_thresholds_guard_uses_model_alpha(self, tmp_path, capsys) -> None:
         """Westervelt's guard uses (gamma + 1)/c^2 = alpha + 2/c^2, as the drivers do."""
@@ -808,6 +868,60 @@ class TestCli:
         assert name == "ratio_series"
         assert len(rows) >= 2
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_klainerman_order_is_checked_against_the_dimension(self, tmp_path, capsys, n, m) -> None:
+        """The ratio at m needs words of length m + n//2 + 1, and the sweep
+        evaluates words up to length 2: within that a run exits 0, beyond it
+        klainerman.m is a config error (exit 2), not a traceback."""
+        payload = {
+            "grid": {"n": n, "points": 64, "lengths": 32.0, "origin_centered": True},
+            "preset": {"kind": "zero_velocity_gaussian", "width": 2.0, "amplitude": 0.01},
+            "horizon": 0.1,
+            "klainerman": {"m": m, "support_fraction": 0.49},
+        }
+        cfg = _write_config(tmp_path, "klai.json", payload)
+        code = main(["klainerman", "--config", cfg, "--out", str(tmp_path / "res")])
+        if m + n // 2 + 1 <= 2:
+            assert code == 0
+        else:
+            assert code == 2
+            assert "config error: klainerman.m: " in capsys.readouterr().err
+
+    def test_wave_kind_decay_is_a_control(self, tmp_path, capsys) -> None:
+        """The wave kind is undamped whatever nu is (nu_eff = 0), so its decay
+        run withdraws the threshold and the monotonicity claim."""
+        payload = {
+            "model": "wave",
+            "grid": {"n": 1, "points": 64},
+            "params": {"nu": 1.0, "eps": 0.5},
+            "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.01},
+            "scheme": "imex",
+            "horizon": 4.0,
+            "decay": {"m": 2},
+        }
+        cfg = _write_config(tmp_path, "wave.json", payload)
+        out = tmp_path / "res"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        verdict = json.loads((out / "decay" / "verdict.json").read_text())
+        assert verdict["monotone_ok"] is None
+        assert verdict["threshold_value"] is None  # infinite, written as null
+
+    def test_wave_kind_klainerman_is_inviscid(self, tmp_path, capsys) -> None:
+        """nu > 0 leaves the wave kind undamped: its Klainerman run is
+        inviscid and passes the guard."""
+        payload = {
+            "model": "wave",
+            "grid": {"n": 1, "points": 128, "lengths": 40.0, "origin_centered": True},
+            "params": {"nu": 1.0},
+            "preset": {"kind": "zero_velocity_gaussian", "width": 1.25, "amplitude": 0.01},
+            "horizon": 0.5,
+        }
+        cfg = _write_config(tmp_path, "wave.json", payload)
+        assert main(["klainerman", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_linreg_run(self, tmp_path, capsys) -> None:
         payload = {
             "params": {"nu": 0.5, "eps": 0.2},
@@ -870,7 +984,7 @@ _TINY = {
 }
 
 # One tiny run per subcommand: its config, its summary line and the table it
-# writes beside config.json, the two report files and verdict.json.
+# writes beside config.json, reports.csv and verdict.json.
 _RUNS = [
     ("simulate", _TINY, "3 reports, cause = horizon_reached", None),
     ("sweep", {**_TINY, "sweep": {"eps_list": [0.2, 0.1]}}, "2 points, slope = none", "sweep_rows"),
@@ -919,7 +1033,7 @@ class TestOneWriter:
             assert main([command, "--config", cfg, "--out", "res"]) == 0
             assert capsys.readouterr() == (f"{command}: {summary} -> {Path('res', command)}\n", "")
             written.append({p.name: p.read_bytes() for p in (tmp_path / run / "res" / command).iterdir()})
-        common = {"config.json", "reports.csv", "reports.jsonl", "telemetry.json", "verdict.json"}
+        common = {"config.json", "reports.csv", "telemetry.json", "verdict.json"}
         assert set(written[0]) == common | ({f"{table}.csv"} if table else set())
         assert written[0] == written[1]
 
@@ -1039,3 +1153,61 @@ class TestOneWriter:
         with pytest.raises(ConfigError, match="must be finite") as info:
             with_overrides(RunConfig(), horizon=math.nan)
         assert info.value.path == "horizon"
+
+
+_SUBCOMMANDS = ("simulate", "sweep", "stability", "decay", "klainerman", "linreg", "check-thresholds")
+
+# At most this many steps per run in the fuzz gate: a tiny cfl on a tiny box
+# asks for millions of steps (4.8e6 for cfl = 1e-3 on a 16 x 8 grid of side
+# 1e-3), a run that is slow, not wrong.
+_FUZZ_STEPS = 32
+
+
+def _capped(data: dict) -> dict:
+    """data with at most 16 points per axis, and a horizon of at most 0.3 and
+    at most _FUZZ_STEPS steps of the smaller of dt and the CFL step."""
+    grid = dict(data["grid"])
+    points = grid["points"]
+    grid["points"] = [min(p, 16) for p in points] if isinstance(points, list) else min(points, 16)
+    data = {**data, "grid": grid, "horizon": min(data["horizon"], 0.3)}
+    try:
+        cfg = parse_config(json.dumps(data))
+    except ConfigError:  # every subcommand exits 2 before it steps
+        return data
+    step = min(cfl_dt(cfg.grid, cfg.params.c, cfg.cfl), cfg.dt or math.inf)
+    return {**data, "horizon": min(cfg.horizon, _FUZZ_STEPS * step)}
+
+
+# Centred Klainerman configs whose ratio needs words longer than the sweep
+# evaluates (m + n//2 + 1 > 2). The gate always runs them: few random draws
+# pass the Klainerman guards and reach the ratio.
+_KLAINERMAN_DRAWS = [
+    {
+        "grid": {"points": [8] * n, "lengths": [64.0] * n, "origin_centered": True},
+        "preset": {"kind": "sine_mode", "mode": [1] * n, "amplitude": 0.0},
+        "horizon": 1.0,
+        "klainerman": {"m": m},
+    }
+    for n, m in ((1, 2), (2, 1), (3, 2))
+]
+
+
+class TestNoTraceback:
+    @given(data=_configs(any_klainerman_m=True))
+    @example(data=_KLAINERMAN_DRAWS[0])
+    @example(data=_KLAINERMAN_DRAWS[1])
+    @example(data=_KLAINERMAN_DRAWS[2])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_every_subcommand_ends_in_an_exit_code(self, data) -> None:
+        """A config every section accepts ends each subcommand in exit 0, 2,
+        3 or 4, never in a traceback; exits 0 and 4 leave the result file."""
+        data = _capped(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _write_config(Path(tmp), "cfg.json", data)
+            for command in _SUBCOMMANDS:
+                out = Path(tmp, command)
+                code = main([command, "--config", cfg, "--out", str(out)])
+                assert code in (0, 2, 3, 4), command
+                if code in (0, 4):
+                    result = "thresholds.json" if command == "check-thresholds" else f"{command}/verdict.json"
+                    assert (out / result).is_file(), command

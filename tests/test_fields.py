@@ -17,12 +17,9 @@ from kuzlab import (
     SobolevOrder,
     dealias,
     gradient,
-    l2_inner,
     l2_norm,
     laplacian,
     linf_norm,
-    mean_zero_project,
-    poincare_check,
     sobolev_norm,
     spatial_derivative,
 )
@@ -44,7 +41,7 @@ from kuzlab.fields import (
     sobolev_norm_values,
 )
 from kuzlab.jets import build_jet
-from helpers import band_limited_field, single_mode
+from helpers import band_limited_field, mean_zero_project, poincare_check, single_mode
 
 
 class TestGrid:
@@ -193,13 +190,6 @@ class TestNorms:
         f = Field.zeros(Grid.cube(1, 8))
         with pytest.raises(ValueError):
             sobolev_norm(f, -1.0)
-
-    def test_inner_product_orthogonality(self) -> None:
-        grid = Grid.cube(1, 64)
-        f = single_mode(grid, (1,))
-        g = single_mode(grid, (2,))
-        assert l2_inner(f, g) == pytest.approx(0.0, abs=1e-14)
-        assert l2_inner(f, f) == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
 
     def test_linf_norm(self) -> None:
         grid = Grid.cube(1, 32)

@@ -16,14 +16,12 @@ from kuzlab import EnergyReport, ModelKind, PhysicalParams
 from kuzlab.io import (
     jsonable,
     read_reports_csv,
-    read_reports_jsonl,
-    read_table_csv,
     report_columns,
     write_experiment_dir,
     write_reports_csv,
-    write_reports_jsonl,
     write_table_csv,
 )
+from helpers import read_table_csv
 
 
 def _assert_reports_equal(got, expected) -> None:
@@ -86,18 +84,6 @@ class TestReportTables:
         with pytest.raises(ValueError, match="header"):
             read_reports_csv(path)
 
-    def test_jsonl_round_trip_exact(self, tmp_path) -> None:
-        reports = _sample_reports()
-        path = write_reports_jsonl(tmp_path / "reports.jsonl", reports)
-        loaded = read_reports_jsonl(path)
-        _assert_reports_equal(loaded, reports)
-
-    def test_jsonl_metadata_required(self, tmp_path) -> None:
-        path = tmp_path / "bogus.jsonl"
-        path.write_text('{"t": 0.0}\n')
-        with pytest.raises(ValueError, match="metadata"):
-            read_reports_jsonl(path)
-
     def test_empty_report_list_round_trips(self, tmp_path) -> None:
         path = write_reports_csv(tmp_path / "empty.csv", [])
         assert read_reports_csv(path) == ()
@@ -146,7 +132,6 @@ class TestExperimentDir:
         assert out == tmp_path / "demo-run"
         assert (out / "config.json").read_text() == '{"model": "wave"}\n'
         _assert_reports_equal(read_reports_csv(out / "reports.csv"), reports)
-        _assert_reports_equal(read_reports_jsonl(out / "reports.jsonl"), reports)
         import json
 
         assert json.loads((out / "verdict.json").read_text()) == verdict
