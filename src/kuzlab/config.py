@@ -23,12 +23,11 @@ from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .dynamics import ModelKind, PhysicalParams, Scheme, SimState, effective_coefficients, support_radius
-from .energies import EnvelopeParams, energy_half_m, energy_m, thresholds
+from .dynamics import ModelKind, PhysicalParams, Scheme, SimState, damps, support_radius
+from .energies import EnvelopeParams, check_ratio_order, energy_half_m, energy_m, thresholds
 from .errors import ConfigError, GuardViolation, HyperbolicityBreakdown
 from .experiments import DEFAULT_SUPPORT_FRACTION
 from .fields import Field, FloatArray, Grid
-from .gamma import MAX_WORD_LENGTH
 from .jets import MAX_JET_ORDER, build_jet
 
 
@@ -361,13 +360,10 @@ def parse_config(text: str) -> RunConfig:
     if cfg.seed < 0:
         raise ConfigError("seed", "must be >= 0")
     _check_preset_arity(cfg.preset, cfg.grid)
-    word_length = cfg.klainerman.m + cfg.grid.n // 2 + 1
-    if word_length > MAX_WORD_LENGTH:
-        raise ConfigError(
-            "klainerman.m",
-            f"the ratio at m = {cfg.klainerman.m} on a {cfg.grid.n}d grid needs words of length "
-            f"m + n//2 + 1 = {word_length}, beyond the cap {MAX_WORD_LENGTH}",
-        )
+    try:
+        check_ratio_order(cfg.grid.n, cfg.klainerman.m)
+    except ValueError as exc:
+        raise ConfigError("klainerman.m", str(exc)) from exc
     return cfg
 
 
@@ -437,15 +433,10 @@ def materialize_preset(preset: Preset, grid: Grid) -> tuple[Field, Field]:
     return Field(grid, u0_vals), Field(grid, u1_vals)
 
 
-def _viscous(cfg: RunConfig) -> bool:
-    """Whether the configured model damps: nu_eff > 0 (never for the wave kind)."""
-    return effective_coefficients(cfg.params, cfg.model)[2] > 0.0
-
-
 def _data_scale_target(cfg: RunConfig) -> tuple[float, int]:
     """Threshold value and tower order governing relative amplitudes."""
     record = thresholds(cfg.params, cfg.envelope)
-    if _viscous(cfg):
+    if damps(cfg.params, cfg.model):
         return record.sqrt_e_half_max, cfg.decay.m
     m0 = cfg.grid.n // 2 + 2
     return record.sqrt_e_m0_max, m0
@@ -476,7 +467,7 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
         state = SimState(Field(cfg.grid, scale * values0), Field(cfg.grid, scale * values1))
         # No jet outlives its tower evaluation.
         try:
-            if _viscous(cfg):
+            if damps(cfg.params, cfg.model):
                 tower = energy_half_m(build_jet(state, cfg.params, m // 2 + 1, cfg.model), m)
             else:
                 tower = energy_m(build_jet(state, cfg.params, m + 1, cfg.model), m)

@@ -161,6 +161,11 @@ def effective_coefficients(p: PhysicalParams, kind: ModelKind) -> tuple[float, f
     return p.alpha, p.beta, p.nu
 
 
+def damps(p: PhysicalParams, kind: ModelKind) -> bool:
+    """Whether the kind's equation damps: nu_eff > 0 (never for the wave kind)."""
+    return effective_coefficients(p, kind)[2] > 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class _Accel:
     """One kernel evaluation under (p, kind); the scalars are NaN unless full.
@@ -251,7 +256,7 @@ def _linear_hat(
 ) -> ComplexArray:
     """Transform of the linear part c^2 Lap u + nu_eff*eps Lap v of u_tt's numerator."""
     lin_hat = p.c**2 * u_hat
-    if effective_coefficients(p, kind)[2] > 0.0:
+    if damps(p, kind):
         lin_hat += _damping(p, kind, eps) * v_hat
     lin_hat *= -grid.k_squared
     return lin_hat

@@ -42,7 +42,7 @@ from .fields import (
     gradient_values,
     laplacian_values,
 )
-from .gamma import _term_factors, _word_values, expand_gamma, gamma_words
+from .gamma import MAX_WORD_LENGTH, _term_factors, _word_values, expand_gamma, gamma_words
 from .jets import Jet, MultiIndex, apply_multi_derivative, build_jet
 
 
@@ -235,14 +235,22 @@ def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
     return e_1, e_inf
 
 
+def check_ratio_order(n: int, m: int) -> None:
+    """Raise ValueError unless the ratio at m on an n-d grid, which needs
+    words of length m + n* (n* = n//2 + 1), stays within MAX_WORD_LENGTH."""
+    length = m + n // 2 + 1
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(
+            f"the ratio at m = {m} on a {n}d grid needs words of length "
+            f"m + n//2 + 1 = {length}, beyond the cap {MAX_WORD_LENGTH}"
+        )
+
+
 def klainerman_record(jet: Jet, t: float, m: int) -> tuple[float, float, float]:
     """(ratio, E_{1,m}, E_{inf,m}) from one word sweep; see klainerman_ratio."""
     n = jet.grid.n
+    check_ratio_order(n, m)
     n_star = n // 2 + 1
-    if m + n_star > 2:
-        raise ValueError(
-            f"ratio at m = {m}, n* = {n_star} needs words of length {m + n_star} > 2"
-        )
     e_1, e_1m, e_inf = _klainerman_sweep(jet, t, m + n_star, m)
     weight = (1.0 + t) ** ((1 - n) / 2.0)
     if e_1 <= 0.0:

@@ -39,6 +39,7 @@ from .dynamics import (
     _support_radius,
     _tail_fraction,
     _trapezoid,
+    damps,
     effective_coefficients,
 )
 from .energies import (
@@ -581,7 +582,7 @@ def viscous_decay_experiment(
         raise ValueError(f"m must be even and >= 2, got {m}")
     if env is None:
         env = EnvelopeParams()
-    viscous = effective_coefficients(p, kind)[2] > 0.0
+    viscous = damps(p, kind)
     threshold_value = thresholds(p, env).sqrt_e_half_max if viscous else math.inf
     e_theorem: list[float] = []
     reports: list[EnergyReport] = []
@@ -692,10 +693,10 @@ def klainerman_experiment(
 
     Raises:
         ValueError: support_fraction outside (0, 1/2).
-        GuardViolation: a damped model (nu_eff != 0), non-centered grid,
+        GuardViolation: a damped model (nu_eff > 0), non-centered grid,
             or data failing the sup-norm guard.
     """
-    if effective_coefficients(p, kind)[2] != 0.0:
+    if damps(p, kind):
         raise GuardViolation("the decay-ratio experiment is inviscid: set nu = 0")
     grid = u0.grid
     if not grid.origin_centered:

@@ -142,12 +142,11 @@ def _positive_path_config(path: str, value: float) -> dict:
 
 
 @st.composite
-def _configs(draw, any_klainerman_m: bool = False) -> dict:
+def _configs(draw) -> dict:
     """A schema-valid config that sets a value in every section.
 
     klainerman.m is drawn where parse_config accepts it on the drawn
-    dimension n (m + n//2 + 1 <= 2); with any_klainerman_m, anywhere the
-    klainerman section accepts it (0, 1 or 2), whatever n is.
+    dimension n (m + n//2 + 1 <= 2).
     """
     pos = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 100))
     num = st.one_of(st.floats(-1e3, 1e3), st.integers(-100, 100))
@@ -217,7 +216,7 @@ def _configs(draw, any_klainerman_m: bool = False) -> dict:
         },
         "decay": {"m": draw(st.sampled_from([2, 4, 6, 10])), "slack_rel": draw(pos)},
         "klainerman": {
-            "m": draw(st.integers(0, 2 if any_klainerman_m else MAX_WORD_LENGTH - n // 2 - 1)),
+            "m": draw(st.integers(0, MAX_WORD_LENGTH - n // 2 - 1)),
             "support_fraction": draw(st.floats(1e-3, 0.49)),
         },
         "linreg": {
@@ -536,6 +535,17 @@ _FAST_SIM = {
 
 
 _KLAINERMAN_GRID = {"n": 1, "points": 128, "lengths": [12.566370614359172], "origin_centered": True}
+
+
+def _klainerman_at(n: int, m: int) -> dict:
+    """A cheap centred Klainerman run at order m on an n-d grid: zero data
+    pass every guard, and the ratio still sweeps words of length m + n//2 + 1."""
+    return {
+        "grid": {"points": [8] * n, "lengths": [64.0] * n, "origin_centered": True},
+        "preset": {"kind": "sine_mode", "mode": [1] * n, "amplitude": 0.0},
+        "horizon": 1.0,
+        "klainerman": {"m": m},
+    }
 
 # 1-d sine data that break down: the spectral tail trips at t = 5.65 for
 # eps = 0.2; at eps = 0.9 the hyperbolicity floor trips at t = 1.24.
@@ -874,13 +884,7 @@ class TestCli:
         """The ratio at m needs words of length m + n//2 + 1, and the sweep
         evaluates words up to length 2: within that a run exits 0, beyond it
         klainerman.m is a config error (exit 2), not a traceback."""
-        payload = {
-            "grid": {"n": n, "points": 64, "lengths": 32.0, "origin_centered": True},
-            "preset": {"kind": "zero_velocity_gaussian", "width": 2.0, "amplitude": 0.01},
-            "horizon": 0.1,
-            "klainerman": {"m": m, "support_fraction": 0.49},
-        }
-        cfg = _write_config(tmp_path, "klai.json", payload)
+        cfg = _write_config(tmp_path, "klai.json", _klainerman_at(n, m))
         code = main(["klainerman", "--config", cfg, "--out", str(tmp_path / "res")])
         if m + n // 2 + 1 <= 2:
             assert code == 0
@@ -1181,19 +1185,11 @@ def _capped(data: dict) -> dict:
 # Centred Klainerman configs whose ratio needs words longer than the sweep
 # evaluates (m + n//2 + 1 > 2). The gate always runs them: few random draws
 # pass the Klainerman guards and reach the ratio.
-_KLAINERMAN_DRAWS = [
-    {
-        "grid": {"points": [8] * n, "lengths": [64.0] * n, "origin_centered": True},
-        "preset": {"kind": "sine_mode", "mode": [1] * n, "amplitude": 0.0},
-        "horizon": 1.0,
-        "klainerman": {"m": m},
-    }
-    for n, m in ((1, 2), (2, 1), (3, 2))
-]
+_KLAINERMAN_DRAWS = [_klainerman_at(n, m) for n, m in ((1, 2), (2, 1), (3, 2))]
 
 
 class TestNoTraceback:
-    @given(data=_configs(any_klainerman_m=True))
+    @given(data=_configs())
     @example(data=_KLAINERMAN_DRAWS[0])
     @example(data=_KLAINERMAN_DRAWS[1])
     @example(data=_KLAINERMAN_DRAWS[2])
