@@ -38,8 +38,8 @@ from .config import (
     sine_phase,
     with_overrides,
 )
-from .dynamics import SimState, effective_coefficients
-from .energies import EnergyReport, energy_m, lifespan_T0, thresholds
+from .dynamics import SimState, hyperbolicity_guard
+from .energies import EnergyReport, data_tower, lifespan_T0, thresholds
 from .errors import ConfigError, GuardViolation, HyperbolicityBreakdown, KuzlabError
 from .experiments import (
     BreakdownCause,
@@ -49,9 +49,8 @@ from .experiments import (
     stability_experiment,
     viscous_decay_experiment,
 )
-from .fields import Field, dealias_values, linf_norm
+from .fields import Field, FloatArray, dealias_values, linf_norm
 from .io import dumps_strict, jsonable, write_experiment_dir
-from .jets import build_jet
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -157,28 +156,27 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return _finish(cfg, result, summary, {"sweep_rows": (("eps", "t_star", "cause", "scaled"), rows)})
 
 
-def _perturbed_data(cfg: RunConfig, u0: Field, u1: Field) -> tuple[Field, Field]:
-    """Second initial pair for the stability run, per the stability options."""
+def _perturbation(cfg: RunConfig) -> FloatArray | None:
+    """What the stability options add to u0 for the second pair (None: nothing)."""
     opts = cfg.stability
     grid = cfg.grid
     if opts.perturbation_amplitude == 0.0:
-        return u0, u1
+        return None
     if opts.perturbation == "sine":
         mode = opts.perturbation_mode
         if len(mode) != grid.n:
             raise ConfigError("stability.perturbation_mode", f"{len(mode)} components for a {grid.n}d grid")
-        delta = opts.perturbation_amplitude * np.sin(sine_phase(grid, mode))
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        noise = dealias_values(grid, rng.standard_normal(grid.shape))
-        peak = float(np.max(np.abs(noise)))
-        delta = (opts.perturbation_amplitude / peak) * noise if peak > 0.0 else noise
-    return Field(grid, u0.values + delta), u1
+        return opts.perturbation_amplitude * np.sin(sine_phase(grid, mode))
+    rng = np.random.default_rng(cfg.seed)
+    noise = dealias_values(grid, rng.standard_normal(grid.shape))
+    peak = float(np.max(np.abs(noise)))
+    return (opts.perturbation_amplitude / peak) * noise if peak > 0.0 else noise
 
 
 def _cmd_stability(cfg: RunConfig) -> int:
+    delta = _perturbation(cfg)  # a config error goes before the data guards
     u_data = initial_data(cfg)
-    v_data = _perturbed_data(cfg, *u_data)
+    v_data = u_data if delta is None else (Field(cfg.grid, u_data[0].values + delta), u_data[1])
     result = stability_experiment(
         u_data,
         v_data,
@@ -254,11 +252,12 @@ def _cmd_linreg(cfg: RunConfig) -> int:
         raise ConfigError("params.nu", "linreg solves the damped linear problem and needs nu > 0")
     if cfg.params.c > 1.0:
         raise ConfigError("params.c", "linreg's inequality is calibrated for c <= 1")
+    forcing = _forcing_factory(cfg)  # a config error goes before the data guards
     u0, u1 = initial_data(cfg)
     result = dynamics.solve_linear_forced(
         u0,
         u1,
-        _forcing_factory(cfg),
+        forcing,
         cfg.horizon,
         cfg.params,
         dt=cfg.dt,
@@ -281,13 +280,11 @@ def _cmd_linreg(cfg: RunConfig) -> int:
 
 def _cmd_check_thresholds(cfg: RunConfig) -> int:
     p = cfg.params
-    alpha_eff, _, _ = effective_coefficients(p, cfg.model)
     record = thresholds(p, cfg.envelope)
     u0, u1 = initial_data(cfg)
-    m0 = cfg.grid.n // 2 + 2
     floor = None
     try:
-        e_m0_initial = energy_m(build_jet(SimState(u0, u1), p, m0 + 1, cfg.model), m0)
+        e_m0_initial = data_tower(SimState(u0, u1), p, cfg.model)
     except HyperbolicityBreakdown as exc:  # data at the floor: NaN, as a run's t = 0 towers
         e_m0_initial, floor = math.nan, exc
     t0 = lifespan_T0(e_m0_initial, p, cfg.envelope)
@@ -300,9 +297,7 @@ def _cmd_check_thresholds(cfg: RunConfig) -> int:
         "E_theorem_max": record.e_theorem_max,
         "r_star (fixed-point radius)": record.r_star,
         "w(r_star)": record.w(record.r_star),
-        "sup-norm guard 1/(2 alpha eps)": (
-            1.0 / (2.0 * alpha_eff * p.eps) if alpha_eff > 0.0 else math.inf
-        ),
+        "sup-norm guard 1/(2 alpha eps)": hyperbolicity_guard(p, cfg.model),
         "||u1||_inf of configured data": linf_norm(u1),
     }
     for name, value in lines.items():

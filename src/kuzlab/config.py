@@ -8,6 +8,7 @@ Every number must be finite; numbers that must be positive are listed by
 dotted path in ``_POSITIVE_PATHS``; other preconditions live in each
 section's ``__post_init__``, and those that join two sections (a preset's
 arity, ``klainerman.m`` against the grid's dimension) in ``parse_config``.
+Where the library checks the same value, both call the library's rule.
 ``parse_config`` composed with ``serialize_config`` is the identity on configs.
 """
 
@@ -19,16 +20,27 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import UnionType
-from typing import Any, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .dynamics import ModelKind, PhysicalParams, Scheme, SimState, damps, support_radius
-from .energies import EnvelopeParams, check_ratio_order, energy_half_m, energy_m, thresholds
+from .dynamics import ModelKind, PhysicalParams, Scheme, SimState, support_radius
+from .energies import (
+    EnvelopeParams,
+    data_tower,
+    e_m_jet_order,
+    half_m_jet_order,
+    ratio_jet_order,
+    smallness_target,
+)
 from .errors import ConfigError, GuardViolation, HyperbolicityBreakdown
-from .experiments import DEFAULT_SUPPORT_FRACTION
+from .experiments import (
+    DEFAULT_SUPPORT_FRACTION,
+    check_eps_list,
+    check_report_every,
+    check_support_fraction,
+)
 from .fields import Field, FloatArray, Grid
-from .jets import MAX_JET_ORDER, build_jet
 
 
 @dataclass(frozen=True)
@@ -108,11 +120,10 @@ class EnergySelection:
     half_m: int | None = None
 
     def __post_init__(self) -> None:
-        top = MAX_JET_ORDER - 1  # E_m needs a jet of order m + 1
-        if any(not 0 <= order <= top for order in self.e_m_orders):
-            raise ValueError(f"e_m_orders entries must lie in 0..{top}, got {list(self.e_m_orders)}")
-        if self.half_m is not None and not (0 <= self.half_m <= 2 * top and self.half_m % 2 == 0):
-            raise ValueError(f"half_m must be even and in 0..{2 * top}, got {self.half_m}")
+        for order in self.e_m_orders:
+            e_m_jet_order(order, "e_m_orders entries")
+        if self.half_m is not None:
+            half_m_jet_order(self.half_m, "half_m")
 
 
 @dataclass(frozen=True)
@@ -121,10 +132,7 @@ class SweepOptions:
     tail_threshold: float = 0.01
 
     def __post_init__(self) -> None:
-        if not self.eps_list:
-            raise ValueError("eps_list is empty")
-        if len(set(self.eps_list)) != len(self.eps_list):
-            raise ValueError(f"eps_list contains duplicates: {list(self.eps_list)}")
+        check_eps_list(self.eps_list)
 
 
 @dataclass(frozen=True)
@@ -145,9 +153,7 @@ class DecayOptions:
     slack_rel: float = 1e-8
 
     def __post_init__(self) -> None:
-        top = 2 * (MAX_JET_ORDER - 1)  # the half-m tower needs a jet of order m/2 + 1
-        if not (2 <= self.m <= top and self.m % 2 == 0):
-            raise ValueError(f"m must be even and in 2..{top}, got {self.m}")
+        half_m_jet_order(self.m, low=2)
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,7 @@ class KlainermanOptions:
     def __post_init__(self) -> None:
         if self.m not in (0, 1, 2):
             raise ValueError(f"m must be 0, 1 or 2, got {self.m}")
-        if not self.support_fraction < 0.5:
-            # The support radius never exceeds half the smallest box side.
-            raise ValueError(f"support_fraction must be below 0.5, got {self.support_fraction}")
+        check_support_fraction(self.support_fraction)
 
 
 @dataclass(frozen=True)
@@ -180,8 +184,7 @@ class RunConfig:
     CFL 0.4 with automatic dt, horizon 10, a report every 10 steps, no jet
     towers enabled, unit envelope constants, experiment 'simulate', seed 0.
     When relative_to_threshold is set, preset amplitudes are in units of the
-    relevant smallness threshold (inviscid m0-tower for nu_eff = 0, viscous
-    half-m tower for nu_eff > 0).
+    smallness threshold of energies.smallness_target.
     """
 
     model: ModelKind = ModelKind.KUZNETSOV
@@ -231,9 +234,9 @@ def _reject_unknown(data: Mapping[str, Any], path: str) -> None:
         raise ConfigError(_join(path, sorted(data)[0]), "unknown key")
 
 
-def _build(path: str, cls: type, **kwargs: Any) -> Any:
+def _build(path: str, make: Callable[..., Any], **kwargs: Any) -> Any:
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -355,15 +358,11 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON: {exc}") from exc
     cfg = _decode(RunConfig, data, "")
-    if cfg.report_every < 1:
-        raise ConfigError("report_every", "must be >= 1")
+    _build("report_every", check_report_every, report_every=cfg.report_every)
     if cfg.seed < 0:
         raise ConfigError("seed", "must be >= 0")
     _check_preset_arity(cfg.preset, cfg.grid)
-    try:
-        check_ratio_order(cfg.grid.n, cfg.klainerman.m)
-    except ValueError as exc:
-        raise ConfigError("klainerman.m", str(exc)) from exc
+    _build("klainerman.m", ratio_jet_order, n=cfg.grid.n, m=cfg.klainerman.m)
     return cfg
 
 
@@ -433,15 +432,6 @@ def materialize_preset(preset: Preset, grid: Grid) -> tuple[Field, Field]:
     return Field(grid, u0_vals), Field(grid, u1_vals)
 
 
-def _data_scale_target(cfg: RunConfig) -> tuple[float, int]:
-    """Threshold value and tower order governing relative amplitudes."""
-    record = thresholds(cfg.params, cfg.envelope)
-    if damps(cfg.params, cfg.model):
-        return record.sqrt_e_half_max, cfg.decay.m
-    m0 = cfg.grid.n // 2 + 2
-    return record.sqrt_e_m0_max, m0
-
-
 def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
     """Materialize the configured preset, applying threshold-relative scaling.
 
@@ -454,7 +444,7 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
     u0, u1 = materialize_preset(cfg.preset, cfg.grid)
     if not cfg.relative_to_threshold:
         return u0, u1
-    threshold, m = _data_scale_target(cfg)
+    threshold, m = smallness_target(cfg.params, cfg.model, cfg.envelope, cfg.decay.m)
     if not math.isfinite(threshold):
         raise ConfigError("relative_to_threshold", "threshold is not finite for these parameters")
     target = cfg.preset.amplitude * threshold
@@ -465,12 +455,8 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
     scale = 1e-6 / max(np.max(np.abs(values0)), np.max(np.abs(values1)), 1e-300)
     for _ in range(8):
         state = SimState(Field(cfg.grid, scale * values0), Field(cfg.grid, scale * values1))
-        # No jet outlives its tower evaluation.
         try:
-            if damps(cfg.params, cfg.model):
-                tower = energy_half_m(build_jet(state, cfg.params, m // 2 + 1, cfg.model), m)
-            else:
-                tower = energy_m(build_jet(state, cfg.params, m + 1, cfg.model), m)
+            tower = data_tower(state, cfg.params, cfg.model, m)
         except HyperbolicityBreakdown as exc:
             raise GuardViolation(f"threshold-relative data reach the floor: {exc}") from exc
         current = math.sqrt(tower)

@@ -1,4 +1,4 @@
-"""Model right-hand sides, the hyperbolicity guard, and time integrators.
+"""Model right-hand sides, the hyperbolicity guards, and time integrators.
 
 Four model equations share one quasilinear form
 
@@ -21,7 +21,7 @@ From them _propagator forms the exact flow exp(dt L) and _rk4_amplification
 RK4's largest amplification. The one step rule, _resolve_step, takes
 horizon/steps, steps the fewest that keep the step within the requested dt
 (the CFL step by default), and refuses an RK4 step that amplifies a mode of
-L; the run loop and the forced linear solver both step by it.
+L; the run loop, the forced linear solver and step all step by it.
 
 Two integrators are provided: classic explicit RK4 under a CFL restriction,
 and an exponential integrating-factor Heun scheme (IMEX) that advances L by
@@ -140,11 +140,6 @@ class PhysicalParams:
         """Adiabatic exponent implied by alpha = (gamma - 1)/c^2."""
         return 1.0 + self.alpha * self.c**2
 
-    @property
-    def hyperbolicity_guard(self) -> float:
-        """Sup-norm bound 1/(2 alpha eps) keeping the factor in [1/2, 3/2]."""
-        return 1.0 / (2.0 * self.alpha * self.eps)
-
 
 def effective_coefficients(p: PhysicalParams, kind: ModelKind) -> tuple[float, float, float]:
     """(alpha_eff, beta_eff, nu_eff) entering the equation for the given kind.
@@ -164,6 +159,12 @@ def effective_coefficients(p: PhysicalParams, kind: ModelKind) -> tuple[float, f
 def damps(p: PhysicalParams, kind: ModelKind) -> bool:
     """Whether the kind's equation damps: nu_eff > 0 (never for the wave kind)."""
     return effective_coefficients(p, kind)[2] > 0.0
+
+
+def hyperbolicity_guard(p: PhysicalParams, kind: ModelKind) -> float:
+    """Strict bound 1/(2 alpha_eff eps) on ||u_1||_inf, keeping the factor in [1/2, 3/2]."""
+    alpha_eff = effective_coefficients(p, kind)[0]
+    return 1.0 / (2.0 * alpha_eff * p.eps) if alpha_eff > 0.0 else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,6 +456,7 @@ def _rk4_amplification(grid: Grid, p: PhysicalParams, kind: ModelKind, dt: float
 _AMPLIFICATION_SLACK = 1e-12
 
 
+@lru_cache(maxsize=64)
 def _resolve_step(
     grid: Grid, p: PhysicalParams, kind: ModelKind, horizon: float, dt: float | None,
     scheme: Scheme, cfl: float,
@@ -529,10 +531,10 @@ def step(
 ) -> SimState:
     """Advance one time step; updates both running accumulators by trapezoid.
 
-    For the explicit scheme the step is shrunk to the largest CFL-admissible
-    value <= dt (never enlarged); the state's t advances by the step actually
-    taken.  Raises StepRejected if the update produces non-finite values and
-    propagates HyperbolicityBreakdown from acceleration evaluations.
+    For the explicit scheme the step is shrunk to the largest CFL-admissible value
+    <= dt (never enlarged) and guarded, both by _resolve_step; the state's t advances
+    by the step actually taken.  Raises StepRejected if the update produces
+    non-finite values and propagates HyperbolicityBreakdown from accelerations.
     """
     if dt < 0 or not math.isfinite(dt):
         raise ValueError("dt must be finite and nonnegative")
@@ -541,7 +543,8 @@ def step(
     if scheme not in (Scheme.EXPLICIT_RK4, Scheme.IMEX):
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = state.grid
-    dt = _admissible_dt(grid, p.c, dt, scheme, cfl)
+    # A horizon of the admissible step is one step of the step rule, guarded under RK4.
+    _, dt = _resolve_step(grid, p, kind, _admissible_dt(grid, p.c, dt, scheme, cfl), dt, scheme, cfl)
     # The carried evaluation, if it is the one this step reads; a fresh one
     # starts from the same transforms, so the two agree bitwise.
     start = _carried(state, p, kind)

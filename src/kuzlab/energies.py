@@ -17,6 +17,7 @@ derived; they enter through EnvelopeParams with documented defaults of 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -26,6 +27,7 @@ from .dynamics import (
     ModelKind,
     PhysicalParams,
     SimState,
+    damps,
     effective_coefficients,
     hyperbolicity_factor,
     support_radius,
@@ -43,7 +45,7 @@ from .fields import (
     laplacian_values,
 )
 from .gamma import MAX_WORD_LENGTH, _term_factors, _word_values, expand_gamma, gamma_words
-from .jets import Jet, MultiIndex, apply_multi_derivative, build_jet
+from .jets import MAX_JET_ORDER, Jet, MultiIndex, apply_multi_derivative, build_jet
 
 
 def _l2_sq(grid: Grid, values) -> float:
@@ -128,12 +130,37 @@ def f_nu(state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETS
     return vt_term + grad_term + state.fnu_accum
 
 
+def e_m_jet_order(m: int, name: str = "m") -> int:
+    """The jet order E_m needs, m + 1; ValueError, naming name, unless a jet reaches it."""
+    if not 0 <= m < MAX_JET_ORDER:
+        raise ValueError(f"{name} must lie in 0..{MAX_JET_ORDER - 1}, got {m}")
+    return m + 1
+
+
+def half_m_jet_order(m: int, name: str = "m", low: int = 0) -> int:
+    """The jet order m/2 + 1 of the half-level towers (E_{m/2}, S_{m/2}, the theorem
+    energy); ValueError, naming name, unless m is even, >= low and within reach."""
+    top = 2 * (MAX_JET_ORDER - 1)
+    if not (low <= m <= top and m % 2 == 0):
+        raise ValueError(f"{name} must be even and in {low}..{top}, got {m}")
+    return m // 2 + 1
+
+
+def ratio_jet_order(n: int, m: int) -> int:
+    """The jet order the ratio at m on an n-d grid needs, m + n* + 1 (n* = [n/2 + 1]):
+    E_{1,m+n*} sweeps words of length m + n*, at most MAX_WORD_LENGTH, else ValueError."""
+    length = m + n // 2 + 1
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(
+            f"the ratio at m = {m} on a {n}d grid needs words of length "
+            f"m + n//2 + 1 = {length}, beyond the cap {MAX_WORD_LENGTH}"
+        )
+    return length + 1
+
+
 def energy_m(jet: Jet, m: int) -> float:
     """E_m = ||grad u||_{H^m}^2 + sum_{i=1}^{m+1} ||d_t^i u||_{H^{m+1-i}}^2."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if jet.order < m + 1:
-        raise ValueError(f"E_{m} needs jet order {m + 1}, jet has {jet.order}")
+    jet.require(e_m_jet_order(m), f"E_{m}")
     grid = jet.grid
     total = _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)
     for i in range(1, m + 2):
@@ -143,10 +170,7 @@ def energy_m(jet: Jet, m: int) -> float:
 
 def energy_half_m(jet: Jet, m: int) -> float:
     """E_{m/2} = ||grad u||_{H^m}^2 + sum_{i=1}^{m/2+1} ||d_t^i u||_{H^{m-2(i-1)}}^2."""
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
-    if jet.order < m // 2 + 1:
-        raise ValueError(f"E_{{m/2}} at m = {m} needs jet order {m // 2 + 1}")
+    jet.require(half_m_jet_order(m), f"E_{{m/2}} at m = {m}")
     grid = jet.grid
     total = _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)
     for i in range(1, m // 2 + 2):
@@ -156,10 +180,7 @@ def energy_half_m(jet: Jet, m: int) -> float:
 
 def s_half_m(jet: Jet, m: int) -> float:
     """S_{m/2} = sum_{i=1}^{m/2+1} ||grad d_t^i u||_{H^{m-2(i-1)}}^2."""
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
-    if jet.order < m // 2 + 1:
-        raise ValueError(f"S_{{m/2}} at m = {m} needs jet order {m // 2 + 1}")
+    jet.require(half_m_jet_order(m), f"S_{{m/2}} at m = {m}")
     grid = jet.grid
     total = 0.0
     for i in range(1, m // 2 + 2):
@@ -235,23 +256,10 @@ def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
     return e_1, e_inf
 
 
-def check_ratio_order(n: int, m: int) -> None:
-    """Raise ValueError unless the ratio at m on an n-d grid, which needs
-    words of length m + n* (n* = n//2 + 1), stays within MAX_WORD_LENGTH."""
-    length = m + n // 2 + 1
-    if length > MAX_WORD_LENGTH:
-        raise ValueError(
-            f"the ratio at m = {m} on a {n}d grid needs words of length "
-            f"m + n//2 + 1 = {length}, beyond the cap {MAX_WORD_LENGTH}"
-        )
-
-
 def klainerman_record(jet: Jet, t: float, m: int) -> tuple[float, float, float]:
     """(ratio, E_{1,m}, E_{inf,m}) from one word sweep; see klainerman_ratio."""
     n = jet.grid.n
-    check_ratio_order(n, m)
-    n_star = n // 2 + 1
-    e_1, e_1m, e_inf = _klainerman_sweep(jet, t, m + n_star, m)
+    e_1, e_1m, e_inf = _klainerman_sweep(jet, t, ratio_jet_order(n, m) - 1, m)  # m + n*
     weight = (1.0 + t) ** ((1 - n) / 2.0)
     if e_1 <= 0.0:
         if e_inf <= 0.0:
@@ -294,10 +302,7 @@ def appendix_densities(
     """
     grid = jet.grid
     alpha_eff, beta_eff, nu_eff = effective_coefficients(p, kind)
-    if jet.order < A.time_order + 2:
-        raise ValueError(
-            f"densities for A_0 = {A.time_order} need jet order {A.time_order + 2}"
-        )
+    jet.require(A.time_order + 2, f"densities for A_0 = {A.time_order}")
     v_f = apply_multi_derivative(jet, A)
     orders = A.orders
     vt_f = apply_multi_derivative(jet, MultiIndex((orders[0] + 1,) + orders[1:]))
@@ -433,15 +438,29 @@ def thresholds(p: PhysicalParams, env: EnvelopeParams) -> ThresholdRecord:
     )
 
 
+def smallness_target(
+    p: PhysicalParams, kind: ModelKind, env: EnvelopeParams, m: int
+) -> tuple[float, int | None]:
+    """The threshold on sqrt(E(0)) that governs data under (p, kind) and the m data_tower
+    takes for E: the viscous E_{m/2} where the kind damps, else the inviscid E_{m0} (None)."""
+    record = thresholds(p, env)
+    return (record.sqrt_e_half_max, m) if damps(p, kind) else (record.sqrt_e_m0_max, None)
+
+
+def data_tower(state: SimState, p: PhysicalParams, kind: ModelKind, m: int | None = None) -> float:
+    """E_{m/2} on state, or with m None the inviscid E_{m0}, m0 = [n/2] + 2; its jet dies with the call."""
+    if m is None:
+        m0 = state.grid.n // 2 + 2
+        return energy_m(build_jet(state, p, e_m_jet_order(m0), kind), m0)
+    return energy_half_m(build_jet(state, p, half_m_jet_order(m), kind), m)
+
+
 def theorem_45_energy(
     jet: Jet, m: int, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV
 ) -> float:
     """Multi-index energy E(t) = sum_{A in V} int (1-alpha eps u_t)(D^A u_t)^2
     + c^2 (grad D^A u)^2 over V = {A : |A| - A_0 <= m - 2 A_0}."""
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
-    if jet.order < m // 2 + 1:
-        raise ValueError(f"theorem energy at m = {m} needs jet order {m // 2 + 1}")
+    jet.require(half_m_jet_order(m), f"theorem energy at m = {m}")
     grid = jet.grid
     alpha_eff, _, _ = effective_coefficients(p, kind)
     weight = 1.0 - alpha_eff * p.eps * jet.layers[1].values
@@ -457,23 +476,14 @@ def theorem_45_energy(
 
 
 def _theorem_45_index_set(m: int, n: int) -> list[MultiIndex]:
-    """All A = (A_0, A_1..A_n) with |A| - A_0 <= m - 2 A_0 (and A_0 <= m/2)."""
-    out: list[MultiIndex] = []
-    for a0 in range(m // 2 + 1):
-        budget = m - 2 * a0
-        for spatial in _spatial_indices(n, budget):
-            out.append(MultiIndex((a0, *spatial)))
-    return out
-
-
-def _spatial_indices(n: int, budget: int) -> list[tuple[int, ...]]:
-    if n == 1:
-        return [(a,) for a in range(budget + 1)]
-    out = []
-    for a in range(budget + 1):
-        for rest in _spatial_indices(n - 1, budget - a):
-            out.append((a, *rest))
-    return out
+    """All A = (A_0, A_1..A_n) with |A| - A_0 <= m - 2 A_0 (and A_0 <= m/2), in
+    lexicographic order."""
+    return [
+        MultiIndex((a0, *spatial))
+        for a0 in range(m // 2 + 1)
+        for spatial in itertools.product(range(m - 2 * a0 + 1), repeat=n)
+        if sum(spatial) <= m - 2 * a0
+    ]
 
 
 def appendix_b_coefficients(K: int, c: float) -> list[float]:
@@ -522,16 +532,14 @@ def initial_data_bound_check(
     Precondition: ||1/(1 - alpha eps u_1)||_inf <= 2, i.e. the factor stays
     at or above 1/2; violating data is rejected.
     """
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
-    alpha_eff, _, _ = effective_coefficients(p, kind)
-    factor_min = float(np.min(1.0 - alpha_eff * p.eps * u1.values))
+    order = half_m_jet_order(m)
+    _, factor_min = hyperbolicity_factor(u1, p, kind)
     if factor_min < 0.5:
         raise ValueError(
             f"initial data too large: min(1 - alpha eps u1) = {factor_min:.6g} < 1/2"
         )
     state = SimState(u=u0, v=u1)
-    jet = build_jet(state, p, m // 2 + 1, kind)
+    jet = build_jet(state, p, order, kind)
     grid = u0.grid
     rhs_base = math.sqrt(
         _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)
@@ -584,13 +592,11 @@ def make_report(
     jet: Jet | None = None,
 ) -> EnergyReport:
     """Evaluate the enabled functionals on one state, building a jet if needed."""
-    needed = 0
-    if e_m_orders:
-        needed = max(needed, max(e_m_orders) + 1)
+    orders = [e_m_jet_order(order) for order in e_m_orders]
     if half_m is not None:
-        needed = max(needed, half_m // 2 + 1)
-    if jet is None and needed > 0:
-        jet = build_jet(state, p, needed, kind)
+        orders.append(half_m_jet_order(half_m))
+    if jet is None and orders:
+        jet = build_jet(state, p, max(orders), kind)
 
     e_m_rows: list[tuple[int, float]] = []
     for order in e_m_orders:

@@ -40,14 +40,16 @@ from .dynamics import (
     _tail_fraction,
     _trapezoid,
     damps,
-    effective_coefficients,
+    hyperbolicity_guard,
 )
 from .energies import (
     EnergyReport,
     EnvelopeParams,
     _grad_sq,
+    half_m_jet_order,
     klainerman_record,
     make_report,
+    ratio_jet_order,
     theorem_45_energy,
     thresholds,
 )
@@ -140,14 +142,9 @@ def _check_run_guards(
     m2: float | None,
 ) -> None:
     """Initial-data guards: the strict sup-norm bound on u_1 plus M_1/M_2."""
-    alpha_eff, _, _ = effective_coefficients(p, kind)
-    if alpha_eff > 0.0:
-        guard = 1.0 / (2.0 * alpha_eff * p.eps)
-        sup_u1 = linf_norm(u1)
-        if not sup_u1 < guard:
-            raise GuardViolation(
-                f"||u_1||_inf = {sup_u1:.6g} violates the strict bound {guard:.6g}"
-            )
+    guard, sup_u1 = hyperbolicity_guard(p, kind), linf_norm(u1)
+    if not sup_u1 < guard:
+        raise GuardViolation(f"||u_1||_inf = {sup_u1:.6g} violates the strict bound {guard:.6g}")
     if m1 is not None and linf_norm(u0) > m1:
         raise GuardViolation(f"||u_0||_inf = {linf_norm(u0):.6g} exceeds M_1 = {m1:.6g}")
     if m2 is not None:
@@ -156,6 +153,24 @@ def _check_run_guards(
         )
         if sup_grad > m2:
             raise GuardViolation(f"||grad u_0||_inf = {sup_grad:.6g} exceeds M_2 = {m2:.6g}")
+
+
+def check_eps_list(eps_list: Sequence[float]) -> None:
+    """Raise ValueError unless the sweep's epsilon values are some, and distinct."""
+    if not eps_list or len(set(eps_list)) != len(eps_list):
+        raise ValueError(f"eps_list must be non-empty and without duplicates, got {list(eps_list)}")
+
+
+def check_support_fraction(support_fraction: float) -> None:
+    """Raise ValueError unless support_fraction lies in (0, 1/2), all a support monitor can reach."""
+    if not 0.0 < support_fraction < 0.5:
+        raise ValueError(f"support_fraction must lie in (0, 0.5), got {support_fraction}")
+
+
+def check_report_every(report_every: int) -> None:
+    """Raise ValueError unless a run records at least every report_every >= 1 steps."""
+    if report_every < 1:
+        raise ValueError("report_every must be >= 1")
 
 
 def _run(
@@ -194,8 +209,7 @@ def _run(
         _check_run_guards(u0, u1, p_i, kind, m1, m2)
         # The step size depends on c, not on eps: every member gets the same.
         steps, dt_step = _resolve_step(grid, p_i, kind, horizon, dt, scheme, cfl)
-    if report_every < 1:
-        raise ValueError("report_every must be >= 1")
+    check_report_every(report_every)
     # A single member's data is viewed, not copied: the run writes into neither.
     u, v = ((f.values[None] for f in members[0]) if len(members) == 1
             else (np.stack([m[i].values for m in members]) for i in (0, 1)))
@@ -377,10 +391,7 @@ def lifespan_sweep(
     """
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    if len(set(eps_list)) != len(eps_list):
-        raise ValueError("eps_list contains duplicates")
-    if not eps_list:
-        raise ValueError("eps_list is empty")
+    check_eps_list(eps_list)
     if grid is None:
         grid = Grid.cube(n, _DEFAULT_SWEEP_POINTS[n])
     if grid.n != n:
@@ -578,8 +589,7 @@ def viscous_decay_experiment(
     Raises:
         GuardViolation: nu_eff > 0 data fail the threshold at t = 0.
     """
-    if m < 2 or m % 2 != 0:
-        raise ValueError(f"m must be even and >= 2, got {m}")
+    jet_order = half_m_jet_order(m, low=2)
     if env is None:
         env = EnvelopeParams()
     viscous = damps(p, kind)
@@ -591,7 +601,7 @@ def viscous_decay_experiment(
         (s,) = states
         try:
             # The jet lives only as long as its record.
-            jet = build_jet(s, p, m // 2 + 1, kind)
+            jet = build_jet(s, p, jet_order, kind)
         except HyperbolicityBreakdown:  # the data start at the floor: drop the towers
             e_theorem.append(math.nan)
             reports.append(make_report(s, p, kind))
@@ -701,10 +711,8 @@ def klainerman_experiment(
     grid = u0.grid
     if not grid.origin_centered:
         raise GuardViolation("coordinate weights need an origin-centered grid")
-    if not 0.0 < support_fraction < 0.5:
-        raise ValueError(f"support_fraction must lie in (0, 0.5), got {support_fraction}")
-    n_star = grid.n // 2 + 1
-    jet_order = m + n_star + 1
+    check_support_fraction(support_fraction)
+    jet_order = ratio_jet_order(grid.n, m)
     limit = support_fraction * min(grid.lengths)
     ratios: list[float] = []
     reports: list[EnergyReport] = []

@@ -67,6 +67,11 @@ class Jet:
     def order(self) -> int:
         return len(self.layers) - 1
 
+    def require(self, order: int, what: str) -> None:
+        """Raise ValueError unless the jet reaches order, which what needs."""
+        if self.order < order:
+            raise ValueError(f"{what} needs jet order {order}, jet has {self.order}")
+
     def layer(self, k: int) -> Field:
         if not 0 <= k <= self.order:
             raise ValueError(f"jet holds layers 0..{self.order}, requested {k}")
@@ -81,8 +86,7 @@ class Jet:
 
     def shift_time(self, k: int = 1) -> Jet:
         """Jet of w = d_t^k u: drops the lowest k layers."""
-        if k > self.order:
-            raise ValueError(f"cannot shift jet of order {self.order} by {k}")
+        self.require(k, f"a shift by {k}")
         shifted = Jet(self.grid, self.layers[k:])
         shifted._spectra.update((i - k, s) for i, s in self._spectra.items() if i >= k)
         shifted._gradients.update((i - k, g) for i, g in self._gradients.items() if i >= k)
@@ -196,10 +200,7 @@ def apply_multi_derivative(jet: Jet, A: MultiIndex) -> Field:
         raise ValueError(
             f"multi-index has {len(A.spatial_orders)} spatial slots, grid has {grid.n}"
         )
-    if A.time_order > jet.order:
-        raise ValueError(
-            f"multi-index needs jet order >= {A.time_order}, jet has {jet.order}"
-        )
+    jet.require(A.time_order, f"multi-index {A.orders}")
     k, spatial = A.time_order, A.spatial_orders
     if A.spatial_total == 0:
         return jet.layers[k]

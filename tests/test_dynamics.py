@@ -43,6 +43,7 @@ from kuzlab.dynamics import (
     _spectra,
     _state,
     _tail_fraction,
+    hyperbolicity_guard,
 )
 from kuzlab.fields import _gradient_from_spectrum, _quadrature, _to_physical, _to_spectral
 from helpers import band_limited_field, count_ffts, single_mode
@@ -62,9 +63,20 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             PhysicalParams(alpha=0.0)
 
-    def test_hyperbolicity_guard_value(self) -> None:
-        p = PhysicalParams(alpha=2.0, eps=0.25)
-        assert p.hyperbolicity_guard == pytest.approx(1.0 / (2.0 * 2.0 * 0.25))
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            (ModelKind.KUZNETSOV, 1.0 / (2.0 * 2.0 * 0.25)),
+            # Westervelt's alpha_eff is alpha + 2/c^2 = 2 + 2/4.
+            (ModelKind.WESTERVELT, 1.0 / (2.0 * 2.5 * 0.25)),
+            (ModelKind.WAVE, math.inf),
+            (ModelKind.DAMPED_WAVE, math.inf),
+        ],
+        ids=lambda v: v.value if isinstance(v, ModelKind) else None,
+    )
+    def test_hyperbolicity_guard_value(self, kind: ModelKind, expected: float) -> None:
+        p = PhysicalParams(c=2.0, alpha=2.0, eps=0.25)
+        assert hyperbolicity_guard(p, kind) == pytest.approx(expected)
 
 
 class TestEffectiveCoefficients:
@@ -343,6 +355,22 @@ class TestStepRule:
 
 
 class TestStep:
+    def test_rk4_step_takes_the_step_rule_guard(self) -> None:
+        """A stiff RK4 step (nu = eps = 1 at the CFL step on 256 points) is
+        refused by step as the step rule refuses it, not taken into a
+        numerical instability that would read as a hyperbolicity breakdown."""
+        grid = Grid.cube(1, 256)
+        p = PhysicalParams(nu=1.0, eps=1.0)
+        kind, rk4 = ModelKind.KUZNETSOV, Scheme.EXPLICIT_RK4
+        dt = cfl_dt(grid, p.c)
+        state = SimState(single_mode(grid, (1,), 0.01), Field.zeros(grid))
+        with pytest.raises(GuardViolation, match="explicit RK4 amplifies") as by_rule:
+            _resolve_step(grid, p, kind, dt, dt, rk4, DEFAULT_CFL)
+        with pytest.raises(GuardViolation) as by_step:
+            step(state, dt, p, kind, rk4)
+        assert str(by_step.value) == str(by_rule.value)
+        assert step(state, dt, p, kind, Scheme.IMEX).t == dt  # IMEX takes it
+
     def test_rk4_clamps_to_cfl(self) -> None:
         grid = Grid.cube(1, 64)
         p = PhysicalParams()

@@ -49,6 +49,7 @@ from kuzlab import (
     thresholds,
 )
 from kuzlab import energies
+from kuzlab.dynamics import hyperbolicity_guard
 from kuzlab.energies import _klainerman_sweep, _theorem_45_index_set
 from kuzlab.errors import NonFiniteFieldError
 from kuzlab.gamma import apply_gamma, gamma_words
@@ -113,7 +114,7 @@ class TestQuadraticFunctionals:
         grid = Grid.cube(1, 64)
         p = PhysicalParams(alpha=1.0, eps=0.1)
         rng = np.random.default_rng(seed)
-        guard = p.hyperbolicity_guard
+        guard = hyperbolicity_guard(p, ModelKind.KUZNETSOV)
         state = SimState(
             band_limited_field(grid, rng, 0.2),
             band_limited_field(grid, rng, 0.95 * guard),
