@@ -56,7 +56,7 @@ def main() -> None:
           f"{repr(again) == repr(tuple(reports))}")
 
     # 3. Sweep epsilon with the data shape held fixed and fit the slope.
-    result = lifespan_sweep(shape, [0.2, 0.1, 0.05], p, n=1, grid=grid, horizon=400.0)
+    result = lifespan_sweep(shape(grid), [0.2, 0.1, 0.05], p, horizon=400.0)
     print("\nepsilon sweep:")
     print(f"  {'eps':>6} {'t*':>9} {'eps * t*':>9}  cause")
     for row in result.rows:

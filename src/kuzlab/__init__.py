@@ -15,7 +15,6 @@ io/config/cli (persistence, schema, entry points).
 from .config import (
     DecayOptions,
     EnergySelection,
-    ExperimentKind,
     GaussianBump,
     KlainermanOptions,
     LinregOptions,
@@ -97,7 +96,6 @@ from .experiments import (
 from .fields import (
     Field,
     Grid,
-    SobolevOrder,
     dealias,
     gradient,
     l2_norm,

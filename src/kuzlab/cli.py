@@ -3,11 +3,13 @@
 Every subcommand reads one JSON config (--config) and applies the documented
 overrides through ``with_overrides``, which re-parses the config, so an
 override is checked like the key it replaces. It runs the matching driver
-with the stepping keywords of ``_stepping`` and hands the result to
-``_finish``, the one writer: it persists the stable results layout
-(config.json, reports.csv, verdict.json, extra tables) under the output
-directory with telemetry.json beside it, the command's transform and stepper
-counts, prints the summary line and picks the exit code.
+with the stepping keywords of ``_stepping`` (linreg, whose model and scheme
+are fixed, takes its dt and cfl alone) and hands the result to ``_finish``,
+the one writer, which names the run after the subcommand: it persists the
+stable results layout (config.json, reports.csv, verdict.json, extra tables)
+under the output directory with telemetry.json beside it, the command's
+transform and stepper counts, prints the summary line and picks the exit
+code.
 ``check-thresholds`` prints closed-form constants and runs no driver.
 Exit codes: 0 success, 2 configuration or usage error, 3 initial-data guard
 violation, 4 runtime failure mid-run: a stability, decay or Klainerman run
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import dynamics, fields
 from .config import (
-    ExperimentKind,
     RunConfig,
     initial_data,
     parse_config,
@@ -69,7 +69,7 @@ def _load_config(path: str) -> RunConfig:
 # A stability, decay or Klainerman run that one of these causes cut short
 # fails (exit 4); simulate and sweep report any cause as their verdict, and a
 # spectral tail trip is a verdict everywhere (a pair reports resolved false).
-_FAILING_COMMANDS = {ExperimentKind.STABILITY, ExperimentKind.DECAY, ExperimentKind.KLAINERMAN}
+_FAILING_COMMANDS = {"stability", "decay", "klainerman"}
 _FAILED = {BreakdownCause.HYPERBOLICITY, BreakdownCause.NUMERICAL, BreakdownCause.SUPPORT}
 
 
@@ -93,6 +93,7 @@ def _stepping(cfg: RunConfig) -> dict[str, Any]:
 
 
 def _finish(
+    command: str,
     cfg: RunConfig,
     result: Any,
     summary: str,
@@ -103,11 +104,11 @@ def _finish(
 ) -> int:
     """Write the run's directory, print its summary line, return the exit code.
 
-    The verdict is the result as JSON, without the reports (they have their
-    own files), with the extra keys merged in. A failing command whose cause
-    cut the run short exits 4, after its directory is written.
+    The command that ran names the run and its directory. The verdict is
+    the result as JSON, without the reports (they have their own files),
+    with the extra keys merged in. A failing command whose cause cut the
+    run short exits 4, after its directory is written.
     """
-    command = cfg.experiment.value
     verdict = jsonable(result)
     verdict.pop("reports", None)
     verdict.update(extra or {})
@@ -116,14 +117,14 @@ def _finish(
     telemetry = {key: n - _counts_at_start[key] for key, n in _counts().items()}
     (directory / "telemetry.json").write_text(dumps_strict(telemetry))
     print(f"{command}: {summary} -> {directory}")
-    if cfg.experiment not in _FAILING_COMMANDS or result.cause not in _FAILED:
+    if command not in _FAILING_COMMANDS or result.cause not in _FAILED:
         return _EXIT_OK
     end = f"{result.cause.value} at t = {result.times[-1]:.6g}"
     print(f"run failed: {command} ended by {end} -> {directory}", file=sys.stderr)
     return _EXIT_RUNTIME
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(command: str, cfg: RunConfig) -> int:
     reports, verdict = run_until_breakdown(
         initial_data(cfg),
         cfg.params,
@@ -135,17 +136,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         **_stepping(cfg),
     )
     summary = f"{len(reports)} reports, cause = {verdict.cause.value}"
-    return _finish(cfg, verdict, summary, reports=reports)
+    return _finish(command, cfg, verdict, summary, reports=reports)
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    data = initial_data(cfg)
+def _cmd_sweep(command: str, cfg: RunConfig) -> int:
     result = lifespan_sweep(
-        lambda grid: data,
+        initial_data(cfg),
         cfg.sweep.eps_list,
         cfg.params,
-        cfg.grid.n,
-        grid=cfg.grid,
         horizon=cfg.horizon,
         tail_threshold=cfg.sweep.tail_threshold,
         **_stepping(cfg),
@@ -153,7 +151,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     rows = [(r.eps, r.t_star, r.cause.value, r.scaled) for r in result.rows]
     slope = "none" if result.slope is None else f"{result.slope:.4f}"
     summary = f"{len(result.rows)} points, slope = {slope}"
-    return _finish(cfg, result, summary, {"sweep_rows": (("eps", "t_star", "cause", "scaled"), rows)})
+    tables = {"sweep_rows": (("eps", "t_star", "cause", "scaled"), rows)}
+    return _finish(command, cfg, result, summary, tables)
 
 
 def _perturbation(cfg: RunConfig) -> FloatArray | None:
@@ -173,7 +172,7 @@ def _perturbation(cfg: RunConfig) -> FloatArray | None:
     return (opts.perturbation_amplitude / peak) * noise if peak > 0.0 else noise
 
 
-def _cmd_stability(cfg: RunConfig) -> int:
+def _cmd_stability(command: str, cfg: RunConfig) -> int:
     delta = _perturbation(cfg)  # a config error goes before the data guards
     u_data = initial_data(cfg)
     v_data = u_data if delta is None else (Field(cfg.grid, u_data[0].values + delta), u_data[1])
@@ -191,10 +190,10 @@ def _cmd_stability(cfg: RunConfig) -> int:
     c2 = "none" if result.c2 is None else f"{result.c2:.4f}"
     summary = f"c2 = {c2}, envelope_ok = {extra['envelope_ok']}"
     tables = {"stability_series": (("t", "d", "a"), rows)}
-    return _finish(cfg, result, summary, tables, reports=result.reports, extra=extra)
+    return _finish(command, cfg, result, summary, tables, reports=result.reports, extra=extra)
 
 
-def _cmd_decay(cfg: RunConfig) -> int:
+def _cmd_decay(command: str, cfg: RunConfig) -> int:
     u0, u1 = initial_data(cfg)
     result = viscous_decay_experiment(
         u0,
@@ -210,10 +209,10 @@ def _cmd_decay(cfg: RunConfig) -> int:
     rows = list(zip(result.times, result.e_theorem, result.e_half, result.s_half))
     summary = f"monotone_ok = {result.monotone_ok}, bound_ok = {result.bound_ok}"
     tables = {"decay_series": (("t", "e_theorem", "e_half", "s_half"), rows)}
-    return _finish(cfg, result, summary, tables, reports=result.reports)
+    return _finish(command, cfg, result, summary, tables, reports=result.reports)
 
 
-def _cmd_klainerman(cfg: RunConfig) -> int:
+def _cmd_klainerman(command: str, cfg: RunConfig) -> int:
     u0, u1 = initial_data(cfg)
     result = klainerman_experiment(
         u0,
@@ -231,7 +230,7 @@ def _cmd_klainerman(cfg: RunConfig) -> int:
     rows = list(zip(result.times, result.ratios, result.support_radii))
     summary = f"max ratio = {result.max_ratio:.6g}"
     tables = {"ratio_series": (("t", "ratio", "support_radius"), rows)}
-    return _finish(cfg, result, summary, tables, reports=result.reports, extra=extra)
+    return _finish(command, cfg, result, summary, tables, reports=result.reports, extra=extra)
 
 
 def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:
@@ -247,7 +246,7 @@ def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:
     return f
 
 
-def _cmd_linreg(cfg: RunConfig) -> int:
+def _cmd_linreg(command: str, cfg: RunConfig) -> int:
     if cfg.params.nu <= 0.0:
         raise ConfigError("params.nu", "linreg solves the damped linear problem and needs nu > 0")
     if cfg.params.c > 1.0:
@@ -261,6 +260,7 @@ def _cmd_linreg(cfg: RunConfig) -> int:
         cfg.horizon,
         cfg.params,
         dt=cfg.dt,
+        cfl=cfg.cfl,
         report_every=cfg.report_every,
         tol=cfg.linreg.tol,
     )
@@ -275,10 +275,10 @@ def _cmd_linreg(cfg: RunConfig) -> int:
     }
     rows = list(zip(result.times, result.lhs, result.rhs, margins))
     summary = f"worst margin = {result.worst_margin:.6g}"
-    return _finish(cfg, verdict, summary, {"margin_series": (("t", "lhs", "rhs", "margin"), rows)})
+    return _finish(command, cfg, verdict, summary, {"margin_series": (("t", "lhs", "rhs", "margin"), rows)})
 
 
-def _cmd_check_thresholds(cfg: RunConfig) -> int:
+def _cmd_check_thresholds(command: str, cfg: RunConfig) -> int:
     p = cfg.params
     record = thresholds(p, cfg.envelope)
     u0, u1 = initial_data(cfg)
@@ -313,7 +313,7 @@ def _cmd_check_thresholds(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], int]] = {
+_COMMANDS: dict[str, Callable[[str, RunConfig], int]] = {
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
     "stability": _cmd_stability,
@@ -356,10 +356,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             horizon=args.horizon,
             seed=args.seed,
         )
-        if args.command != "check-thresholds":
-            cfg = replace(cfg, experiment=ExperimentKind(args.command))
         _counts_at_start = _counts()
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

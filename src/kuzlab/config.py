@@ -9,6 +9,8 @@ dotted path in ``_POSITIVE_PATHS``; other preconditions live in each
 section's ``__post_init__``, and those that join two sections (a preset's
 arity, ``klainerman.m`` against the grid's dimension) in ``parse_config``.
 Where the library checks the same value, both call the library's rule.
+Every key has a reader; which driver runs is the subcommand's choice, not a
+key, so a config naming an ``experiment`` fails as an unknown key.
 ``parse_config`` composed with ``serialize_config`` is the identity on configs.
 """
 
@@ -103,15 +105,6 @@ _PRESET_KINDS: dict[str, type] = {
 }
 
 
-class ExperimentKind(Enum):
-    SIMULATE = "simulate"
-    SWEEP = "sweep"
-    STABILITY = "stability"
-    DECAY = "decay"
-    KLAINERMAN = "klainerman"
-    LINREG = "linreg"
-
-
 @dataclass(frozen=True)
 class EnergySelection:
     """Which jet-based functionals each report row carries."""
@@ -182,7 +175,8 @@ class RunConfig:
     Defaults: Kuznetsov model at (c, nu, eps, alpha, beta) = (1, 0, 0.1, 1, 2)
     on the 1d 256-point 2 pi box, sine-mode data of amplitude 0.01, RK4 at
     CFL 0.4 with automatic dt, horizon 10, a report every 10 steps, no jet
-    towers enabled, unit envelope constants, experiment 'simulate', seed 0.
+    towers enabled, unit envelope constants, seed 0. The subcommand that
+    runs a config names the run; the config has no key for it.
     When relative_to_threshold is set, preset amplitudes are in units of the
     smallness threshold of energies.smallness_target.
     """
@@ -198,7 +192,6 @@ class RunConfig:
     report_every: int = 10
     energies: EnergySelection = field(default_factory=EnergySelection)
     envelope: EnvelopeParams = field(default_factory=EnvelopeParams)
-    experiment: ExperimentKind = ExperimentKind.SIMULATE
     out_dir: str | None = None
     seed: int = 0
     relative_to_threshold: bool = False

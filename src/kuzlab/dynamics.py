@@ -48,7 +48,8 @@ u_tt, only its transform split into remainder and linear part; _acceleration
 rebuilds u_tt from them on request, by one inverse transform. A run that
 keeps no reports steps on lean evaluations, without the report scalars and
 the inverse transform of Lap u they need: 5n+13 and 4n+8. ``advance_calls``
-counts the stepper's calls, one per step.
+counts the steps taken: one per call of the stepper, and one per step of
+the forced linear solver.
 """
 
 from __future__ import annotations
@@ -570,8 +571,9 @@ def _trapezoid(fnu: FloatArray, div: FloatArray, start: _Accel, end: _Accel, dt:
     )
 
 
-# Calls of the one stepper, _advance, since import: one per step, whatever
-# the number of members the step carries.
+# Steps taken since import: one per call of the one stepper, _advance,
+# whatever the number of members the step carries, and one per step of
+# solve_linear_forced, which steps the linear flow on its own.
 advance_calls = 0
 
 
@@ -773,6 +775,7 @@ def solve_linear_forced(
     dt: float | None = None,
     report_every: int = 10,
     tol: float = 0.01,
+    cfl: float = DEFAULT_CFL,
 ) -> LinearForcedResult:
     """Integrate u_tt - c^2 Lap u - nu*eps Lap u_t = f and check the inequality.
 
@@ -780,9 +783,11 @@ def solve_linear_forced(
     linear flow uses the exact per-mode propagator; the forcing enters by the
     exponential trapezoidal rule (the integrating-factor Heun update, which
     needs no predictor because the source does not depend on the state).
-    Asserts lhs <= rhs * (1 + tol) at every reported time.  The right-hand
-    side is taken as written, with a bare (1/2)||Lap u_0||^2 term, so the
-    inequality is calibrated for unit sound speed c <= 1.
+    The step is _resolve_step's for dt and cfl, as in the run loop, and the
+    steps count in advance_calls. Asserts lhs <= rhs * (1 + tol) at every
+    reported time.  The right-hand side is taken as written, with a bare
+    (1/2)||Lap u_0||^2 term, so the inequality is calibrated for unit sound
+    speed c <= 1.
 
     Raises
     ------
@@ -791,13 +796,14 @@ def solve_linear_forced(
     AssertionError
         If the inequality fails beyond the tolerance at a reported time.
     """
+    global advance_calls
     if p.nu <= 0.0:
         raise ValueError("solve_linear_forced requires nu > 0")
     grid = u0.grid
     if u1.grid != grid:
         raise ValueError("u0 and u1 must share one grid")
     kind = ModelKind.DAMPED_WAVE
-    steps, dt = _resolve_step(grid, p, kind, horizon, dt, Scheme.IMEX, DEFAULT_CFL)
+    steps, dt = _resolve_step(grid, p, kind, horizon, dt, Scheme.IMEX, cfl)
     nu_eps = _damping(p, kind, p.eps)
     index, *tables = _propagator(grid, dt, p.c, nu_eps)
     e00, e01, e10, e11 = (t[..., index] for t in tables)
@@ -848,6 +854,7 @@ def solve_linear_forced(
             times.append(t_next)
             lhs_series.append(lhs_now(u_hat, v_hat, diss_int))
             rhs_series.append(rhs0 + force_int / (2.0 * nu_eps))
+    advance_calls += steps
 
     for t_i, lhs_i, rhs_i in zip(times, lhs_series, rhs_series):
         if lhs_i > rhs_i * (1.0 + tol) + 1e-300:

@@ -61,9 +61,9 @@ def _cube_sum(values: FloatArray) -> float:
     return float(np.sum(cube))
 
 
-def _grad_sq(grid: Grid, values: FloatArray, s: float = 0.0) -> float:
-    """sum_i ||d_i f||_{H^s}^2 from one forward transform."""
-    return _quadrature(grid, _to_spectral(grid, values), s, grid.gradient_weight)
+def _grad_sq(grid: Grid, values: FloatArray) -> float:
+    """||grad f||^2 = sum_i ||d_i f||^2 from one forward transform."""
+    return _quadrature(grid, _to_spectral(grid, values), weight=grid.gradient_weight)
 
 
 def _grad_u_sq(state: SimState) -> float:

@@ -45,9 +45,11 @@ class StepRejected(KuzlabError, RuntimeError):
 class GuardViolation(KuzlabError, ValueError):
     """Initial data failed a run guard before any time stepping.
 
-    Raised by experiment drivers when data violate the sup-norm guard
-    ||u_1||_inf < 1/(2 alpha eps), an M_1/M_2 bound the caller passed in,
-    or a smallness threshold that the run was asked to verify.
+    Raised when data violate the sup-norm guard ||u_1||_inf < 1/(2 alpha_eff
+    eps) or a smallness threshold that the run was asked to verify, when
+    threshold-relative scaling takes data to the hyperbolicity floor, when
+    explicit RK4 would amplify a linear mode, and when the Klainerman driver
+    gets a damped model or a grid that is not origin-centered.
     """
 
 

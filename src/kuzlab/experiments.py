@@ -11,6 +11,9 @@ members (one run, the sweep's epsilon points or the stability pair) stacked
 through the stepper a single state uses, so each equals its own serial run
 bit for bit; a run that ends mid-way keeps its records and names its cause.
 The step is dynamics._resolve_step's: nothing here forms the linear part.
+A driver takes its data as fields on their own grid; every member's data
+pass the paper's strict sup-norm guard ||u_1||_inf < 1/(2 alpha_eff eps)
+before the first step.
 Drivers are deterministic given their arguments; persistence of configs and
 results lives in the io and cli layers.
 """
@@ -54,7 +57,7 @@ from .energies import (
     thresholds,
 )
 from .errors import GuardViolation, HyperbolicityBreakdown, StepRejected
-from .fields import Field, FloatArray, Grid, _to_physical, _to_spectral, gradient_values, linf_norm
+from .fields import Field, FloatArray, _to_physical, _to_spectral, linf_norm
 from .jets import build_jet
 
 DEFAULT_TAIL_THRESHOLD = 0.01
@@ -133,28 +136,6 @@ class SweepResult:
         return tuple(r for r in self.rows if r.clean)
 
 
-def _check_run_guards(
-    u0: Field,
-    u1: Field,
-    p: PhysicalParams,
-    kind: ModelKind,
-    m1: float | None,
-    m2: float | None,
-) -> None:
-    """Initial-data guards: the strict sup-norm bound on u_1 plus M_1/M_2."""
-    guard, sup_u1 = hyperbolicity_guard(p, kind), linf_norm(u1)
-    if not sup_u1 < guard:
-        raise GuardViolation(f"||u_1||_inf = {sup_u1:.6g} violates the strict bound {guard:.6g}")
-    if m1 is not None and linf_norm(u0) > m1:
-        raise GuardViolation(f"||u_0||_inf = {linf_norm(u0):.6g} exceeds M_1 = {m1:.6g}")
-    if m2 is not None:
-        sup_grad = max(
-            float(np.max(np.abs(g))) for g in gradient_values(u0.grid, u0.values)
-        )
-        if sup_grad > m2:
-            raise GuardViolation(f"||grad u_0||_inf = {sup_grad:.6g} exceeds M_2 = {m2:.6g}")
-
-
 def check_eps_list(eps_list: Sequence[float]) -> None:
     """Raise ValueError unless the sweep's epsilon values are some, and distinct."""
     if not eps_list or len(set(eps_list)) != len(eps_list):
@@ -178,14 +159,14 @@ def _run(
     kind: ModelKind, scheme: Scheme, horizon: float, dt: float | None, cfl: float,
     monitor: Callable[..., Sequence[BreakdownCause | None]] | None = None,
     record: Callable[[list[SimState]], None] | None = None,
-    report_every: int = 1, together: bool = False, m1: float | None = None, m2: float | None = None,
+    report_every: int = 1, together: bool = False,
 ) -> list[tuple[float | None, BreakdownCause]]:
     """Advance the members' (u, v) to horizon: the one run loop.
 
-    Member i evolves under p with eps[i] in place of p.eps; its data must
-    pass the run guards (m1, m2: see _check_run_guards) and its linear part
-    admit the step _resolve_step gives. The fields are stacked along a
-    leading axis and step together through dynamics._advance. A member
+    Member i evolves under p with eps[i] in place of p.eps; its u_1 must
+    pass the strict sup-norm guard and its linear part admit the step
+    _resolve_step gives. The fields are stacked along a leading axis and
+    step together through dynamics._advance. A member
     ends at the last accepted time when a step trips the hyperbolicity
     floor (HYPERBOLICITY) or goes non-finite (NUMERICAL) for it, and the
     step is redone for the rest. After each accepted state, t = 0 included,
@@ -204,9 +185,11 @@ def _run(
     cause) per member in input order, the time None at the horizon.
     """
     grid = members[0][0].grid
-    for (u0, u1), eps_i in zip(members, eps):
+    for (_, u1), eps_i in zip(members, eps):
         p_i = replace(p, eps=eps_i)
-        _check_run_guards(u0, u1, p_i, kind, m1, m2)
+        guard, sup_u1 = hyperbolicity_guard(p_i, kind), linf_norm(u1)
+        if not sup_u1 < guard:
+            raise GuardViolation(f"||u_1||_inf = {sup_u1:.6g} violates the strict bound {guard:.6g}")
         # The step size depends on c, not on eps: every member gets the same.
         steps, dt_step = _resolve_step(grid, p_i, kind, horizon, dt, scheme, cfl)
     check_report_every(report_every)
@@ -293,8 +276,6 @@ def run_until_breakdown(
     cfl: float = DEFAULT_CFL,
     tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
     div_threshold: float | None = None,
-    m1: float | None = None,
-    m2: float | None = None,
     e_m_orders: tuple[int, ...] = (),
     half_m: int | None = None,
 ) -> tuple[tuple[EnergyReport, ...], BlowupVerdict]:
@@ -313,7 +294,6 @@ def run_until_breakdown(
         p: physical parameters; p.hyp_floor is the breakdown floor.
         horizon: final time if nothing trips.
         report_every: emit an EnergyReport every this many steps.
-        m1, m2: optional sup-norm guards on u0 and grad u0 at t = 0.
 
     Returns:
         (reports, verdict); reports always include t = 0 and the last
@@ -340,13 +320,9 @@ def run_until_breakdown(
             reports.append(make_report(s, p, kind))
 
     ((t_star, cause),) = _run(
-        [initial], [p.eps], p, kind, scheme, horizon, dt, cfl, monitor, record, report_every,
-        m1=m1, m2=m2,
+        [initial], [p.eps], p, kind, scheme, horizon, dt, cfl, monitor, record, report_every
     )
     return tuple(reports), BlowupVerdict(t_star, cause, reports[-1].div_accum)
-
-
-_DEFAULT_SWEEP_POINTS = {1: 256, 2: 128, 3: 48}
 
 
 def _scaled_lifespan(n: int, eps: float, t_star: float | None) -> float | None:
@@ -360,12 +336,10 @@ def _scaled_lifespan(n: int, eps: float, t_star: float | None) -> float | None:
 
 
 def lifespan_sweep(
-    data_shape: Callable[[Grid], tuple[Field, Field]],
+    initial: tuple[Field, Field],
     eps_list: Sequence[float],
-    p_base: PhysicalParams,
-    n: int,
+    p: PhysicalParams,
     *,
-    grid: Grid | None = None,
     kind: ModelKind = ModelKind.KUZNETSOV,
     scheme: Scheme = Scheme.EXPLICIT_RK4,
     horizon: float = 500.0,
@@ -375,7 +349,7 @@ def lifespan_sweep(
 ) -> SweepResult:
     """Measure the breakdown time across epsilon and fit its log-log slope.
 
-    The data shape is held fixed (amplitude included) while epsilon varies,
+    The data are held fixed (amplitude included) while epsilon varies,
     so the measured slope isolates the epsilon scaling of the lifespan. Every
     point shares one step size, so the points are the members of one run
     loop, with epsilon per member and the tail monitor; the floor and
@@ -384,25 +358,20 @@ def lifespan_sweep(
     only the clean rows (SweepRow.clean) enter it.
 
     Args:
-        data_shape: grid -> (u0, u1) factory, shared by every epsilon.
+        initial: pair (u0, u1) shared by every epsilon; its grid fixes the
+            dimension n of the scaled column.
         eps_list: epsilon values; duplicates rejected.
-        p_base: parameters whose eps field is replaced per point.
-        n: spatial dimension, fixing the default grid and scaled column.
+        p: parameters whose eps field is replaced per point.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
     check_eps_list(eps_list)
-    if grid is None:
-        grid = Grid.cube(n, _DEFAULT_SWEEP_POINTS[n])
-    if grid.n != n:
-        raise ValueError(f"grid dimension {grid.n} does not match n = {n}")
-    u0, u1 = data_shape(grid)
+    grid = initial[0].grid
+    n = grid.n
 
     def monitor(fields, ev, div):
-        tail = _tail_fraction(grid, p_base.c, ev.u_hat, ev.v_hat) > tail_threshold
+        tail = _tail_fraction(grid, p.c, ev.u_hat, ev.v_hat) > tail_threshold
         return [BreakdownCause.SPECTRAL if over else None for over in tail]
 
-    ends = _run([(u0, u1)] * len(eps_list), eps_list, p_base, kind, scheme, horizon, dt, cfl, monitor)
+    ends = _run([initial] * len(eps_list), eps_list, p, kind, scheme, horizon, dt, cfl, monitor)
     rows = [
         SweepRow(eps_i, t_star, cause, _scaled_lifespan(n, eps_i, t_star))
         for eps_i, (t_star, cause) in zip(eps_list, ends)

@@ -233,18 +233,6 @@ class Grid:
         return sum(np.abs(mult) ** 2 for mult in self.derivative_multipliers)
 
 
-@dataclass(frozen=True)
-class SobolevOrder:
-    """Fractional Sobolev exponent s >= 0, capped at a configured maximum."""
-
-    s: float
-    maximum: float = MAX_SOBOLEV_ORDER
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.s) and 0.0 <= self.s <= self.maximum):
-            raise ValueError(f"Sobolev order must lie in [0, {self.maximum}], got {self.s}")
-
-
 @dataclass(frozen=True, eq=False)
 class Field:
     """Real scalar sampled on a Grid; immutable after construction.
@@ -416,14 +404,15 @@ def gradient(f: Field) -> list[Field]:
     return [Field(f.grid, g) for g in gradient_values(f.grid, f.values)]
 
 
-def sobolev_norm(f: Field, s: float | SobolevOrder) -> float:
+def sobolev_norm(f: Field, s: float) -> float:
     """Discrete H^s norm with multiplier (1 + |k|^2)^(s/2) and box measure.
 
     Equals the quadrature L^2 norm at s = 0 (Parseval) and is monotone
-    nondecreasing in s.
+    nondecreasing in s. The order must lie in [0, MAX_SOBOLEV_ORDER].
     """
-    order = s if isinstance(s, SobolevOrder) else SobolevOrder(float(s))
-    return sobolev_norm_values(f.grid, f.values, order.s)
+    if not 0.0 <= s <= MAX_SOBOLEV_ORDER:
+        raise ValueError(f"Sobolev order must lie in [0, {MAX_SOBOLEV_ORDER}], got {s}")
+    return sobolev_norm_values(f.grid, f.values, float(s))
 
 
 def l2_norm(f: Field) -> float:

@@ -246,19 +246,13 @@ def _word_values(plan, memo: dict, buf: np.ndarray, total: np.ndarray) -> np.nda
     return total
 
 
-def apply_gamma(
-    jet: Jet,
-    t: float,
-    index: GammaIndex,
-    derivative_memo: dict[tuple[int, ...], "np.ndarray"] | None = None,
-) -> Field:
+def apply_gamma(jet: Jet, t: float, index: GammaIndex) -> Field:
     """Evaluate Gamma^word u termwise on the jet at time t, as a checked Field.
 
     Requires an origin-centered grid (the coordinate weights x_i are
     meaningful only there) and sufficient jet order for every d_t power in
-    the expansion.  A derivative_memo dict may be shared across calls on the
-    same jet to avoid recomputing D^A u for repeated mixed derivatives.
-    The term loop is _word_values, which the Klainerman sweep also runs.
+    the expansion. Each distinct D^A u of the word is formed once. The term
+    loop is _word_values, which the Klainerman sweep also runs.
     """
     grid = jet.grid
     if not grid.origin_centered:
@@ -269,11 +263,9 @@ def apply_gamma(
     needed = max((term.derivative.time_order for term in terms), default=0)
     if needed > jet.order:
         raise ValueError(f"word {index} needs jet order {needed}, jet has {jet.order}")
-    memo = {} if derivative_memo is None else derivative_memo
     plan = _term_factors(grid, t, terms)
-    for key, _ in plan:
-        if key not in memo:
-            memo[key] = apply_multi_derivative(jet, MultiIndex(key)).values
+    keys = {key for key, _ in plan}
+    memo = {key: apply_multi_derivative(jet, MultiIndex(key)).values for key in keys}
     # The buffer first: the other order ran a 2-d record half again slower.
     buf = np.empty(grid.shape)
     total = np.empty(grid.shape)

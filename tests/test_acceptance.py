@@ -313,11 +313,9 @@ def test_criterion_07_lifespan_scaling_1d():
     started = time.perf_counter()
     p = PhysicalParams(nu=0.0, eps=0.1)
     result = lifespan_sweep(
-        lambda grid: _sine_pair(grid, 0.5),
+        _sine_pair(Grid.cube(1, 256), 0.5),
         [0.2, 0.1, 0.05, 0.025],
         p,
-        n=1,
-        grid=Grid.cube(1, 256),
         horizon=400.0,
     )
     elapsed = time.perf_counter() - started
@@ -347,18 +345,14 @@ def test_criterion_08_lifespan_scaling_2d():
     """
     started = time.perf_counter()
 
-    def shape(grid: Grid) -> tuple[Field, Field]:
-        r2 = grid.coordinate_mesh(0) ** 2 + grid.coordinate_mesh(1) ** 2
-        u0 = Field(grid, 0.25 * np.exp(-r2 / (2.0 * 1.5**2)))
-        return u0, Field(grid, np.zeros(grid.shape))
-
+    grid = Grid.cube(2, 128, length=64.0, origin_centered=True)
+    r2 = grid.coordinate_mesh(0) ** 2 + grid.coordinate_mesh(1) ** 2
+    u0 = Field(grid, 0.25 * np.exp(-r2 / (2.0 * 1.5**2)))
     p = PhysicalParams(nu=0.0, eps=0.1, alpha=1.0, beta=4.0)
     result = lifespan_sweep(
-        shape,
+        (u0, Field(grid, np.zeros(grid.shape))),
         [0.45, 0.367, 0.3],
         p,
-        n=2,
-        grid=Grid.cube(2, 128, length=64.0, origin_centered=True),
         horizon=120.0,
         tail_threshold=0.04,
     )

@@ -22,7 +22,6 @@ from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimStat
 from kuzlab.cli import _forcing_factory, main
 from kuzlab.dynamics import cfl_dt, solve_linear_forced
 from kuzlab.config import (
-    ExperimentKind,
     GaussianBump,
     MeanZeroPeriodic,
     RunConfig,
@@ -86,7 +85,6 @@ _DEFAULT_TEXT = """\
     "c0": 1.0,
     "c_embed": 1.0
   },
-  "experiment": "simulate",
   "out_dir": null,
   "seed": 0,
   "relative_to_threshold": false,
@@ -200,7 +198,6 @@ def _configs(draw) -> dict:
             "c0": draw(pos),
             "c_embed": draw(pos),
         },
-        "experiment": draw(st.sampled_from([e.value for e in ExperimentKind])),
         "out_dir": draw(st.one_of(st.none(), st.text(max_size=8))),
         "seed": draw(st.integers(0, 2**31 - 1)),
         "relative_to_threshold": draw(st.booleans()),
@@ -286,7 +283,6 @@ class TestParseSerialize:
                     "dt": 0.01,
                     "horizon": 3.5,
                     "energies": {"e_m_orders": [0, 2], "half_m": 2},
-                    "experiment": "decay",
                     "seed": 11,
                     "relative_to_threshold": True,
                     "decay": {"m": 2},
@@ -598,6 +594,10 @@ _BREAKING = {
     "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.5},
     "horizon": 30.0,
 }
+
+
+# The forced linear problem on 64 points: the CFL step at cfl 0.4 takes 26 steps to t = 1.
+_LINREG = {"grid": {"n": 1, "points": 64}, "params": {"nu": 0.5, "eps": 0.2}, "horizon": 1.0}
 
 
 class TestCli:
@@ -1019,12 +1019,29 @@ class TestCli:
         cfg = parse_config(json.dumps(payload))
         direct = solve_linear_forced(
             *initial_data(cfg), _forcing_factory(cfg), cfg.horizon, cfg.params,
-            dt=cfg.dt, report_every=cfg.report_every, tol=cfg.linreg.tol,
+            dt=cfg.dt, cfl=cfg.cfl, report_every=cfg.report_every, tol=cfg.linreg.tol,
         )
         assert verdict["times"] == list(direct.times)
         assert verdict["lhs"] == list(direct.lhs)
         assert verdict["rhs"] == list(direct.rhs)
         assert verdict["times"][-1] == cfg.horizon
+
+    def test_linreg_steps_at_the_configured_cfl(self, tmp_path, capsys) -> None:
+        """linreg takes the CFL step of the config's cfl, as every other
+        subcommand does: its records fall on that step's multiples."""
+        series = {}
+        for cfl in (0.1, 0.4):
+            path = _write_config(tmp_path, f"cfl{cfl}.json", {**_LINREG, "cfl": cfl})
+            out = tmp_path / f"res{cfl}"
+            assert main(["linreg", "--config", path, "--out", str(out)]) == 0
+            capsys.readouterr()
+            verdict = json.loads((out / "linreg" / "verdict.json").read_text())
+            steps = math.ceil(_LINREG["horizon"] / cfl_dt(Grid.cube(1, 64), 1.0, cfl) - 1e-12)
+            dt = _LINREG["horizon"] / steps
+            recorded = [k for k in range(1, steps + 1) if k % 10 == 0 or k == steps]
+            assert verdict["times"] == [0.0] + [k * dt for k in recorded]
+            series[cfl] = (out / "linreg" / "margin_series.csv").read_bytes()
+        assert series[0.1] != series[0.4]
 
     def test_horizon_override_applies(self, tmp_path, capsys) -> None:
         cfg = _write_config(tmp_path, "sim.json", _FAST_SIM)
@@ -1078,6 +1095,9 @@ _RUNS = [
 _NOISE = {**_TINY, "stability": {"perturbation": "noise"}}
 
 
+_SUBCOMMANDS = ("simulate", "sweep", "stability", "decay", "klainerman", "linreg", "check-thresholds")
+
+
 class TestOneWriter:
     @pytest.mark.parametrize("command, payload, summary, table", _RUNS, ids=[run[0] for run in _RUNS])
     def test_run_subcommands_share_one_layout(
@@ -1124,14 +1144,30 @@ class TestOneWriter:
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not out.exists()
 
-    def test_telemetry_counts_the_run(self, tmp_path, monkeypatch, capsys) -> None:
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_experiment_key_is_unknown(self, tmp_path, capsys, command) -> None:
+        """The subcommand names the run: a config that still names an
+        experiment is a config error, and nothing is written."""
+        cfg = _write_config(tmp_path, "named.json", {**_TINY, "experiment": "simulate"})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: experiment: unknown key\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("simulate", _TINY), ("linreg", {**_TINY, "params": {"nu": 0.5, "eps": 0.2}})],
+        ids=["simulate", "linreg"],
+    )
+    def test_telemetry_counts_the_run(self, tmp_path, monkeypatch, capsys, command, payload) -> None:
         """telemetry.json holds the transforms count_ffts counts over the same
-        main call and one stepper call per step, and stays out of the verdict."""
-        cfg = _write_config(tmp_path, "cfg.json", _TINY)
+        main call and one stepper call per step, ceil(horizon / dt), and stays
+        out of the verdict."""
+        cfg = _write_config(tmp_path, "cfg.json", payload)
         counts = count_ffts(monkeypatch)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "res")]) == 0
         monkeypatch.undo()
-        directory = tmp_path / "res" / "simulate"
+        directory = tmp_path / "res" / command
         telemetry = json.loads((directory / "telemetry.json").read_text())
         steps = math.ceil(_TINY["horizon"] / cfl_dt(Grid.cube(1, 64), PhysicalParams().c))
         assert telemetry == {
@@ -1214,8 +1250,6 @@ class TestOneWriter:
             with_overrides(RunConfig(), horizon=math.nan)
         assert info.value.path == "horizon"
 
-
-_SUBCOMMANDS = ("simulate", "sweep", "stability", "decay", "klainerman", "linreg", "check-thresholds")
 
 # At most this many steps per run in the fuzz gate: a tiny cfl on a tiny box
 # asks for millions of steps (4.8e6 for cfl = 1e-3 on a 16 x 8 grid of side

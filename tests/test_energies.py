@@ -48,7 +48,7 @@ from kuzlab import (
     theorem_45_energy,
     thresholds,
 )
-from kuzlab import energies
+from kuzlab import energies, gamma
 from kuzlab.dynamics import hyperbolicity_guard
 from kuzlab.energies import _klainerman_sweep, _theorem_45_index_set
 from kuzlab.errors import NonFiniteFieldError
@@ -281,8 +281,8 @@ def _swept_word_fields(monkeypatch, jet: Jet, t: float, m_sum: int, m_sup: int):
     """Run the sweep, recording each word field it forms and the memo it read.
 
     Returns the recorded fields and apply_gamma's fields on a jet of the same
-    memo, both indexed [source][word]; the sources come one at a time, each
-    with a memo of its own.
+    memo, reading the memo's derivatives in place of its own, both indexed
+    [source][word]; the sources come one at a time, each with a memo of its own.
     """
     recorded: list[tuple[dict, np.ndarray]] = []
     word_values = energies._word_values
@@ -306,7 +306,9 @@ def _swept_word_fields(monkeypatch, jet: Jet, t: float, m_sum: int, m_sup: int):
         assert all(memo is not other[0] for other in recorded[: s * len(words)])
         source = Jet(grid, tuple(Field(grid, memo[(k,) + (0,) * n]) for k in range(m_sum + 1)))
         swept.append([values for _, values in block])
-        applied.append([apply_gamma(source, t, word, dict(memo)).values for word in words])
+        monkeypatch.setattr(gamma, "apply_multi_derivative", lambda _, index: Field(grid, memo[index.orders]))
+        applied.append([apply_gamma(source, t, word).values for word in words])
+        monkeypatch.undo()
     return swept, applied
 
 

@@ -119,15 +119,6 @@ class TestRunUntilBreakdown:
         with pytest.raises(GuardViolation):
             run_until_breakdown((u0, u1), p, 1.0)
 
-    def test_sup_norm_guards_m1_m2(self) -> None:
-        grid = Grid.cube(1, 32)
-        p = PhysicalParams()
-        u0, u1 = _smooth_pair(grid, 0.5)
-        with pytest.raises(GuardViolation):
-            run_until_breakdown((u0, u1), p, 1.0, m1=0.1)
-        with pytest.raises(GuardViolation):
-            run_until_breakdown((u0, u1), p, 1.0, m2=0.1)
-
     def test_immediate_divergence_trip_keeps_single_report(self) -> None:
         grid = Grid.cube(1, 32)
         p = PhysicalParams()
@@ -226,21 +217,15 @@ class TestRunUntilBreakdown:
 class TestLifespanSweep:
     def test_input_validation(self) -> None:
         p = PhysicalParams()
-        shape = _smooth_pair
+        data = _smooth_pair(Grid.cube(1, 32))
         with pytest.raises(ValueError, match="duplicates"):
-            lifespan_sweep(shape, [0.1, 0.1], p, 1)
+            lifespan_sweep(data, [0.1, 0.1], p)
         with pytest.raises(ValueError, match="empty"):
-            lifespan_sweep(shape, [], p, 1)
-        with pytest.raises(ValueError, match="dimension"):
-            lifespan_sweep(shape, [0.1], p, 4)
-        with pytest.raises(ValueError, match="does not match"):
-            lifespan_sweep(shape, [0.1], p, 2, grid=Grid.cube(1, 32))
+            lifespan_sweep(data, [], p)
 
     def test_horizon_rows_are_tainted_and_skip_fit(self) -> None:
         grid = Grid.cube(1, 32)
-        result = lifespan_sweep(
-            _smooth_pair, [0.05, 0.1], PhysicalParams(), 1, grid=grid, horizon=0.5
-        )
+        result = lifespan_sweep(_smooth_pair(grid), [0.05, 0.1], PhysicalParams(), horizon=0.5)
         assert all(r.cause is BreakdownCause.HORIZON for r in result.rows)
         assert result.slope is None and result.intercept is None
         assert result.tainted == (0.05, 0.1)
@@ -248,11 +233,9 @@ class TestLifespanSweep:
     def test_single_point_has_no_fit(self) -> None:
         grid = Grid.cube(1, 64)
         result = lifespan_sweep(
-            lambda g: (single_mode(g, (1,), 0.5), single_mode(g, (1,), 0.5)),
+            (single_mode(grid, (1,), 0.5), single_mode(grid, (1,), 0.5)),
             [0.5],
             PhysicalParams(alpha=1.0, beta=3.0),
-            1,
-            grid=grid,
             horizon=100.0,
         )
         assert len(result.rows) == 1
@@ -268,9 +251,7 @@ class TestLifespanSweep:
         """Data on the hyperbolicity floor end their row at t* = 0. Such a row
         is neither fitted nor clean, so one clean row leaves the fit skipped."""
         p = PhysicalParams(alpha=1.0, beta=3.0, hyp_floor=0.9)
-        result = lifespan_sweep(
-            self._travelling_sine, [0.3, 0.05], p, 1, grid=Grid.cube(1, 64), horizon=20.0
-        )
+        result = lifespan_sweep(self._travelling_sine(Grid.cube(1, 64)), [0.3, 0.05], p, horizon=20.0)
         ends = {r.eps: (r.t_star, r.cause) for r in result.rows}
         assert ends[0.3] == (0.0, BreakdownCause.HYPERBOLICITY)
         assert ends[0.05][1] is BreakdownCause.SPECTRAL
@@ -289,9 +270,7 @@ class TestLifespanSweep:
         p = PhysicalParams(alpha=1.0, beta=3.0, nu=nu, hyp_floor=0.45)
         eps = [0.3, 0.99, 0.05, 0.6]  # deliberately unsorted
         horizon = 4.0
-        result = lifespan_sweep(
-            self._travelling_sine, eps, p, 1, grid=grid, horizon=horizon, scheme=scheme
-        )
+        result = lifespan_sweep(self._travelling_sine(grid), eps, p, horizon=horizon, scheme=scheme)
         assert [r.eps for r in result.rows] == sorted(eps)
         for row in result.rows:
             _, verdict = run_until_breakdown(
@@ -316,7 +295,7 @@ class TestLifespanSweep:
         grid = Grid.cube(1, 64)
         p = PhysicalParams(alpha=1.0, beta=3.0)
         eps = [0.3, 0.6]
-        clean = lifespan_sweep(self._travelling_sine, eps, p, 1, grid=grid, horizon=4.0)
+        clean = lifespan_sweep(self._travelling_sine(grid), eps, p, horizon=4.0)
         real_advance = experiments._advance
 
         def advance(grid, u0, v0, t0, start, dt, p, kind, scheme, eps):
@@ -326,7 +305,7 @@ class TestLifespanSweep:
             return out
 
         monkeypatch.setattr(experiments, "_advance", advance)
-        result = lifespan_sweep(self._travelling_sine, eps, p, 1, grid=grid, horizon=4.0)
+        result = lifespan_sweep(self._travelling_sine(grid), eps, p, horizon=4.0)
         assert result.rows[0] == clean.rows[0]
         row = result.rows[1]
         assert row.cause is BreakdownCause.NUMERICAL
@@ -663,7 +642,7 @@ class TestOneStepper:
         horizon = 0.5
         drivers = {
             "breakdown": (grid, lambda: run_until_breakdown(pair, p, horizon)),
-            "sweep": (grid, lambda: lifespan_sweep(_smooth_pair, [0.1, 0.2], p, 1, grid=grid, horizon=horizon)),
+            "sweep": (grid, lambda: lifespan_sweep(pair, [0.1, 0.2], p, horizon=horizon)),
             "stability": (grid, lambda: stability_experiment(pair, pair, p, horizon)),
             "decay": (grid, lambda: viscous_decay_experiment(
                 *_smooth_pair(grid, 1e-3), replace(p, nu=1.0), 2, horizon)),
@@ -706,7 +685,7 @@ class TestLeanRuns:
         p = PhysicalParams(nu=nu, eps=0.1)
         horizon = 3.0 * cfl_dt(grid, p.c)
         lean = self._step_counts(monkeypatch, lambda: lifespan_sweep(
-            _smooth_pair, [0.1, 0.2], p, n, grid=grid, horizon=horizon, scheme=scheme))
+            _smooth_pair(grid), [0.1, 0.2], p, horizon=horizon, scheme=scheme))
         full = self._step_counts(monkeypatch, lambda: run_until_breakdown(
             _smooth_pair(grid), p, horizon, report_every=2, scheme=scheme))
         rk4 = scheme is Scheme.EXPLICIT_RK4

@@ -279,13 +279,3 @@ class TestApplyGamma:
         word = GammaIndex((Generator("dt"), Generator("dt")), 1)
         with pytest.raises(ValueError, match="order"):
             apply_gamma(jet, 0.0, word)
-
-    def test_derivative_memo_is_shared(self) -> None:
-        grid = Grid.cube(2, 32, origin_centered=True)
-        jet = self._jet(grid)
-        memo: dict[tuple[int, ...], np.ndarray] = {}
-        l0 = GammaIndex((Generator("L0"),), 2)
-        first = apply_gamma(jet, 0.5, l0, derivative_memo=memo)
-        assert memo
-        second = apply_gamma(jet, 0.5, l0, derivative_memo=memo)
-        np.testing.assert_array_equal(first.values, second.values)
