@@ -3,9 +3,10 @@
 For u_tt - c^2 Lap u - nu eps Lap u_t = f, the gradient of u_t and the
 Laplacian of u, plus the accumulated dissipation, are controlled by the
 data and 1/(2 nu eps) times the accumulated forcing. The forced solver
-advances the linear flow with an exact per-mode propagator and checks the
-inequality at every reported time; the margin (rhs - lhs)/rhs starts at
-exactly zero because the bound is saturated by the data terms at t = 0.
+advances the linear flow with an exact per-mode propagator and records both
+sides at every reported time; the demo checks the inequality there within
+1%. The margin (rhs - lhs)/rhs starts at exactly zero because the bound is
+saturated by the data terms at t = 0.
 
 Run it directly: python demos/06_linear_regularity.py
 """
@@ -29,9 +30,9 @@ def main() -> None:
     def forcing(t: float) -> Field:
         return Field(grid, 0.3 * math.cos(t) * np.sin(x))
 
-    result = solve_linear_forced(
-        u0, u1, forcing, 8.0, p, dt=0.05, report_every=20, tol=0.01
-    )
+    result = solve_linear_forced(u0, u1, forcing, 8.0, p, dt=0.05, report_every=20)
+    if not result.holds(0.01):
+        raise SystemExit("the inequality fails beyond 1% at a reported time")
     print(f"nu eps = {p.nu * p.eps}, forcing 0.3 cos(t) sin(x), horizon 8")
     print(f"{'t':>5} {'lhs':>12} {'rhs':>12} {'margin':>9}")
     for t, lhs, rhs, margin in zip(

@@ -105,12 +105,7 @@ from .fields import (
     spatial_derivative,
 )
 from .gamma import GammaIndex, apply_gamma, expand_gamma, gamma_words, generalized_derivatives
-from .io import (
-    read_reports_csv,
-    write_experiment_dir,
-    write_reports_csv,
-    write_table_csv,
-)
+from .io import read_reports_csv, write_experiment_dir, write_reports_csv
 from .jets import Jet, MultiIndex, apply_multi_derivative, build_jet
 
 __version__ = "0.1.0"

@@ -6,17 +6,19 @@ override is checked like the key it replaces. It runs the matching driver
 with the stepping keywords of ``_stepping`` (linreg, whose model and scheme
 are fixed, takes its dt and cfl alone) and hands the result to ``_finish``,
 the one writer, which names the run after the subcommand: it persists the
-stable results layout (config.json, reports.csv, verdict.json, extra tables)
-under the output directory with telemetry.json beside it, the command's
-transform and stepper counts, prints the summary line and picks the exit
-code.
+stable results layout (config.json, reports.csv, verdict.json, which
+carries each of the run's series once) under the output directory with
+telemetry.json beside it, the command's transform and stepper counts,
+prints the summary line and picks the exit code.
 ``check-thresholds`` prints closed-form constants and runs no driver.
 Exit codes: 0 success, 2 configuration or usage error, 3 initial-data guard
-violation, 4 runtime failure mid-run: a stability, decay or Klainerman run
-cut short by the floor, a non-finite step or the support monitor, which
-writes its directory and the cause first, or check-thresholds on data at
-the floor, which writes thresholds.json first. A config that every section
-accepts ends in one of these codes, never in a traceback.
+violation, 4 runtime failure: a stability, decay or Klainerman run cut
+short by the floor, a non-finite step or the support monitor, which writes
+its directory and the cause first, a linreg run whose inequality fails
+beyond linreg.tol, which writes its directory with holds false first, or
+check-thresholds on data at the floor, which writes thresholds.json first.
+A config that every section accepts ends in one of these codes, never in a
+traceback.
 """
 
 from __future__ import annotations
@@ -97,30 +99,32 @@ def _finish(
     cfg: RunConfig,
     result: Any,
     summary: str,
-    tables: Mapping[str, Any] | None = None,
     *,
     reports: Sequence[EnergyReport] = (),
     extra: Mapping[str, Any] | None = None,
+    failure: str | None = None,
 ) -> int:
     """Write the run's directory, print its summary line, return the exit code.
 
     The command that ran names the run and its directory. The verdict is
-    the result as JSON, without the reports (they have their own files),
-    with the extra keys merged in. A failing command whose cause cut the
-    run short exits 4, after its directory is written.
+    the result as JSON, without the reports (they have their own file),
+    with the extra keys merged in; it holds every series of the run. A run
+    fails, and exits 4 after its directory is written, when the caller
+    names a failure or when a failing command's cause cut the run short.
     """
     verdict = jsonable(result)
     verdict.pop("reports", None)
     verdict.update(extra or {})
     root = Path("results" if cfg.out_dir is None else cfg.out_dir)
-    directory = write_experiment_dir(root, command, serialize_config(cfg), reports, verdict, tables)
+    directory = write_experiment_dir(root, command, serialize_config(cfg), reports, verdict)
     telemetry = {key: n - _counts_at_start[key] for key, n in _counts().items()}
     (directory / "telemetry.json").write_text(dumps_strict(telemetry))
     print(f"{command}: {summary} -> {directory}")
-    if command not in _FAILING_COMMANDS or result.cause not in _FAILED:
+    if failure is None and command in _FAILING_COMMANDS and result.cause in _FAILED:
+        failure = f"ended by {result.cause.value} at t = {result.times[-1]:.6g}"
+    if failure is None:
         return _EXIT_OK
-    end = f"{result.cause.value} at t = {result.times[-1]:.6g}"
-    print(f"run failed: {command} ended by {end} -> {directory}", file=sys.stderr)
+    print(f"run failed: {command} {failure} -> {directory}", file=sys.stderr)
     return _EXIT_RUNTIME
 
 
@@ -148,11 +152,9 @@ def _cmd_sweep(command: str, cfg: RunConfig) -> int:
         tail_threshold=cfg.sweep.tail_threshold,
         **_stepping(cfg),
     )
-    rows = [(r.eps, r.t_star, r.cause.value, r.scaled) for r in result.rows]
     slope = "none" if result.slope is None else f"{result.slope:.4f}"
     summary = f"{len(result.rows)} points, slope = {slope}"
-    tables = {"sweep_rows": (("eps", "t_star", "cause", "scaled"), rows)}
-    return _finish(command, cfg, result, summary, tables)
+    return _finish(command, cfg, result, summary)
 
 
 def _perturbation(cfg: RunConfig) -> FloatArray | None:
@@ -185,12 +187,10 @@ def _cmd_stability(command: str, cfg: RunConfig) -> int:
         tail_threshold=cfg.sweep.tail_threshold,
         **_stepping(cfg),
     )
-    rows = list(zip(result.times, result.d, result.a))
     extra = {"envelope_ok": result.envelope_ok(cfg.stability.c2_cap), "c2_cap": cfg.stability.c2_cap}
     c2 = "none" if result.c2 is None else f"{result.c2:.4f}"
     summary = f"c2 = {c2}, envelope_ok = {extra['envelope_ok']}"
-    tables = {"stability_series": (("t", "d", "a"), rows)}
-    return _finish(command, cfg, result, summary, tables, reports=result.reports, extra=extra)
+    return _finish(command, cfg, result, summary, reports=result.reports, extra=extra)
 
 
 def _cmd_decay(command: str, cfg: RunConfig) -> int:
@@ -206,10 +206,8 @@ def _cmd_decay(command: str, cfg: RunConfig) -> int:
         slack_rel=cfg.decay.slack_rel,
         **_stepping(cfg),
     )
-    rows = list(zip(result.times, result.e_theorem, result.e_half, result.s_half))
     summary = f"monotone_ok = {result.monotone_ok}, bound_ok = {result.bound_ok}"
-    tables = {"decay_series": (("t", "e_theorem", "e_half", "s_half"), rows)}
-    return _finish(command, cfg, result, summary, tables, reports=result.reports)
+    return _finish(command, cfg, result, summary, reports=result.reports)
 
 
 def _cmd_klainerman(command: str, cfg: RunConfig) -> int:
@@ -227,10 +225,8 @@ def _cmd_klainerman(command: str, cfg: RunConfig) -> int:
     extra: dict[str, Any] = {"max_ratio": result.max_ratio}
     if result.times and result.times[-1] >= 1.0:
         extra["boundedness_quotient_t1"] = result.boundedness_quotient(1.0)
-    rows = list(zip(result.times, result.ratios, result.support_radii))
     summary = f"max ratio = {result.max_ratio:.6g}"
-    tables = {"ratio_series": (("t", "ratio", "support_radius"), rows)}
-    return _finish(command, cfg, result, summary, tables, reports=result.reports, extra=extra)
+    return _finish(command, cfg, result, summary, reports=result.reports, extra=extra)
 
 
 def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:
@@ -262,20 +258,20 @@ def _cmd_linreg(command: str, cfg: RunConfig) -> int:
         dt=cfg.dt,
         cfl=cfg.cfl,
         report_every=cfg.report_every,
-        tol=cfg.linreg.tol,
     )
-    margins = result.margins
+    tol = cfg.linreg.tol
     verdict = {
         "times": list(result.times),
         "lhs": list(result.lhs),
         "rhs": list(result.rhs),
-        "margins": list(margins),
+        "margins": list(result.margins),
         "worst_margin": result.worst_margin,
-        "tol": cfg.linreg.tol,
+        "tol": tol,
+        "holds": result.holds(tol),
     }
-    rows = list(zip(result.times, result.lhs, result.rhs, margins))
     summary = f"worst margin = {result.worst_margin:.6g}"
-    return _finish(command, cfg, verdict, summary, {"margin_series": (("t", "lhs", "rhs", "margin"), rows)})
+    failure = None if verdict["holds"] else f"ended with lhs > rhs * (1 + {tol:.6g})"
+    return _finish(command, cfg, verdict, summary, failure=failure)
 
 
 def _cmd_check_thresholds(command: str, cfg: RunConfig) -> int:

@@ -238,13 +238,10 @@ def _state(u: Field, v: Field, t: float, fnu: float, div: float, carry: _Accel |
     return state
 
 
-def hyperbolicity_factor(
-    v: Field, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV
-) -> tuple[Field, float]:
-    """Pointwise factor 1 - alpha*eps*v and its grid minimum (reporting only)."""
+def hyperbolicity_factor(v: Field, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV) -> float:
+    """Grid minimum of the pointwise factor 1 - alpha*eps*v (reporting only)."""
     alpha_eff, _, _ = effective_coefficients(p, kind)
-    values = 1.0 - alpha_eff * p.eps * v.values
-    return Field(v.grid, values), float(values.min())
+    return float((1.0 - alpha_eff * p.eps * v.values).min())
 
 
 def _damping(p: PhysicalParams, kind: ModelKind, eps: float | FloatArray) -> float | FloatArray:
@@ -765,6 +762,10 @@ class LinearForcedResult:
     def worst_margin(self) -> float:
         return min(self.margins)
 
+    def holds(self, tol: float) -> bool:
+        """Whether lhs <= rhs * (1 + tol) at every reported time."""
+        return all(l <= r * (1.0 + tol) + 1e-300 for l, r in zip(self.lhs, self.rhs))
+
 
 def solve_linear_forced(
     u0: Field,
@@ -774,27 +775,24 @@ def solve_linear_forced(
     p: PhysicalParams,
     dt: float | None = None,
     report_every: int = 10,
-    tol: float = 0.01,
     cfl: float = DEFAULT_CFL,
 ) -> LinearForcedResult:
-    """Integrate u_tt - c^2 Lap u - nu*eps Lap u_t = f and check the inequality.
+    """Integrate u_tt - c^2 Lap u - nu*eps Lap u_t = f and record both sides.
 
     The source f is time-sampled: a callable returning the Field f(t).  The
     linear flow uses the exact per-mode propagator; the forcing enters by the
     exponential trapezoidal rule (the integrating-factor Heun update, which
     needs no predictor because the source does not depend on the state).
     The step is _resolve_step's for dt and cfl, as in the run loop, and the
-    steps count in advance_calls. Asserts lhs <= rhs * (1 + tol) at every
-    reported time.  The right-hand side is taken as written, with a bare
-    (1/2)||Lap u_0||^2 term, so the inequality is calibrated for unit sound
-    speed c <= 1.
+    steps count in advance_calls. Both sides are recorded at every reported
+    time; the result's holds(tol) is the check.  The right-hand side is taken
+    as written, with a bare (1/2)||Lap u_0||^2 term, so the inequality is
+    calibrated for unit sound speed c <= 1.
 
     Raises
     ------
     ValueError
         If nu == 0 (the inequality needs dissipation) or horizon <= 0.
-    AssertionError
-        If the inequality fails beyond the tolerance at a reported time.
     """
     global advance_calls
     if p.nu <= 0.0:
@@ -855,13 +853,6 @@ def solve_linear_forced(
             lhs_series.append(lhs_now(u_hat, v_hat, diss_int))
             rhs_series.append(rhs0 + force_int / (2.0 * nu_eps))
     advance_calls += steps
-
-    for t_i, lhs_i, rhs_i in zip(times, lhs_series, rhs_series):
-        if lhs_i > rhs_i * (1.0 + tol) + 1e-300:
-            raise AssertionError(
-                f"maximal-regularity inequality violated at t = {t_i:.6g}: "
-                f"lhs {lhs_i:.12e} > rhs {rhs_i:.12e} * (1 + {tol})"
-            )
     u, v = _to_physical(grid, u_hat), _to_physical(grid, v_hat)
     final = SimState(u=Field(grid, u), v=Field(grid, v), t=horizon)
     return LinearForcedResult(tuple(times), tuple(lhs_series), tuple(rhs_series), final)

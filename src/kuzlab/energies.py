@@ -533,7 +533,7 @@ def initial_data_bound_check(
     at or above 1/2; violating data is rejected.
     """
     order = half_m_jet_order(m)
-    _, factor_min = hyperbolicity_factor(u1, p, kind)
+    factor_min = hyperbolicity_factor(u1, p, kind)
     if factor_min < 0.5:
         raise ValueError(
             f"initial data too large: min(1 - alpha eps u1) = {factor_min:.6g} < 1/2"
@@ -605,7 +605,7 @@ def make_report(
     if half_m is not None:
         e_half = energy_half_m(jet, half_m)
         s_half = s_half_m(jet, half_m)
-    _, min_hyp = hyperbolicity_factor(state.v, p, kind)
+    min_hyp = hyperbolicity_factor(state.v, p, kind)
     return EnergyReport(
         t=state.t,
         e_wave=energy_wave(state, p),

@@ -5,7 +5,7 @@ experiment: lifespan scaling of the breakdown time against epsilon, the
 exponential stability envelope for perturbed pairs, global viscous decay
 of the multi-index energy and boundedness of the weighted Klainerman
 ratio. The linear maximal-regularity inequality needs no driver: callers
-run dynamics.solve_linear_forced, which checks it. Each driver is a
+run dynamics.solve_linear_forced, whose result's holds(tol) checks it. Each driver is a
 monitor plus a record function on one run loop, _run, which steps its
 members (one run, the sweep's epsilon points or the stability pair) stacked
 through the stepper a single state uses, so each equals its own serial run

@@ -1,19 +1,16 @@
-"""Stable on-disk formats: report tables and experiment directories.
+"""Stable on-disk formats: the energy report table and experiment directories.
 
-Formats (all versioned):
-
-* Energy report CSV: first line the comment ``# kuzlab-energy-report v1``,
-  then a standard CSV header and rows. The columns are ``EnergyReport``'s
-  fields in order, with ``e_m`` expanded in place as one ``e_m_<order>``
-  column per tower order in the run; a non-finite value is written as
-  ``nan`` or ``inf``, which ``float`` reads back. ``read_reports_csv`` reads
-  the file back exactly.
-* Generic table CSV (sweep rows, stability series, inequality margins):
-  first line ``# kuzlab-table v1 <name>``, then a CSV header and rows.
+The energy report CSV is versioned: first line the comment
+``# kuzlab-energy-report v1``, then a standard CSV header and rows. The
+columns are ``EnergyReport``'s fields in order, with ``e_m`` expanded in
+place as one ``e_m_<order>`` column per tower order in the run; a non-finite
+value is written as ``nan`` or ``inf``, which ``float`` reads back.
+``read_reports_csv`` reads the file back exactly.
 
 Experiment results live one directory per experiment containing
-``config.json``, ``reports.csv`` and ``verdict.json``, strict JSON with null
-for a non-finite value.
+``config.json``, ``reports.csv`` and ``verdict.json``. The verdict is strict
+JSON with null for a non-finite value, and it carries each of the run's
+series once, as lists.
 """
 
 from __future__ import annotations
@@ -24,14 +21,13 @@ import json
 import math
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .energies import EnergyReport
 
 REPORT_FORMAT = "kuzlab-energy-report"
-TABLE_FORMAT = "kuzlab-table"
 FORMAT_VERSION = 1
 
 _SCALAR_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyReport) if f.name != "e_m")
@@ -94,23 +90,6 @@ def read_reports_csv(path: str | Path) -> tuple[EnergyReport, ...]:
     return reports
 
 
-def write_table_csv(
-    path: str | Path,
-    name: str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-) -> Path:
-    """Write a named generic table (sweep rows, series) in the versioned format."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# {TABLE_FORMAT} v{FORMAT_VERSION} {name}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-    return path
-
-
 def jsonable(obj: Any) -> Any:
     """Recursively convert dataclasses, enums and arrays to JSON values, non-finite floats to None."""
     if isinstance(obj, (float, np.floating)):
@@ -143,19 +122,15 @@ def write_experiment_dir(
     config_text: str,
     reports: Sequence[EnergyReport],
     verdict: Any,
-    tables: Mapping[str, tuple[Sequence[str], Iterable[Sequence[Any]]]] | None = None,
 ) -> Path:
     """Materialize the stable results layout for one experiment.
 
     Creates ``<root>/<name>/`` holding ``config.json`` (the full provenance
-    config), ``reports.csv``, ``verdict.json``, and one ``<table>.csv`` per
-    extra named table.
+    config), ``reports.csv`` and ``verdict.json``.
     """
     directory = Path(root) / name
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "config.json").write_text(config_text)
     write_reports_csv(directory / "reports.csv", reports)
     (directory / "verdict.json").write_text(dumps_strict(verdict))
-    for table_name, (columns, rows) in (tables or {}).items():
-        write_table_csv(directory / f"{table_name}.csv", table_name, columns, rows)
     return directory

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import math
-from pathlib import Path
 
 import numpy as np
 
 from kuzlab import Field, Grid, dealias, fields, l2_norm, spatial_derivative
-from kuzlab.io import FORMAT_VERSION, TABLE_FORMAT
 
 
 def band_limited_field(
@@ -48,21 +45,6 @@ def count_ffts(monkeypatch) -> dict[str, int]:
     counts = {"forward": 0, "inverse": 0}
     monkeypatch.setattr(fields, "transform_counts", counts)
     return counts
-
-
-def read_table_csv(path: str | Path) -> tuple[str, list[str], list[list[str]]]:
-    """Read a generic table back; returns (name, columns, string rows)."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        header = fh.readline().strip()
-        prefix = f"# {TABLE_FORMAT} v{FORMAT_VERSION} "
-        if not header.startswith(prefix):
-            raise ValueError(f"{path}: missing {TABLE_FORMAT} header comment")
-        name = header.removeprefix(prefix)
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = [row for row in reader if row]
-    return name, columns, rows
 
 
 def mean_zero_project(f: Field, axis: int = 0) -> Field:

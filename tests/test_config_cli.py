@@ -37,7 +37,7 @@ from kuzlab.energies import EnvelopeParams, energy_half_m, energy_m, thresholds
 from kuzlab.gamma import MAX_WORD_LENGTH
 from kuzlab.io import read_reports_csv
 from kuzlab.jets import build_jet
-from helpers import count_ffts, read_table_csv
+from helpers import count_ffts
 
 
 _DEFAULT_TEXT = """\
@@ -599,6 +599,17 @@ _BREAKING = {
 # The forced linear problem on 64 points: the CFL step at cfl 0.4 takes 26 steps to t = 1.
 _LINREG = {"grid": {"n": 1, "points": 64}, "params": {"nu": 0.5, "eps": 0.2}, "horizon": 1.0}
 
+# A forcing of frequency 903 that the CFL step on 8 points does not resolve:
+# the recorded lhs passes rhs * (1 + tol) at t = 0.3 (3.2e3 against 2.5e2).
+_UNRESOLVED_LINREG = {
+    "grid": {"n": 1, "points": 8, "lengths": 2.0},
+    "params": {"c": 0.5, "nu": 3.66, "eps": 0.74},
+    "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 1e-6},
+    "linreg": {"forcing_amplitude": 76.0, "forcing_mode": [3], "forcing_omega": 903.0},
+    "dt": 2.0,
+    "horizon": 0.3,
+}
+
 
 class TestCli:
     @pytest.mark.parametrize(
@@ -717,10 +728,8 @@ class TestCli:
         capsys.readouterr()
         verdict = json.loads((out / "sweep" / "verdict.json").read_text())
         assert verdict["slope"] is None
-        name, columns, rows = read_table_csv(out / "sweep" / "sweep_rows.csv")
-        assert name == "sweep_rows"
-        assert len(rows) == 1
-        assert rows[0][0] == "0.1"
+        assert len(verdict["rows"]) == 1
+        assert verdict["rows"][0]["eps"] == 0.1
 
     def test_check_thresholds_prints_constants(self, tmp_path, capsys) -> None:
         payload = {"params": {"nu": 0.5}, "grid": {"n": 1, "points": 64}}
@@ -787,9 +796,9 @@ class TestCli:
         verdict = json.loads((out / "decay" / "verdict.json").read_text())
         assert verdict["monotone_ok"] is True
         assert verdict["bound_ok"] is True
-        name, _, rows = read_table_csv(out / "decay" / "decay_series.csv")
-        assert name == "decay_series"
-        assert len(rows) >= 2
+        assert len(verdict["times"]) >= 2
+        for series in ("e_theorem", "e_half", "s_half"):
+            assert len(verdict[series]) == len(verdict["times"])
 
     def test_decay_run_with_stiff_modes(self, tmp_path, capsys) -> None:
         """A step so long that nu eps |k|^2 dt / 2 passes exp's range on most
@@ -805,8 +814,8 @@ class TestCli:
         out = tmp_path / "res"
         assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
         capsys.readouterr()
-        name, _, rows = read_table_csv(out / "decay" / "decay_series.csv")
-        assert float(rows[-1][0]) == pytest.approx(2.0)
+        verdict = json.loads((out / "decay" / "verdict.json").read_text())
+        assert verdict["times"][-1] == pytest.approx(2.0)
 
     def test_stability_run_identical_under_seed(self, tmp_path, capsys) -> None:
         payload = {
@@ -821,10 +830,10 @@ class TestCli:
         assert main(["stability", "--config", cfg, "--out", str(out_a)]) == 0
         assert main(["stability", "--config", cfg, "--out", str(out_b)]) == 0
         capsys.readouterr()
-        series_a = (out_a / "stability" / "stability_series.csv").read_bytes()
-        series_b = (out_b / "stability" / "stability_series.csv").read_bytes()
-        assert series_a == series_b
-        verdict = json.loads((out_a / "stability" / "verdict.json").read_text())
+        verdict_a = (out_a / "stability" / "verdict.json").read_bytes()
+        verdict_b = (out_b / "stability" / "verdict.json").read_bytes()
+        assert verdict_a == verdict_b
+        verdict = json.loads(verdict_a)
         assert verdict["envelope_ok"] is True
 
     def test_stability_tail_monitor_is_simulate_s(self, tmp_path, capsys) -> None:
@@ -847,19 +856,19 @@ class TestCli:
         assert ends[0.001] < ends[0.01]
 
     @pytest.mark.parametrize(
-        "command, payload, cause, table",
+        "command, payload, cause, series",
         [
             (
                 "stability",
                 {**_BREAKING, "params": {"eps": 0.9}, "sweep": {"tail_threshold": 1.0}},
                 "hyperbolicity_breakdown",
-                "stability_series",
+                "d",
             ),
             (
                 "decay",
                 {**_BREAKING, "params": {"eps": 0.9, "nu": 0.0}, "horizon": 3.0, "decay": {"m": 2}},
                 "hyperbolicity_breakdown",
-                "decay_series",
+                "e_theorem",
             ),
             (
                 "klainerman",
@@ -871,12 +880,12 @@ class TestCli:
                     "klainerman": {"support_fraction": 0.01},
                 },
                 "support_wraparound",
-                "ratio_series",
+                "ratios",
             ),
         ],
     )
     def test_mid_run_end_writes_its_directory_then_exits_4(
-        self, tmp_path, capsys, command, payload, cause, table
+        self, tmp_path, capsys, command, payload, cause, series
     ) -> None:
         cfg = _write_config(tmp_path, "end.json", payload)
         out = tmp_path / "res"
@@ -888,7 +897,7 @@ class TestCli:
         reports = read_reports_csv(run_dir / "reports.csv")
         assert reports[0].t == 0.0
         assert reports[-1].t == verdict["times"][-1] < payload["horizon"]
-        assert (run_dir / f"{table}.csv").exists()
+        assert len(verdict[series]) == len(verdict["times"])
 
     @pytest.mark.parametrize(
         "command, grid, nu, scheme",
@@ -930,9 +939,8 @@ class TestCli:
         capsys.readouterr()
         verdict = json.loads((out / "klainerman" / "verdict.json").read_text())
         assert verdict["max_ratio"] > 0
-        name, _, rows = read_table_csv(out / "klainerman" / "ratio_series.csv")
-        assert name == "ratio_series"
-        assert len(rows) >= 2
+        assert len(verdict["times"]) >= 2
+        assert len(verdict["ratios"]) == len(verdict["support_radii"]) == len(verdict["times"])
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -996,8 +1004,9 @@ class TestCli:
         capsys.readouterr()
         verdict = json.loads((out / "linreg" / "verdict.json").read_text())
         assert verdict["worst_margin"] >= -verdict["tol"]
-        name, _, rows = read_table_csv(out / "linreg" / "margin_series.csv")
-        assert name == "margin_series"
+        assert verdict["holds"] is True
+        for series in ("lhs", "rhs", "margins"):
+            assert len(verdict[series]) == len(verdict["times"])
 
     def test_linreg_writes_the_solver_result(self, tmp_path, capsys) -> None:
         """The subcommand's series are solve_linear_forced's on the config's data,
@@ -1019,11 +1028,13 @@ class TestCli:
         cfg = parse_config(json.dumps(payload))
         direct = solve_linear_forced(
             *initial_data(cfg), _forcing_factory(cfg), cfg.horizon, cfg.params,
-            dt=cfg.dt, cfl=cfg.cfl, report_every=cfg.report_every, tol=cfg.linreg.tol,
+            dt=cfg.dt, cfl=cfg.cfl, report_every=cfg.report_every,
         )
         assert verdict["times"] == list(direct.times)
         assert verdict["lhs"] == list(direct.lhs)
         assert verdict["rhs"] == list(direct.rhs)
+        assert verdict["margins"] == list(direct.margins)
+        assert verdict["holds"] is direct.holds(cfg.linreg.tol) is True
         assert verdict["times"][-1] == cfg.horizon
 
     def test_linreg_steps_at_the_configured_cfl(self, tmp_path, capsys) -> None:
@@ -1040,8 +1051,21 @@ class TestCli:
             dt = _LINREG["horizon"] / steps
             recorded = [k for k in range(1, steps + 1) if k % 10 == 0 or k == steps]
             assert verdict["times"] == [0.0] + [k * dt for k in recorded]
-            series[cfl] = (out / "linreg" / "margin_series.csv").read_bytes()
+            series[cfl] = [verdict[key] for key in ("times", "lhs", "rhs", "margins")]
         assert series[0.1] != series[0.4]
+
+    def test_linreg_failed_inequality_writes_then_exits_4(self, tmp_path, capsys) -> None:
+        """An inequality that fails beyond linreg.tol is the run's verdict,
+        holds false, and the command exits 4 after writing its directory."""
+        path = _write_config(tmp_path, "unresolved.json", _UNRESOLVED_LINREG)
+        out = tmp_path / "res"
+        assert main(["linreg", "--config", path, "--out", str(out)]) == 4
+        assert "run failed: linreg ended with lhs > rhs * (1 + 0.01) -> " in capsys.readouterr().err
+        verdict = json.loads((out / "linreg" / "verdict.json").read_text())
+        assert verdict["holds"] is False
+        assert verdict["worst_margin"] < -verdict["tol"]
+        assert verdict["times"][-1] == 0.3
+        assert verdict["lhs"][-1] > verdict["rhs"][-1] * 1.01
 
     def test_horizon_override_applies(self, tmp_path, capsys) -> None:
         cfg = _write_config(tmp_path, "sim.json", _FAST_SIM)
@@ -1060,22 +1084,19 @@ _TINY = {
     "horizon": 0.5,
 }
 
-# One tiny run per subcommand: its config, its summary line and the table it
-# writes beside config.json, reports.csv and verdict.json.
+# One tiny run per subcommand: its config and its summary line.
 _RUNS = [
-    ("simulate", _TINY, "3 reports, cause = horizon_reached", None),
-    ("sweep", {**_TINY, "sweep": {"eps_list": [0.2, 0.1]}}, "2 points, slope = none", "sweep_rows"),
+    ("simulate", _TINY, "3 reports, cause = horizon_reached"),
+    ("sweep", {**_TINY, "sweep": {"eps_list": [0.2, 0.1]}}, "2 points, slope = none"),
     (
         "stability",
         {**_TINY, "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.05}},
         "c2 = 0.0000, envelope_ok = True",
-        "stability_series",
     ),
     (
         "decay",
         {**_TINY, "params": {"nu": 1.0}, "scheme": "imex", "decay": {"m": 2}},
         "monotone_ok = True, bound_ok = True",
-        "decay_series",
     ),
     (
         "klainerman",
@@ -1087,9 +1108,8 @@ _RUNS = [
             "report_every": 16,
         },
         "max ratio = 0.2112",
-        "ratio_series",
     ),
-    ("linreg", {**_TINY, "params": {"nu": 0.5, "eps": 0.2}}, "worst margin = 0", "margin_series"),
+    ("linreg", {**_TINY, "params": {"nu": 0.5, "eps": 0.2}}, "worst margin = 0"),
 ]
 
 _NOISE = {**_TINY, "stability": {"perturbation": "noise"}}
@@ -1099,12 +1119,12 @@ _SUBCOMMANDS = ("simulate", "sweep", "stability", "decay", "klainerman", "linreg
 
 
 class TestOneWriter:
-    @pytest.mark.parametrize("command, payload, summary, table", _RUNS, ids=[run[0] for run in _RUNS])
+    @pytest.mark.parametrize("command, payload, summary", _RUNS, ids=[run[0] for run in _RUNS])
     def test_run_subcommands_share_one_layout(
-        self, tmp_path, monkeypatch, capsys, command, payload, summary, table
+        self, tmp_path, monkeypatch, capsys, command, payload, summary
     ) -> None:
-        """Each run prints one summary line and writes the common files plus its
-        table, byte for byte the same on a second run."""
+        """Each run prints one summary line and writes exactly the four common
+        files, byte for byte the same on a second run."""
         written = []
         for run in ("a", "b"):
             (tmp_path / run).mkdir()
@@ -1113,8 +1133,7 @@ class TestOneWriter:
             assert main([command, "--config", cfg, "--out", "res"]) == 0
             assert capsys.readouterr() == (f"{command}: {summary} -> {Path('res', command)}\n", "")
             written.append({p.name: p.read_bytes() for p in (tmp_path / run / "res" / command).iterdir()})
-        common = {"config.json", "reports.csv", "telemetry.json", "verdict.json"}
-        assert set(written[0]) == common | ({f"{table}.csv"} if table else set())
+        assert set(written[0]) == {"config.json", "reports.csv", "telemetry.json", "verdict.json"}
         assert written[0] == written[1]
 
     @pytest.mark.parametrize(
@@ -1292,6 +1311,7 @@ class TestNoTraceback:
         @example(data=_KLAINERMAN_DRAWS[0])
         @example(data=_KLAINERMAN_DRAWS[1])
         @example(data=_KLAINERMAN_DRAWS[2])
+        @example(data=_UNRESOLVED_LINREG)
         @settings(max_examples=100, deadline=None, derandomize=True)
         def every_subcommand(data) -> None:
             data = _capped(data)

@@ -1,8 +1,8 @@
-"""Tests for the on-disk formats: report tables and experiment directories.
+"""Tests for the on-disk formats: the report table and experiment directories.
 
-Every format is checked for exact round-tripping (bit-level for float64
-payloads, including NaN columns), header/version rejection, and the
-experiment directory layout.
+The report table is checked for exact round-tripping (bit-level for float64
+payloads, including NaN columns) and header rejection, and the experiment
+directory for its layout.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from kuzlab.io import (
     report_columns,
     write_experiment_dir,
     write_reports_csv,
-    write_table_csv,
 )
-from helpers import read_table_csv
 
 
 def _assert_reports_equal(got, expected) -> None:
@@ -89,23 +87,6 @@ class TestReportTables:
         assert read_reports_csv(path) == ()
 
 
-class TestGenericTable:
-    def test_round_trip_with_none_cells(self, tmp_path) -> None:
-        rows = [[0.1, 5.0, "spectral_under_resolution", 0.5], [0.2, None, "horizon_reached", None]]
-        path = write_table_csv(tmp_path / "sweep.csv", "sweep_rows", ["eps", "t_star", "cause", "scaled"], rows)
-        name, columns, loaded = read_table_csv(path)
-        assert name == "sweep_rows"
-        assert columns == ["eps", "t_star", "cause", "scaled"]
-        assert loaded[0] == ["0.1", "5.0", "spectral_under_resolution", "0.5"]
-        assert loaded[1] == ["0.2", "", "horizon_reached", ""]
-
-    def test_header_required(self, tmp_path) -> None:
-        path = tmp_path / "table.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            read_table_csv(path)
-
-
 class TestJsonable:
     def test_dataclass_enum_array_conversion(self) -> None:
         p = PhysicalParams(alpha=1.0, beta=2.0)
@@ -127,15 +108,11 @@ class TestExperimentDir:
             '{"model": "wave"}\n',
             reports,
             verdict,
-            tables={"extra_series": (["t", "value"], [[0.0, 1.0], [0.5, 0.9]])},
         )
         assert out == tmp_path / "demo-run"
+        assert {path.name for path in out.iterdir()} == {"config.json", "reports.csv", "verdict.json"}
         assert (out / "config.json").read_text() == '{"model": "wave"}\n'
         _assert_reports_equal(read_reports_csv(out / "reports.csv"), reports)
         import json
 
         assert json.loads((out / "verdict.json").read_text()) == verdict
-        name, columns, rows = read_table_csv(out / "extra_series.csv")
-        assert name == "extra_series"
-        assert columns == ["t", "value"]
-        assert len(rows) == 2
