@@ -525,21 +525,20 @@ def initial_data_bound_check(
     u1: Field,
     p: PhysicalParams,
     m: int,
-    kind: ModelKind = ModelKind.KUZNETSOV,
 ) -> InitialDataBoundReport:
-    """Check the cascade bounds at t = 0 for k = 0..m/2.
+    """Check the Kuznetsov cascade bounds at t = 0 for k = 0..m/2.
 
     Precondition: ||1/(1 - alpha eps u_1)||_inf <= 2, i.e. the factor stays
     at or above 1/2; violating data is rejected.
     """
     order = half_m_jet_order(m)
-    factor_min = hyperbolicity_factor(u1, p, kind)
+    factor_min = hyperbolicity_factor(u1, p)
     if factor_min < 0.5:
         raise ValueError(
             f"initial data too large: min(1 - alpha eps u1) = {factor_min:.6g} < 1/2"
         )
     state = SimState(u=u0, v=u1)
-    jet = build_jet(state, p, order, kind)
+    jet = build_jet(state, p, order)
     grid = u0.grid
     rhs_base = math.sqrt(
         _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)

@@ -62,6 +62,8 @@ from .jets import build_jet
 
 DEFAULT_TAIL_THRESHOLD = 0.01
 DEFAULT_SUPPORT_FRACTION = 0.4
+DEFAULT_C2_CAP = 100.0
+DEFAULT_SLACK_REL = 1e-8
 
 
 class BreakdownCause(Enum):
@@ -119,21 +121,14 @@ class SweepResult:
     the theory bounds away from zero. Rows whose run reached the horizon
     are tainted: listed, but excluded from the fit, as are rows that ended
     at t* = 0 (data on the hyperbolicity floor). The rest are the clean
-    rows; the fit is skipped (slope None) with fewer than two of them.
+    rows (SweepRow.clean); the fit is skipped (slope None) with fewer than
+    two of them.
     """
 
     n: int
     rows: tuple[SweepRow, ...]
     slope: float | None
     intercept: float | None
-
-    @property
-    def tainted(self) -> tuple[float, ...]:
-        return tuple(r.eps for r in self.rows if r.cause is BreakdownCause.HORIZON)
-
-    @property
-    def clean_rows(self) -> tuple[SweepRow, ...]:
-        return tuple(r for r in self.rows if r.clean)
 
 
 def check_eps_list(eps_list: Sequence[float]) -> None:
@@ -410,7 +405,7 @@ class StabilityResult:
     reports: tuple[EnergyReport, ...] = ()
     cause: BreakdownCause = BreakdownCause.HORIZON
 
-    def envelope_ok(self, cap: float = 100.0) -> bool:
+    def envelope_ok(self, cap: float = DEFAULT_C2_CAP) -> bool:
         return (
             self.resolved
             and not self.uniqueness_flag
@@ -538,7 +533,7 @@ def viscous_decay_experiment(
     cfl: float = DEFAULT_CFL,
     report_every: int = 10,
     env: EnvelopeParams | None = None,
-    slack_rel: float = 1e-8,
+    slack_rel: float = DEFAULT_SLACK_REL,
 ) -> ViscousDecayResult:
     """Verify the small-data global decay claims on one viscous run.
 
@@ -667,8 +662,10 @@ def klainerman_experiment(
     the smallest box side, where the periodic wrap-around invalidates the
     weights; that state is still recorded. The support radius never
     exceeds half the smallest side, so support_fraction must lie in
-    (0, 1/2) for the monitor to be able to trip. Data that start at the
-    hyperbolicity floor end the run at t = 0 with one NaN ratio.
+    (0, 1/2) for the monitor to be able to trip. The monitor is the only
+    check of the support: data already past the limit end the run at t = 0
+    (cause SUPPORT) with one record. Data that start at the hyperbolicity
+    floor end the run at t = 0 with one NaN ratio.
 
     Raises:
         ValueError: support_fraction outside (0, 1/2).

@@ -257,12 +257,6 @@ class Field:
     def zeros(cls, grid: Grid) -> Field:
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> Field:
-        """Sample fn(x_1, ..., x_n) on the grid coordinates."""
-        coords = [grid.coordinate_mesh(axis) for axis in range(grid.n)]
-        return cls(grid, np.asarray(fn(*coords), dtype=np.float64))
-
 
 # Array-level kernels.  Public Field operations and the time integrators share
 # these so that cross-module consistency is exact, not merely approximate.

@@ -84,12 +84,12 @@ class Jet:
             spec = self._spectra[k] = _to_spectral(self.grid, self.layer(k).values)
         return spec
 
-    def shift_time(self, k: int = 1) -> Jet:
-        """Jet of w = d_t^k u: drops the lowest k layers."""
-        self.require(k, f"a shift by {k}")
-        shifted = Jet(self.grid, self.layers[k:])
-        shifted._spectra.update((i - k, s) for i, s in self._spectra.items() if i >= k)
-        shifted._gradients.update((i - k, g) for i, g in self._gradients.items() if i >= k)
+    def shift_time(self) -> Jet:
+        """Jet of w = d_t u: drops the lowest layer."""
+        self.require(1, "a shift in time")
+        shifted = Jet(self.grid, self.layers[1:])
+        shifted._spectra.update((i - 1, s) for i, s in self._spectra.items() if i >= 1)
+        shifted._gradients.update((i - 1, g) for i, g in self._gradients.items() if i >= 1)
         return shifted
 
     def shift_space(self, axis: int) -> Jet:
@@ -121,10 +121,6 @@ class MultiIndex:
     @property
     def spatial_orders(self) -> tuple[int, ...]:
         return self.orders[1:]
-
-    @property
-    def total(self) -> int:
-        return sum(self.orders)
 
     @property
     def spatial_total(self) -> int:

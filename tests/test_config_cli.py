@@ -474,11 +474,6 @@ class TestPresets:
         assert float(np.max(np.abs(u1.values))) == 0.0
         assert float(np.max(u0.values)) == pytest.approx(0.01, rel=1e-12)
 
-    def test_gaussian_support_rejection(self) -> None:
-        grid = Grid.cube(1, 64)  # 2 pi box; monitor limit 0.4 * 2 pi
-        with pytest.raises(ConfigError, match="width"):
-            materialize_preset(GaussianBump(width=2.0), grid)
-
     def test_mean_zero_periodic_is_mean_zero(self) -> None:
         grid = Grid.cube(2, 32)
         u0, u1 = materialize_preset(MeanZeroPeriodic(mode=(2, 1), amplitude=0.05), grid)
@@ -595,6 +590,14 @@ _BREAKING = {
     "horizon": 30.0,
 }
 
+
+# A Gaussian of radius 3.14 (relative level 1e-8) on the 2 pi box, past the
+# Klainerman monitor's default limit 0.4 * 2 pi.
+_WIDE_GAUSSIAN = {
+    "grid": {"n": 1, "points": 64},
+    "preset": {"kind": "gaussian_bump", "width": 2.0},
+    "horizon": 0.5,
+}
 
 # The forced linear problem on 64 points: the CFL step at cfl 0.4 takes 26 steps to t = 1.
 _LINREG = {"grid": {"n": 1, "points": 64}, "params": {"nu": 0.5, "eps": 0.2}, "horizon": 1.0}
@@ -941,6 +944,49 @@ class TestCli:
         assert verdict["max_ratio"] > 0
         assert len(verdict["times"]) >= 2
         assert len(verdict["ratios"]) == len(verdict["support_radii"]) == len(verdict["times"])
+
+    def test_klainerman_support_limit_is_the_configured_fraction(self, tmp_path, capsys) -> None:
+        """A bump of radius 17.5 on a side of 40 fits the limit 0.49 * 40 = 19.6
+        that the run monitors, though not the default fraction's 16."""
+        payload = {
+            "grid": {"n": 1, "points": 128, "lengths": 40.0, "origin_centered": True},
+            "preset": {"kind": "zero_velocity_gaussian", "width": 2.9},
+            "klainerman": {"support_fraction": 0.49},
+            "horizon": 0.5,
+        }
+        cfg = _write_config(tmp_path, "wide.json", payload)
+        out = tmp_path / "res"
+        assert main(["klainerman", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        verdict = json.loads((out / "klainerman" / "verdict.json").read_text())
+        assert verdict["cause"] == "horizon_reached"
+        assert verdict["times"] == [0.0, 0.5]
+        assert verdict["support_radii"] == [17.5, 19.375]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "stability"])
+    def test_wide_gaussian_runs_without_a_support_monitor(self, tmp_path, capsys, command) -> None:
+        """A bump of radius 3.14 on the 2 pi box: only klainerman limits a support."""
+        cfg = _write_config(tmp_path, "wide.json", _WIDE_GAUSSIAN)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        capsys.readouterr()
+
+    def test_klainerman_data_past_the_limit_end_at_t0(self, tmp_path, capsys) -> None:
+        """The support monitor is the only check of the support: at the default
+        fraction the bump of radius 3.14 passes the limit 0.4 * 2 pi at t = 0."""
+        payload = {
+            "grid": {"n": 1, "points": 64, "origin_centered": True},
+            "preset": {"kind": "zero_velocity_gaussian", "width": 2.0},
+            "horizon": 0.5,
+        }
+        cfg = _write_config(tmp_path, "wide.json", payload)
+        out = tmp_path / "res"
+        assert main(["klainerman", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "run failed: klainerman ended by support_wraparound at t = 0 " in err
+        verdict = json.loads((out / "klainerman" / "verdict.json").read_text())
+        assert verdict["cause"] == "support_wraparound"
+        assert verdict["times"] == [0.0]
+        assert verdict["support_radii"][0] >= experiments.DEFAULT_SUPPORT_FRACTION * 2.0 * math.pi
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -350,7 +350,7 @@ class TestKlainerman:
                 fx,               # d_x
             ]
 
-        pieces_t = words_applied(jet.shift_time(1))
+        pieces_t = words_applied(jet.shift_time())
         pieces_x = words_applied(jet.shift_space(0))
         density_total = np.zeros(grid.shape)
         density_sup = np.zeros(grid.shape)
@@ -407,7 +407,7 @@ class TestKlainerman:
         jet = build_jet(state, p, 3)
         t = state.t
         plain = Jet(grid, jet.layers)
-        sources = [plain.shift_time(1)]
+        sources = [plain.shift_time()]
         sources += [Jet(grid, plain.layers[:3]).shift_space(axis) for axis in range(n)]
         e_1 = e_1_sup = 0.0
         density_sup = np.zeros(grid.shape)
@@ -450,7 +450,7 @@ class TestKlainerman:
         for swept_fields, applied_fields in zip(swept, applied):
             for values, expected in zip(swept_fields, applied_fields):
                 assert np.array_equal(values, expected)
-        shifted = jet.shift_time(1)
+        shifted = jet.shift_time()
         for values, word in zip(swept[0], gamma_words(n, 2)):
             assert np.array_equal(values, apply_gamma(shifted, t, word).values)
 

@@ -70,8 +70,8 @@ class TestSweepRows:
             SweepRow(0.4, 1.0, BreakdownCause.HYPERBOLICITY, 0.4),
         )
         result = SweepResult(1, rows, None, None)
-        assert result.tainted == (0.2,)
-        assert tuple(r.eps for r in result.clean_rows) == (0.1, 0.4)
+        assert tuple(r.eps for r in result.rows if r.cause is BreakdownCause.HORIZON) == (0.2,)
+        assert tuple(r.eps for r in result.rows if r.clean) == (0.1, 0.4)
 
     def test_scaled_lifespan_forms(self) -> None:
         assert _scaled_lifespan(1, 0.1, 5.0) == pytest.approx(0.5)
@@ -228,7 +228,7 @@ class TestLifespanSweep:
         result = lifespan_sweep(_smooth_pair(grid), [0.05, 0.1], PhysicalParams(), horizon=0.5)
         assert all(r.cause is BreakdownCause.HORIZON for r in result.rows)
         assert result.slope is None and result.intercept is None
-        assert result.tainted == (0.05, 0.1)
+        assert not any(r.clean for r in result.rows)
 
     def test_single_point_has_no_fit(self) -> None:
         grid = Grid.cube(1, 64)
@@ -255,7 +255,7 @@ class TestLifespanSweep:
         ends = {r.eps: (r.t_star, r.cause) for r in result.rows}
         assert ends[0.3] == (0.0, BreakdownCause.HYPERBOLICITY)
         assert ends[0.05][1] is BreakdownCause.SPECTRAL
-        assert tuple(r.eps for r in result.clean_rows) == (0.05,)
+        assert tuple(r.eps for r in result.rows if r.clean) == (0.05,)
         assert result.slope is None and result.intercept is None
 
     @pytest.mark.parametrize("scheme,nu", [(Scheme.EXPLICIT_RK4, 0.0), (Scheme.IMEX, 0.05)])
@@ -286,7 +286,7 @@ class TestLifespanSweep:
             0.6: BreakdownCause.SPECTRAL,
             0.99: BreakdownCause.HYPERBOLICITY,
         }
-        clean = result.clean_rows
+        clean = [r for r in result.rows if r.clean]
         slope, intercept = np.polyfit(np.log([r.eps for r in clean]), np.log([r.t_star for r in clean]), 1)
         assert (result.slope, result.intercept) == (float(slope), float(intercept))
 

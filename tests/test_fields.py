@@ -106,18 +106,12 @@ class TestField:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
-    def test_from_function(self) -> None:
-        grid = Grid.cube(2, 16)
-        f = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
-        x, y = grid.coordinate_mesh(0), grid.coordinate_mesh(1)
-        np.testing.assert_allclose(f.values, np.sin(x) * np.cos(y))
-
 
 class TestDerivatives:
     def test_sine_derivative_exact(self) -> None:
         """Single Fourier modes differentiate to machine precision."""
         grid = Grid.cube(1, 64, length=2.0 * math.pi)
-        f = Field.from_function(grid, np.sin)
+        f = Field(grid, np.sin(grid.coordinate_mesh(0)))
         df = spatial_derivative(f, 0)
         np.testing.assert_allclose(df.values, np.cos(grid.coordinate_mesh(0)), atol=1e-13)
 

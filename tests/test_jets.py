@@ -69,7 +69,6 @@ class TestMultiIndex:
         a = MultiIndex((2, 1, 3))
         assert a.time_order == 2
         assert a.spatial_orders == (1, 3)
-        assert a.total == 6
         assert a.spatial_total == 4
 
     def test_validation(self) -> None:
