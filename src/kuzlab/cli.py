@@ -1,5 +1,7 @@
 """Command-line entry points composing the experiment drivers.
 
+The CLI only wires a config to a driver: every field a run reads (initial
+data, the stability perturbation, the linreg forcing) comes from ``config``.
 Every subcommand reads one JSON config (--config) and applies the documented
 overrides through ``with_overrides``, which re-parses the config, so an
 override is checked like the key it replaces. It runs the matching driver
@@ -29,15 +31,14 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import dynamics, fields
 from .config import (
     RunConfig,
     initial_data,
+    linreg_forcing,
     parse_config,
     serialize_config,
-    sine_phase,
+    stability_perturbation,
     with_overrides,
 )
 from .dynamics import SimState, hyperbolicity_guard
@@ -51,7 +52,7 @@ from .experiments import (
     stability_experiment,
     viscous_decay_experiment,
 )
-from .fields import Field, FloatArray, dealias_values, linf_norm
+from .fields import Field, linf_norm
 from .io import dumps_strict, jsonable, write_experiment_dir
 
 _EXIT_OK = 0
@@ -157,25 +158,8 @@ def _cmd_sweep(command: str, cfg: RunConfig) -> int:
     return _finish(command, cfg, result, summary)
 
 
-def _perturbation(cfg: RunConfig) -> FloatArray | None:
-    """What the stability options add to u0 for the second pair (None: nothing)."""
-    opts = cfg.stability
-    grid = cfg.grid
-    if opts.perturbation_amplitude == 0.0:
-        return None
-    if opts.perturbation == "sine":
-        mode = opts.perturbation_mode
-        if len(mode) != grid.n:
-            raise ConfigError("stability.perturbation_mode", f"{len(mode)} components for a {grid.n}d grid")
-        return opts.perturbation_amplitude * np.sin(sine_phase(grid, mode))
-    rng = np.random.default_rng(cfg.seed)
-    noise = dealias_values(grid, rng.standard_normal(grid.shape))
-    peak = float(np.max(np.abs(noise)))
-    return (opts.perturbation_amplitude / peak) * noise if peak > 0.0 else noise
-
-
 def _cmd_stability(command: str, cfg: RunConfig) -> int:
-    delta = _perturbation(cfg)  # a config error goes before the data guards
+    delta = stability_perturbation(cfg)  # a config error goes before the data guards
     u_data = initial_data(cfg)
     v_data = u_data if delta is None else (Field(cfg.grid, u_data[0].values + delta), u_data[1])
     result = stability_experiment(
@@ -229,25 +213,12 @@ def _cmd_klainerman(command: str, cfg: RunConfig) -> int:
     return _finish(command, cfg, result, summary, reports=result.reports, extra=extra)
 
 
-def _forcing_factory(cfg: RunConfig) -> Callable[[float], Field]:
-    opts = cfg.linreg
-    grid = cfg.grid
-    if len(opts.forcing_mode) != grid.n:
-        raise ConfigError("linreg.forcing_mode", f"{len(opts.forcing_mode)} components for a {grid.n}d grid")
-    profile = np.sin(sine_phase(grid, opts.forcing_mode))
-
-    def f(t: float) -> Field:
-        return Field(grid, opts.forcing_amplitude * math.cos(opts.forcing_omega * t) * profile)
-
-    return f
-
-
 def _cmd_linreg(command: str, cfg: RunConfig) -> int:
     if cfg.params.nu <= 0.0:
         raise ConfigError("params.nu", "linreg solves the damped linear problem and needs nu > 0")
     if cfg.params.c > 1.0:
         raise ConfigError("params.c", "linreg's inequality is calibrated for c <= 1")
-    forcing = _forcing_factory(cfg)  # a config error goes before the data guards
+    forcing = linreg_forcing(cfg)  # a config error goes before the data guards
     u0, u1 = initial_data(cfg)
     result = dynamics.solve_linear_forced(
         u0,

@@ -1,4 +1,9 @@
-"""Run configuration: strict JSON schema, presets, threshold-relative data.
+"""Run configuration: strict JSON schema, and every field a run reads.
+
+A config turns into fields here and nowhere else: ``initial_data`` (the
+preset, threshold-scaled when asked), ``stability_perturbation`` and
+``linreg_forcing``. ``_check_arity`` is the one rule that a mode or center
+has one component per axis, for the preset and both option sections.
 
 The dataclasses below are the schema: one walker (``_decode``/``_encode``)
 reads each field's annotation, rejects unknown keys by dotted path and gives
@@ -48,7 +53,7 @@ from .experiments import (
     check_report_every,
     check_support_fraction,
 )
-from .fields import Field, FloatArray, Grid
+from .fields import Field, FloatArray, Grid, dealias_values
 
 
 @dataclass(frozen=True)
@@ -369,29 +374,29 @@ def serialize_config(cfg: RunConfig) -> str:
     return json.dumps(_encode(cfg), indent=2) + "\n"
 
 
+def _check_arity(path: str, values: tuple[Any, ...], grid: Grid) -> None:
+    """A mode or a center, at a dotted path, needs one component per axis."""
+    if len(values) != grid.n:
+        name = path.rpartition(".")[2]
+        raise ConfigError(path, f"{name} has {len(values)} components, grid has {grid.n}")
+
+
 def _check_preset_arity(preset: Preset, grid: Grid) -> None:
     """A sine mode, and a Gaussian center when one is given, need one component per axis."""
     name = "center" if isinstance(preset, (GaussianBump, ZeroVelocityGaussian)) else "mode"
-    count = len(getattr(preset, name))
-    if count != grid.n and (count or name == "mode"):
-        raise ConfigError(f"preset.{name}", f"{name} has {count} components, grid has {grid.n}")
-
-
-def _box_center(grid: Grid) -> tuple[float, ...]:
-    if grid.origin_centered:
-        return (0.0,) * grid.n
-    return tuple(length / 2.0 for length in grid.lengths)
+    if getattr(preset, name) or name == "mode":
+        _check_arity(f"preset.{name}", getattr(preset, name), grid)
 
 
 def _gaussian_values(grid: Grid, center: tuple[float, ...], width: float, amplitude: float):
-    center = center if center else _box_center(grid)
+    center = center if center else grid.center
     r2 = np.zeros(grid.shape)
     for axis in range(grid.n):
         r2 = r2 + (grid.coordinate_mesh(axis) - center[axis]) ** 2
     return amplitude * np.exp(-r2 / (2.0 * width**2))
 
 
-def sine_phase(grid: Grid, mode: tuple[int, ...]) -> FloatArray:
+def _sine_phase(grid: Grid, mode: tuple[int, ...]) -> FloatArray:
     """k.x on the grid for the box wave vector k_axis = 2 pi mode[axis] / L_axis."""
     phase = np.zeros(grid.shape)
     for axis in range(grid.n):
@@ -400,7 +405,7 @@ def sine_phase(grid: Grid, mode: tuple[int, ...]) -> FloatArray:
 
 
 def _sine_values(grid: Grid, mode: tuple[int, ...], amplitude: float):
-    phase = sine_phase(grid, mode)
+    phase = _sine_phase(grid, mode)
     k_norm = math.sqrt(sum((2.0 * math.pi * m / length) ** 2 for m, length in zip(mode, grid.lengths)))
     return amplitude * np.sin(phase), -amplitude * k_norm * np.cos(phase)
 
@@ -456,6 +461,34 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
         if abs(ratio - 1.0) < 1e-12:
             break
     return Field(cfg.grid, scale * values0), Field(cfg.grid, scale * values1)
+
+
+def stability_perturbation(cfg: RunConfig) -> FloatArray | None:
+    """What the stability options add to u0 for the second pair (None: nothing)."""
+    opts = cfg.stability
+    grid = cfg.grid
+    if opts.perturbation_amplitude == 0.0:
+        return None
+    if opts.perturbation == "sine":
+        _check_arity("stability.perturbation_mode", opts.perturbation_mode, grid)
+        return opts.perturbation_amplitude * np.sin(_sine_phase(grid, opts.perturbation_mode))
+    rng = np.random.default_rng(cfg.seed)
+    noise = dealias_values(grid, rng.standard_normal(grid.shape))
+    peak = float(np.max(np.abs(noise)))
+    return (opts.perturbation_amplitude / peak) * noise if peak > 0.0 else noise
+
+
+def linreg_forcing(cfg: RunConfig) -> Callable[[float], Field]:
+    """The linreg forcing, t -> amplitude cos(omega t) sin(k.x) for the configured mode."""
+    opts = cfg.linreg
+    grid = cfg.grid
+    _check_arity("linreg.forcing_mode", opts.forcing_mode, grid)
+    profile = np.sin(_sine_phase(grid, opts.forcing_mode))
+
+    def f(t: float) -> Field:
+        return Field(grid, opts.forcing_amplitude * math.cos(opts.forcing_omega * t) * profile)
+
+    return f
 
 
 def with_overrides(

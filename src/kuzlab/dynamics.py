@@ -68,6 +68,7 @@ from .fields import (
     Field,
     FloatArray,
     Grid,
+    _l2_sq,
     _quadrature,
     _to_physical,
     _to_spectral,
@@ -97,9 +98,9 @@ class Scheme(Enum):
 class PhysicalParams:
     """Sound speed, viscosity, perturbation scale, and nonlinearity strengths.
 
-    The physical regime has alpha = (gamma - 1)/c^2, beta = 2 and
-    nu = delta/rho_0; use :meth:`from_gamma` for that preset.  hyp_floor is
-    the breakdown threshold on the factor 1 - alpha*eps*u_t.
+    A gas of adiabatic exponent gamma has alpha = (gamma - 1)/c^2, beta = 2
+    and nu = delta/rho_0, given as they are: the class holds alpha, not gamma.
+    hyp_floor is the breakdown threshold on the factor 1 - alpha*eps*u_t.
     """
 
     c: float = 1.0
@@ -123,23 +124,6 @@ class PhysicalParams:
             raise ValueError("alpha and beta must be positive")
         if not 0.0 < self.hyp_floor < 1.0:
             raise ValueError("hyp_floor must lie in (0, 1)")
-
-    @classmethod
-    def from_gamma(
-        cls,
-        c: float = 1.0,
-        nu: float = 0.0,
-        eps: float = 0.1,
-        gamma: float = 1.4,
-        hyp_floor: float = DEFAULT_HYP_FLOOR,
-    ) -> PhysicalParams:
-        """Physical preset alpha = (gamma - 1)/c^2, beta = 2."""
-        return cls(c=c, nu=nu, eps=eps, alpha=(gamma - 1.0) / c**2, beta=2.0, hyp_floor=hyp_floor)
-
-    @property
-    def gamma(self) -> float:
-        """Adiabatic exponent implied by alpha = (gamma - 1)/c^2."""
-        return 1.0 + self.alpha * self.c**2
 
 
 def effective_coefficients(p: PhysicalParams, kind: ModelKind) -> tuple[float, float, float]:
@@ -729,8 +713,7 @@ def _support_radius(grid: Grid, u: FloatArray, v: FloatArray) -> FloatArray:
     for axis in range(grid.n):
         # The largest distance over active points, by the coordinates they reach.
         reached = active.any(axis=tuple(a for a in grid.axes if a != axis - grid.n))
-        center = 0.0 if grid.origin_centered else grid.lengths[axis] / 2.0
-        dist = np.abs(grid.axis_coordinates(axis) - center)
+        dist = np.abs(grid.axis_coordinates(axis) - grid.center[axis])
         radius = np.maximum(radius, np.where(reached, dist, 0.0).max(axis=-1))
     return radius
 
@@ -805,11 +788,7 @@ def solve_linear_forced(
     nu_eps = _damping(p, kind, p.eps)
     index, *tables = _propagator(grid, dt, p.c, nu_eps)
     e00, e01, e10, e11 = (t[..., index] for t in tables)
-    cell = grid.cell_volume
     k_fourth = grid.k_squared**2
-
-    def l2_sq(values: FloatArray) -> float:
-        return cell * float(np.sum(values**2))
 
     def grad_sq(spec: ComplexArray) -> float:
         return _quadrature(grid, spec, weight=grid.gradient_weight)
@@ -826,7 +805,7 @@ def solve_linear_forced(
     force_int = 0.0
     lap_sq_prev = lap_sq(u_hat)
     f_prev = f(0.0)
-    f_sq_prev = l2_sq(f_prev.values)
+    f_sq_prev = _l2_sq(grid, f_prev.values)
     f1_hat = _to_spectral(grid, f_prev.values)
     rhs0 = 0.5 * grad_sq(v_hat) + 0.5 * lap_sq_prev
 
@@ -844,7 +823,7 @@ def solve_linear_forced(
             e10 * u_hat + e11 * base_v + half * f2_hat,
         )
         lap_sq_now = lap_sq(u_hat)
-        f_sq_now = l2_sq(f_next.values)
+        f_sq_now = _l2_sq(grid, f_next.values)
         diss_int += half * (lap_sq_prev + lap_sq_now)
         force_int += half * (f_sq_prev + f_sq_now)
         lap_sq_prev, f_sq_prev, f1_hat = lap_sq_now, f_sq_now, f2_hat

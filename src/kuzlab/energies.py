@@ -38,18 +38,15 @@ from .fields import (
     FloatArray,
     Grid,
     _derivative_multiplier,
+    _grad_sq,
+    _l2_sq,
     _quadrature,
     _to_physical,
-    _to_spectral,
     gradient_values,
     laplacian_values,
 )
 from .gamma import MAX_WORD_LENGTH, _term_factors, _word_values, expand_gamma, gamma_words
 from .jets import MAX_JET_ORDER, Jet, MultiIndex, apply_multi_derivative, build_jet
-
-
-def _l2_sq(grid: Grid, values) -> float:
-    return grid.cell_volume * float(np.sum(values**2))
 
 
 def _cube_sum(values: FloatArray) -> float:
@@ -59,11 +56,6 @@ def _cube_sum(values: FloatArray) -> float:
     cube = values * values
     cube *= values
     return float(np.sum(cube))
-
-
-def _grad_sq(grid: Grid, values: FloatArray) -> float:
-    """||grad f||^2 = sum_i ||d_i f||^2 from one forward transform."""
-    return _quadrature(grid, _to_spectral(grid, values), weight=grid.gradient_weight)
 
 
 def _grad_u_sq(state: SimState) -> float:
@@ -86,6 +78,12 @@ def nonlinear_energy_alpha(p: PhysicalParams, kind: ModelKind) -> float:
     return 2.0 / 3.0 * alpha_eff
 
 
+def _velocity_term(grid: Grid, v: FloatArray, p: PhysicalParams, kind: ModelKind) -> float:
+    """int (1 - alpha_E eps u_t) u_t^2, the velocity term of E_nonl and F_nu."""
+    alpha_e = nonlinear_energy_alpha(p, kind)
+    return _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * _cube_sum(v)
+
+
 def energy_nonl(
     state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV
 ) -> float:
@@ -94,11 +92,7 @@ def energy_nonl(
     Conserved for nu = 0, nonincreasing for nu > 0, and sandwiched between
     E/2 and 3E/2 while ||u_t||_inf <= 1/(2 alpha_E eps).
     """
-    grid = state.grid
-    alpha_e = nonlinear_energy_alpha(p, kind)
-    v = state.v.values
-    vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * _cube_sum(v)
-    return vt_term + p.c**2 * _grad_u_sq(state)
+    return _velocity_term(state.grid, state.v.values, p, kind) + p.c**2 * _grad_u_sq(state)
 
 
 def f_nu(state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV) -> float:
@@ -109,10 +103,9 @@ def f_nu(state: SimState, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETS
     the state.
     """
     grid = state.grid
-    alpha_e = nonlinear_energy_alpha(p, kind)
     _, beta_eff, _ = effective_coefficients(p, kind)
     v = state.v.values
-    vt_term = _l2_sq(grid, v) - alpha_e * p.eps * grid.cell_volume * _cube_sum(v)
+    vt_term = _velocity_term(grid, v, p, kind)
     # |grad u|^2 one component at a time: a carried component is read as it
     # is, a formed one squared in place and dropped before the next.
     carried = getattr(state._fsal, "grad_u", None)

@@ -48,7 +48,6 @@ from .dynamics import (
 from .energies import (
     EnergyReport,
     EnvelopeParams,
-    _grad_sq,
     half_m_jet_order,
     klainerman_record,
     make_report,
@@ -57,7 +56,7 @@ from .energies import (
     thresholds,
 )
 from .errors import GuardViolation, HyperbolicityBreakdown, StepRejected
-from .fields import Field, FloatArray, _to_physical, _to_spectral, linf_norm
+from .fields import Field, FloatArray, _grad_sq, _l2_sq, _to_physical, _to_spectral, linf_norm
 from .jets import build_jet
 
 DEFAULT_TAIL_THRESHOLD = 0.01
@@ -464,8 +463,7 @@ def stability_experiment(
 
     def record(states: list[SimState]) -> None:
         su, sv = states
-        dv = su.v.values - sv.v.values
-        d = grid.cell_volume * float(np.sum(dv * dv)) + _grad_sq(grid, su.u.values - sv.u.values)
+        d = _l2_sq(grid, su.v.values - sv.v.values) + _grad_sq(grid, su.u.values - sv.u.values)
         rows.append((su.t, d, a_accum, make_report(su, p, kind)))
 
     (_, cause), _ = _run(

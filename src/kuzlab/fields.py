@@ -13,6 +13,11 @@ Every norm of derivatives is one box-measure quadrature of
 m_k (1 + |k|^2)^s |f_k|^2 over the spectrum, ``_quadrature``, with m = 1 for
 H^s, ``Grid.gradient_weight`` for sum_i ||d_i f||^2 and |k|^4 for
 ||Lap f||^2; discrete and continuum norms agree on trigonometric polynomials.
+The two norms every energy is built from are written once, beside it:
+``_l2_sq``, ||f||^2 as the cell-volume sum of f^2, and ``_grad_sq``,
+||grad f||^2 from one forward transform. ``Grid.center`` is the one box
+centre (the origin on a centred grid, else L_i/2), from which the Gaussian
+presets are placed and the support monitor measures.
 
 Functions
 ---------
@@ -196,13 +201,24 @@ class Grid:
         return self._axis_view(w, self.n - 1)
 
     @cached_property
-    def dealias_mask(self) -> npt.NDArray[np.bool_]:
-        """True where all |mode index| <= N_i/3 (the 2/3 rule keeps these)."""
+    def center(self) -> tuple[float, ...]:
+        """The box centre: the origin on a centred grid, else (L_i/2)."""
+        if self.origin_centered:
+            return (0.0,) * self.n
+        return tuple(L / 2.0 for L in self.lengths)
+
+    def _band(self, fraction: float) -> npt.NDArray[np.bool_]:
+        """True where every |mode index| <= fraction * N_i."""
         keep = np.ones(self.spectral_shape, dtype=bool)
         for axis in range(self.n):
             j = np.abs(self.mode_indices(axis)).astype(np.float64)
-            keep &= self._axis_view(j, axis) <= self.points[axis] / 3.0
+            keep &= self._axis_view(j, axis) <= fraction * self.points[axis]
         return keep
+
+    @cached_property
+    def dealias_mask(self) -> npt.NDArray[np.bool_]:
+        """True where all |mode index| <= N_i/3 (the 2/3 rule keeps these)."""
+        return self._band(1.0 / 3.0)
 
     @cached_property
     def resolved_tail_mask(self) -> npt.NDArray[np.bool_]:
@@ -212,11 +228,7 @@ class Grid:
         shows up as energy accumulating against that band's outer edge; this
         mask selects the outer third of the band for the tail monitor.
         """
-        inner = np.ones(self.spectral_shape, dtype=bool)
-        for axis in range(self.n):
-            j = np.abs(self.mode_indices(axis)).astype(np.float64)
-            inner &= self._axis_view(j, axis) <= 2.0 * self.points[axis] / 9.0
-        return self.dealias_mask & ~inner
+        return self.dealias_mask & ~self._band(2.0 / 9.0)
 
     @cached_property
     def derivative_multipliers(self) -> tuple[ComplexArray, ...]:
@@ -372,6 +384,16 @@ def _quadrature(
     return grid.box_volume * float(np.sum(density))
 
 
+def _l2_sq(grid: Grid, values: FloatArray) -> float:
+    """||f||^2 by the cell-volume quadrature: cell volume * sum of f^2."""
+    return grid.cell_volume * float(np.sum(values**2))
+
+
+def _grad_sq(grid: Grid, values: FloatArray) -> float:
+    """||grad f||^2 = sum_i ||d_i f||^2 from one forward transform."""
+    return _quadrature(grid, _to_spectral(grid, values), weight=grid.gradient_weight)
+
+
 def sobolev_norm_values(grid: Grid, values: FloatArray, s: float) -> float:
     return math.sqrt(_quadrature(grid, _to_spectral(grid, values), s))
 
@@ -411,13 +433,11 @@ def sobolev_norm(f: Field, s: float) -> float:
 
 def l2_norm(f: Field) -> float:
     """Quadrature L^2 norm: sqrt(cell volume * sum of f^2)."""
-    return math.sqrt(f.grid.cell_volume * float(np.sum(f.values**2)))
+    return math.sqrt(_l2_sq(f.grid, f.values))
 
 
 def linf_norm(f: Field) -> float:
     """Grid maximum of |f|."""
-    if f.values.size == 0:
-        return 0.0
     return float(np.max(np.abs(f.values)))
 
 

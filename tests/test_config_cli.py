@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState, experiments
-from kuzlab.cli import _forcing_factory, main
+from kuzlab.cli import main
 from kuzlab.dynamics import cfl_dt, solve_linear_forced
 from kuzlab.config import (
     GaussianBump,
@@ -28,6 +28,7 @@ from kuzlab.config import (
     SineMode,
     ZeroVelocityGaussian,
     initial_data,
+    linreg_forcing,
     materialize_preset,
     parse_config,
     serialize_config,
@@ -1073,7 +1074,7 @@ class TestCli:
         verdict = json.loads((out / "linreg" / "verdict.json").read_text())
         cfg = parse_config(json.dumps(payload))
         direct = solve_linear_forced(
-            *initial_data(cfg), _forcing_factory(cfg), cfg.horizon, cfg.params,
+            *initial_data(cfg), linreg_forcing(cfg), cfg.horizon, cfg.params,
             dt=cfg.dt, cfl=cfg.cfl, report_every=cfg.report_every,
         )
         assert verdict["times"] == list(direct.times)

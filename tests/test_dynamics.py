@@ -51,11 +51,6 @@ from helpers import band_limited_field, count_ffts, single_mode
 
 
 class TestPhysicalParams:
-    def test_gamma_round_trip(self) -> None:
-        p = PhysicalParams.from_gamma(1.4)
-        assert p.gamma == pytest.approx(1.4, rel=1e-12)
-        assert p.alpha > 0.0 and p.beta > 0.0
-
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
             PhysicalParams(c=0.0)

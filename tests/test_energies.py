@@ -562,16 +562,18 @@ class TestAppendixDensities:
             state = _wave_state(grid, 2, 0.3, 0.4)
             assert out.i_int == pytest.approx(energy_wave(state, p), rel=1e-12)
 
-    def test_kuznetsov_matches_direct_recomputation(self) -> None:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_kuznetsov_matches_direct_recomputation(self, n: int) -> None:
         """Recompute I, J, and the dissipation for v = u_t from the jet layers
-        with explicit numpy arithmetic and the formulas as written."""
+        with explicit numpy arithmetic and the formulas as written; in 2-d the
+        coupling grad u . grad v_t sums over both axes."""
         from kuzlab.fields import gradient_values, laplacian_values
 
-        grid = Grid.cube(1, 128)
+        grid = Grid.cube(n, 128 if n == 1 else 32)
         p = PhysicalParams(alpha=1.0, beta=2.0, nu=0.5, eps=0.1)
-        state = SimState(single_mode(grid, (1,), 0.1), single_mode(grid, (2,), 0.05))
+        state = SimState(single_mode(grid, (1,) * n, 0.1), single_mode(grid, (2,) + (1,) * (n - 1), 0.05))
         jet = build_jet(state, p, 3, ModelKind.KUZNETSOV)
-        out = appendix_densities(jet, MultiIndex((1, 0)), p, ModelKind.KUZNETSOV)
+        out = appendix_densities(jet, MultiIndex((1,) + (0,) * n), p, ModelKind.KUZNETSOV)
 
         u, u_t, u_tt = (jet.layer(i).values for i in range(3))
         v, vt, vtt = u_t, u_tt, jet.layer(3).values

@@ -41,7 +41,7 @@ from kuzlab.experiments import (
     viscous_decay_experiment,
     _scaled_lifespan,
 )
-from kuzlab.fields import Grid, _to_physical
+from kuzlab.fields import Grid, _grad_sq, _to_physical
 
 from helpers import band_limited_field, count_ffts, single_mode
 
@@ -328,7 +328,11 @@ class TestStability:
         assert result.times[-1] == pytest.approx(1.0, abs=1e-12)
         assert len(result.reports) == len(result.times)
 
-    def test_fitted_exponent_bounds_distance(self) -> None:
+    @pytest.mark.parametrize("c1", [None, 1.0])
+    def test_fitted_exponent_bounds_distance(self, c1: float | None) -> None:
+        """The fitted envelope bounds every record. At the default c1 = 3 + 2c^2
+        the distance never leaves c1 * d0 and c2 is 0; at c1 = 1 it does, so c2
+        is fitted, and the envelope meets the distance at the worst record."""
         grid = Grid.cube(1, 64)
         u = _smooth_pair(grid, 0.2)
         v = (
@@ -336,13 +340,20 @@ class TestStability:
             u[1],
         )
         p = PhysicalParams(eps=0.2)
-        result = stability_experiment(u, v, p, 2.0, report_every=5)
+        result = stability_experiment(u, v, p, 2.0, report_every=5, c1=c1)
         assert result.c2 is not None and result.c2 >= 0.0
         d0 = result.d[0]
         assert d0 > 0
         for d_t, a_t in zip(result.d, result.a):
             envelope = result.c1 * math.exp(result.c2 * p.eps * a_t) * d0
             assert d_t <= envelope * (1 + 1e-9)
+        if c1 is not None:
+            assert result.c2 > 0.0
+            slack = min(
+                result.c1 * math.exp(result.c2 * p.eps * a_t) * d0 / d_t
+                for d_t, a_t in zip(result.d[1:], result.a[1:])
+            )
+            assert slack == pytest.approx(1.0, abs=1e-12)
 
     def test_a_series_is_nondecreasing(self) -> None:
         grid = Grid.cube(1, 64)
@@ -388,7 +399,7 @@ class TestStability:
 
         def distance() -> float:
             dv = su.v.values - sv.v.values
-            return grid.cell_volume * float(np.sum(dv * dv)) + energies._grad_sq(grid, su.u.values - sv.u.values)
+            return grid.cell_volume * float(np.sum(dv * dv)) + _grad_sq(grid, su.u.values - sv.u.values)
 
         times, d, a, reports = [0.0], [distance()], [0.0], [make_report(su, p)]
         a_accum, g_prev = 0.0, sup(su)
