@@ -14,8 +14,6 @@ Run it directly: python demos/07_jets_densities_and_thresholds.py
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from kuzlab import (

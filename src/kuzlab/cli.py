@@ -231,18 +231,12 @@ def _cmd_linreg(command: str, cfg: RunConfig) -> int:
         report_every=cfg.report_every,
     )
     tol = cfg.linreg.tol
-    verdict = {
-        "times": list(result.times),
-        "lhs": list(result.lhs),
-        "rhs": list(result.rhs),
-        "margins": list(result.margins),
-        "worst_margin": result.worst_margin,
-        "tol": tol,
-        "holds": result.holds(tol),
+    extra = {
+        "margins": result.margins, "worst_margin": result.worst_margin, "tol": tol, "holds": result.holds(tol)
     }
     summary = f"worst margin = {result.worst_margin:.6g}"
-    failure = None if verdict["holds"] else f"ended with lhs > rhs * (1 + {tol:.6g})"
-    return _finish(command, cfg, verdict, summary, failure=failure)
+    failure = None if extra["holds"] else f"ended with lhs > rhs * (1 + {tol:.6g})"
+    return _finish(command, cfg, result, summary, extra=extra, failure=failure)
 
 
 def _cmd_check_thresholds(command: str, cfg: RunConfig) -> int:

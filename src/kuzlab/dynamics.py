@@ -720,7 +720,7 @@ def _support_radius(grid: Grid, u: FloatArray, v: FloatArray) -> FloatArray:
 
 @dataclass(frozen=True)
 class LinearForcedResult:
-    """Both sides of the linear maximal-regularity inequality along a run.
+    """Both sides of the linear maximal-regularity inequality along a run, all the solver returns.
 
     lhs(t) = (1/2)(||grad u_t||^2 + c^2 ||Lap u||^2)
              + (nu*eps/2) int_0^t ||Lap u_tau||^2,
@@ -731,7 +731,6 @@ class LinearForcedResult:
     times: tuple[float, ...]
     lhs: tuple[float, ...]
     rhs: tuple[float, ...]
-    final: SimState
 
     @property
     def margins(self) -> tuple[float, ...]:
@@ -768,8 +767,9 @@ def solve_linear_forced(
     needs no predictor because the source does not depend on the state).
     The step is _resolve_step's for dt and cfl, as in the run loop, and the
     steps count in advance_calls. Both sides are recorded at every reported
-    time; the result's holds(tol) is the check.  The right-hand side is taken
-    as written, with a bare (1/2)||Lap u_0||^2 term, so the inequality is
+    time and are the whole result (the final spectra are not transformed
+    back); its holds(tol) is the check.  The right-hand side is taken as
+    written, with a bare (1/2)||Lap u_0||^2 term, so the inequality is
     calibrated for unit sound speed c <= 1.
 
     Raises
@@ -832,6 +832,4 @@ def solve_linear_forced(
             lhs_series.append(lhs_now(u_hat, v_hat, diss_int))
             rhs_series.append(rhs0 + force_int / (2.0 * nu_eps))
     advance_calls += steps
-    u, v = _to_physical(grid, u_hat), _to_physical(grid, v_hat)
-    final = SimState(u=Field(grid, u), v=Field(grid, v), t=horizon)
-    return LinearForcedResult(tuple(times), tuple(lhs_series), tuple(rhs_series), final)
+    return LinearForcedResult(tuple(times), tuple(lhs_series), tuple(rhs_series))

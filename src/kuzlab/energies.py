@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import Iterable
 
 import numpy as np
 
@@ -151,34 +152,32 @@ def ratio_jet_order(n: int, m: int) -> int:
     return length + 1
 
 
+def _tower(jet: Jet, terms: Iterable[tuple[int, int, bool]]) -> float:
+    """The sum over (i, s, grad) in terms of ||d_t^i u||_{H^s}^2, or of
+    ||grad d_t^i u||_{H^s}^2 where grad, added in order from 0."""
+    grid = jet.grid
+    total = 0.0  # a plain running sum: sum() compensates float sums from Python 3.12 on
+    for i, s, grad in terms:
+        total += _quadrature(grid, jet.spectrum(i), float(s), grid.gradient_weight if grad else None)
+    return total
+
+
 def energy_m(jet: Jet, m: int) -> float:
     """E_m = ||grad u||_{H^m}^2 + sum_{i=1}^{m+1} ||d_t^i u||_{H^{m+1-i}}^2."""
     jet.require(e_m_jet_order(m), f"E_{m}")
-    grid = jet.grid
-    total = _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)
-    for i in range(1, m + 2):
-        total += _quadrature(grid, jet.spectrum(i), float(m + 1 - i))
-    return total
+    return _tower(jet, [(0, m, True), *((i, m + 1 - i, False) for i in range(1, m + 2))])
 
 
 def energy_half_m(jet: Jet, m: int) -> float:
     """E_{m/2} = ||grad u||_{H^m}^2 + sum_{i=1}^{m/2+1} ||d_t^i u||_{H^{m-2(i-1)}}^2."""
     jet.require(half_m_jet_order(m), f"E_{{m/2}} at m = {m}")
-    grid = jet.grid
-    total = _quadrature(grid, jet.spectrum(0), float(m), grid.gradient_weight)
-    for i in range(1, m // 2 + 2):
-        total += _quadrature(grid, jet.spectrum(i), float(m - 2 * (i - 1)))
-    return total
+    return _tower(jet, [(0, m, True), *((i, m - 2 * (i - 1), False) for i in range(1, m // 2 + 2))])
 
 
 def s_half_m(jet: Jet, m: int) -> float:
     """S_{m/2} = sum_{i=1}^{m/2+1} ||grad d_t^i u||_{H^{m-2(i-1)}}^2."""
     jet.require(half_m_jet_order(m), f"S_{{m/2}} at m = {m}")
-    grid = jet.grid
-    total = 0.0
-    for i in range(1, m // 2 + 2):
-        total += _quadrature(grid, jet.spectrum(i), float(m - 2 * (i - 1)), grid.gradient_weight)
-    return total
+    return _tower(jet, ((i, m - 2 * (i - 1), True) for i in range(1, m // 2 + 2)))
 
 
 def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float, float, float]:

@@ -56,8 +56,8 @@ from .energies import (
     thresholds,
 )
 from .errors import GuardViolation, HyperbolicityBreakdown, StepRejected
-from .fields import Field, FloatArray, _grad_sq, _l2_sq, _to_physical, _to_spectral, linf_norm
-from .jets import build_jet
+from .fields import Field, FloatArray, Grid, _grad_sq, _l2_sq, _to_physical, _to_spectral, linf_norm
+from .jets import Jet, build_jet
 
 DEFAULT_TAIL_THRESHOLD = 0.01
 DEFAULT_SUPPORT_FRACTION = 0.4
@@ -164,11 +164,12 @@ def _run(
     ends at the last accepted time when a step trips the hyperbolicity
     floor (HYPERBOLICITY) or goes non-finite (NUMERICAL) for it, and the
     step is redone for the rest. After each accepted state, t = 0 included,
-    monitor(fields, ev, div_accum) sees the live members' evaluation, their
-    running ||u_tt||_inf + ||Lap u||_inf integral and fields() -> (u, v),
-    and ends those it returns a cause for. With together, the first to end
-    ends all. IMEX steps read only the evaluation's spectra and drop (u, v);
-    fields(), records and ends form them again, bitwise those spectra's inverses.
+    monitor(fields, ev, div_accum, dt) sees the live members' evaluation, their
+    running ||u_tt||_inf + ||Lap u||_inf integral, fields() -> (u, v) and the
+    loop's step, and ends those it returns a cause for. With together, the
+    first to end ends all. IMEX steps read only the evaluation's spectra and
+    drop (u, v); fields(), records and ends form them again, bitwise those
+    spectra's inverses.
 
     record receives live members as states carrying their evaluation: all
     of them at t = 0 and after every report_every steps, and those that end
@@ -251,11 +252,30 @@ def _run(
             end([BreakdownCause.NUMERICAL if m else None for m in exc.members])
             continue
         if monitor is not None:
-            end(monitor(fields, ev, div))
+            end(monitor(fields, ev, div, dt_step))
         if record is not None and live.size and (k % report_every == 0 or k == steps):
             record(states(range(live.size)))
             recorded = k
     return ends
+
+
+def _tail(grid: Grid, c: float, threshold: float) -> Callable[..., list[BreakdownCause | None]]:
+    """The spectral tail monitor: SPECTRAL for each member whose tail fraction exceeds threshold."""
+
+    def monitor(fields, ev, div, dt):
+        tail = _tail_fraction(grid, c, ev.u_hat, ev.v_hat) > threshold
+        return [BreakdownCause.SPECTRAL if over else None for over in tail]
+
+    return monitor
+
+
+def _jet_unless_floor(s: SimState, p: PhysicalParams, order: int, kind: ModelKind) -> Jet | None:
+    """build_jet(s, p, order, kind), or None for data that start at the floor, whose state has
+    no u_tt: the run's own evaluation raises before any step, so only t = 0 records get None."""
+    try:
+        return build_jet(s, p, order, kind)
+    except HyperbolicityBreakdown:
+        return None
 
 
 def run_until_breakdown(
@@ -297,21 +317,20 @@ def run_until_breakdown(
         GuardViolation: the data fail a guard before any stepping, or the
             explicit scheme is unstable on the stiff linear part.
     """
-    grid = initial[0].grid
     reports: list[EnergyReport] = []
+    tail = _tail(initial[0].grid, p.c, tail_threshold)
 
-    def monitor(fields, ev, div):
-        tail = _tail_fraction(grid, p.c, ev.u_hat, ev.v_hat) > tail_threshold
+    def monitor(fields, ev, div, dt):
         big = np.zeros(len(div), bool) if div_threshold is None else div >= div_threshold
-        return [BreakdownCause.SPECTRAL if a else BreakdownCause.DIVERGENCE if b else None
-                for a, b in zip(tail, big)]
+        return [cause or (BreakdownCause.DIVERGENCE if b else None)
+                for cause, b in zip(tail(fields, ev, div, dt), big)]
 
     def record(states: list[SimState]) -> None:
         (s,) = states
         try:
             reports.append(make_report(s, p, kind, e_m_orders=e_m_orders, half_m=half_m))
-        except HyperbolicityBreakdown:  # the jet cascade degenerated: drop its functionals
-            reports.append(make_report(s, p, kind))
+        except HyperbolicityBreakdown:  # data that start at the floor have no jet: NaN towers
+            reports.append(replace(make_report(s, p, kind), e_m=tuple((o, math.nan) for o in e_m_orders)))
 
     ((t_star, cause),) = _run(
         [initial], [p.eps], p, kind, scheme, horizon, dt, cfl, monitor, record, report_every
@@ -360,11 +379,7 @@ def lifespan_sweep(
     check_eps_list(eps_list)
     grid = initial[0].grid
     n = grid.n
-
-    def monitor(fields, ev, div):
-        tail = _tail_fraction(grid, p.c, ev.u_hat, ev.v_hat) > tail_threshold
-        return [BreakdownCause.SPECTRAL if over else None for over in tail]
-
+    monitor = _tail(grid, p.c, tail_threshold)
     ends = _run([initial] * len(eps_list), eps_list, p, kind, scheme, horizon, dt, cfl, monitor)
     rows = [
         SweepRow(eps_i, t_star, cause, _scaled_lifespan(n, eps_i, t_star))
@@ -437,7 +452,8 @@ def stability_experiment(
     pair is one run loop of two members that end together: at the horizon,
     when the tail monitor trips on either (the fit then no longer counts),
     or at the last accepted state before a floor trip or non-finite step in
-    either. The fit uses the records made up to that end.
+    either. The fit uses the records made up to that end, and A(t) the
+    monitor's trapezoid sum over the loop's steps.
     """
     if u_data[0].grid != v_data[0].grid:
         raise ValueError("both runs must share one grid")
@@ -446,20 +462,18 @@ def stability_experiment(
         c1 = 3.0 + 2.0 * p.c**2
     if c1 < 1.0:
         raise ValueError(f"c1 must be >= 1 for the envelope to hold at t = 0, got {c1}")
-    _, dt_eff = _resolve_step(grid, p, kind, horizon, dt, scheme, cfl)  # the step _run takes
-
     rows: list[tuple[float, float, float, EnergyReport]] = []  # (t, d, A, report)
     a_accum, g_prev = 0.0, None
+    tail = _tail(grid, p.c, tail_threshold)
 
-    def monitor(fields, ev, div):
+    def monitor(fields, ev, div, dt):
         # Accumulates A(t) by the trapezoid rule from the first run's evaluation.
         nonlocal a_accum, g_prev
         g_now = max(ev.acc_sup[0], ev.lap_sup[0])
         if g_prev is not None:
-            a_accum += 0.5 * dt_eff * (g_prev + g_now)
+            a_accum += 0.5 * dt * (g_prev + g_now)
         g_prev = g_now
-        tripped = (_tail_fraction(grid, p.c, ev.u_hat, ev.v_hat) > tail_threshold).any()
-        return [BreakdownCause.SPECTRAL if tripped else None] * 2
+        return tail(fields, ev, div, dt)
 
     def record(states: list[SimState]) -> None:
         su, sv = states
@@ -561,10 +575,8 @@ def viscous_decay_experiment(
 
     def record(states: list[SimState]) -> None:
         (s,) = states
-        try:
-            # The jet lives only as long as its record.
-            jet = build_jet(s, p, jet_order, kind)
-        except HyperbolicityBreakdown:  # the data start at the floor: drop the towers
+        jet = _jet_unless_floor(s, p, jet_order, kind)  # lives only as long as its record
+        if jet is None:  # the data start at the floor: drop the towers
             e_theorem.append(math.nan)
             reports.append(make_report(s, p, kind))
             return
@@ -681,18 +693,13 @@ def klainerman_experiment(
     ratios: list[float] = []
     reports: list[EnergyReport] = []
 
-    def monitor(fields, ev, div):
+    def monitor(fields, ev, div, dt):
         return [BreakdownCause.SUPPORT if r >= limit else None for r in _support_radius(grid, *fields())]
 
     def record(states: list[SimState]) -> None:
         (s,) = states
-        try:
-            jet = build_jet(s, p, jet_order, kind)
-        except HyperbolicityBreakdown:  # the data start at the floor: drop the ratio
-            ratios.append(math.nan)
-            reports.append(make_report(s, p, kind))
-            return
-        ratio, e_1m, e_inf_m = klainerman_record(jet, s.t, m)
+        jet = _jet_unless_floor(s, p, jet_order, kind)  # None for data at the floor: a NaN ratio
+        ratio, e_1m, e_inf_m = (math.nan,) * 3 if jet is None else klainerman_record(jet, s.t, m)
         ratios.append(ratio)
         reports.append(replace(make_report(s, p, kind), e_1m=e_1m, e_inf_m=e_inf_m))
 

@@ -34,7 +34,7 @@ from kuzlab.config import (
     serialize_config,
     with_overrides,
 )
-from kuzlab.energies import EnvelopeParams, energy_half_m, energy_m, thresholds
+from kuzlab.energies import energy_half_m, energy_m, thresholds
 from kuzlab.gamma import MAX_WORD_LENGTH
 from kuzlab.io import read_reports_csv
 from kuzlab.jets import build_jet
@@ -929,6 +929,26 @@ class TestCli:
         assert verdict["times"] == [0.0]
         assert [r.t for r in read_reports_csv(out / command / "reports.csv")] == [0.0]
 
+    def test_simulate_at_the_floor_keeps_every_tower_column(self, tmp_path, capsys) -> None:
+        """Data at the floor have no jet, so simulate's one t = 0 row holds NaN
+        for every configured tower, and reports.csv keeps an e_m column for
+        each configured order, as any other run of that config would."""
+        payload = {
+            "grid": {"n": 1, "points": 128},
+            "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.5},
+            "params": {"eps": 0.5, "nu": 0.5, "hyp_floor": 0.9},
+            "scheme": "imex",
+            "horizon": 3.0,
+            "energies": {"e_m_orders": [1, 0], "half_m": 2},
+        }
+        out = tmp_path / "res"
+        assert main(["simulate", "--config", _write_config(tmp_path, "floor.json", payload), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "simulate" / "verdict.json").read_text())["cause"] == "hyperbolicity_breakdown"
+        (report,) = read_reports_csv(out / "simulate" / "reports.csv")
+        assert report.t == 0.0 and [order for order, _ in report.e_m] == [0, 1]
+        assert all(math.isnan(value) for _, value in report.e_m) and math.isnan(report.e_half_m)
+
     def test_klainerman_run(self, tmp_path, capsys) -> None:
         payload = {
             "grid": {"n": 1, "points": 128, "lengths": [12.566370614359172], "origin_centered": True},
@@ -1241,7 +1261,8 @@ class TestOneWriter:
             "inverse_transforms": counts["inverse"],
             "stepper_calls": steps,
         }
-        assert counts["forward"] > 0 and counts["inverse"] > 0
+        # linreg steps on spectra and keeps no final state, so it inverts nothing.
+        assert counts["forward"] > 0 and (counts["inverse"] == 0) == (command == "linreg")
         verdict = json.loads((directory / "verdict.json").read_text())
         assert not set(telemetry) & set(verdict)
 

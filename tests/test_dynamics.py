@@ -746,11 +746,10 @@ class TestSolveLinearForced:
     def test_holds_compares_each_reported_time(self) -> None:
         """holds(tol) is lhs <= rhs * (1 + tol) at every time, with 1e-300 of
         absolute slack for a zero right-hand side."""
-        final = SimState(Field.zeros(Grid.cube(1, 8)), Field.zeros(Grid.cube(1, 8)))
-        result = LinearForcedResult((0.0, 1.0), (1.0, 2.02), (1.0, 2.0), final)
+        result = LinearForcedResult((0.0, 1.0), (1.0, 2.02), (1.0, 2.0))
         assert result.holds(0.01) and not result.holds(0.009)
-        assert LinearForcedResult((0.0,), (1e-301,), (0.0,), final).holds(0.0)
-        assert not LinearForcedResult((0.0,), (1e-299,), (0.0,), final).holds(0.0)
+        assert LinearForcedResult((0.0,), (1e-301,), (0.0,)).holds(0.0)
+        assert not LinearForcedResult((0.0,), (1e-299,), (0.0,)).holds(0.0)
 
     @pytest.mark.parametrize("dt", [None, 0.013])
     def test_step_and_series_as_the_loop_wrote_them(self, dt: float | None) -> None:

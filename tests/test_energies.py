@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuzlab import (
-    EnergyReport,
     EnvelopeParams,
     Field,
     Grid,
@@ -28,7 +27,6 @@ from kuzlab import (
     SimState,
     appendix_b_coefficients,
     appendix_densities,
-    effective_coefficients,
     energy_half_m,
     energy_m,
     energy_nonl,

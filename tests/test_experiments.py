@@ -24,7 +24,6 @@ from kuzlab import (
     SimState,
     StepRejected,
     cfl_dt,
-    energy_wave,
     make_report,
     step,
 )
@@ -709,7 +708,7 @@ class TestLeanRuns:
         p = PhysicalParams(eps=0.1)
         seen = []
 
-        def monitor(fields, ev, div):
+        def monitor(fields, ev, div, dt):
             seen.append((ev.acc_sup, ev.lap_sup, ev.fnu, *div))
             return [None]
 
