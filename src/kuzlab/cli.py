@@ -10,8 +10,8 @@ are fixed, takes its dt and cfl alone) and hands the result to ``_finish``,
 the one writer, which names the run after the subcommand: it persists the
 stable results layout (config.json, reports.csv, verdict.json, which
 carries each of the run's series once) under the output directory with
-telemetry.json beside it, the command's transform and stepper counts,
-prints the summary line and picks the exit code.
+telemetry.json beside it, the command's transform counts and its steps
+taken and planned, prints the summary line and picks the exit code.
 ``check-thresholds`` prints closed-form constants and runs no driver.
 Exit codes: 0 success, 2 configuration or usage error, 3 initial-data guard
 violation, 4 runtime failure: a stability, decay or Klainerman run cut
@@ -77,11 +77,12 @@ _FAILED = {BreakdownCause.HYPERBOLICITY, BreakdownCause.NUMERICAL, BreakdownCaus
 
 
 def _counts() -> dict[str, int]:
-    """The library's running counts: transforms each way and stepper calls."""
+    """The library's running counts: transforms each way, steps taken and steps planned."""
     return {
         "forward_transforms": fields.transform_counts["forward"],
         "inverse_transforms": fields.transform_counts["inverse"],
         "stepper_calls": dynamics.advance_calls,
+        "planned_steps": dynamics.planned_steps,
     }
 
 

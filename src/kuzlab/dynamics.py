@@ -27,7 +27,8 @@ Two integrators are provided: classic explicit RK4 under a CFL restriction,
 and an exponential integrating-factor Heun scheme (IMEX) that advances L by
 its exact flow and treats the quasilinear remainder explicitly. The flow
 depends on |k|^2 alone, so it is cached as four tables over the grid's
-distinct |k|^2, and a step gathers each block where it reads it. Both call
+distinct |k|^2; _flow, its one update, gathers each block where it reads
+it, for the IMEX step and the forced linear solver alike. Both call
 one spectral acceleration kernel and start each step from the previous
 step's end-of-step evaluation (FSAL), which a state rebuilt from its carried
 spectra reproduces bitwise. The kernel and the stepper also take ensembles:
@@ -47,15 +48,13 @@ kernel's factor (step inverts u as well). It carries no gradients and no
 u_tt, only its transform split into remainder and linear part; _acceleration
 rebuilds u_tt from them on request, by one inverse transform. A run that
 keeps no reports steps on lean evaluations, without the report scalars and
-the inverse transform of Lap u they need: 5n+13 and 4n+8. ``advance_calls``
-counts the steps taken: one per call of the stepper, and one per step of
-the forced linear solver.
+the inverse transform of Lap u they need: 5n+13 and 4n+8.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -222,10 +221,15 @@ def _state(u: Field, v: Field, t: float, fnu: float, div: float, carry: _Accel |
     return state
 
 
+def _factor(alpha_eff: float, eps: float | FloatArray, u_t: FloatArray) -> FloatArray:
+    """The pointwise hyperbolicity factor 1 - alpha_eff*eps*u_t, alpha_eff*eps formed first."""
+    return 1.0 - alpha_eff * eps * u_t
+
+
 def hyperbolicity_factor(v: Field, p: PhysicalParams, kind: ModelKind = ModelKind.KUZNETSOV) -> float:
     """Grid minimum of the pointwise factor 1 - alpha*eps*v (reporting only)."""
     alpha_eff, _, _ = effective_coefficients(p, kind)
-    return float((1.0 - alpha_eff * p.eps * v.values).min())
+    return float(_factor(alpha_eff, p.eps, v.values).min())
 
 
 def _damping(p: PhysicalParams, kind: ModelKind, eps: float | FloatArray) -> float | FloatArray:
@@ -273,7 +277,7 @@ def _accel_kernel(
     eps_col = np.asarray(eps)[(...,) + (None,) * grid.n]
     factor = None
     if alpha_eff != 0.0:
-        factor = 1.0 - alpha_eff * eps_col * v
+        factor = _factor(alpha_eff, eps_col, v)
         fmin = np.minimum.reduce(factor, axis=grid.axes)
         tripped = fmin <= p.hyp_floor
         if tripped.any():
@@ -346,9 +350,8 @@ def _carried(state: SimState, p: PhysicalParams, kind: ModelKind) -> _Accel | No
 
 def _spectra(state: SimState) -> tuple[ComplexArray, ComplexArray]:
     """Transforms of (u, v): the carried ones when the state has them."""
-    if state._fsal is not None:
-        return state._fsal.u_hat, state._fsal.v_hat
-    return state._u_hat, _to_spectral(state.grid, state.v.values)
+    ev = state._fsal
+    return state._u_hat, _to_spectral(state.grid, state.v.values) if ev is None else ev.v_hat
 
 
 def _rows(ev: _Accel, index: int | np.ndarray) -> _Accel:
@@ -357,10 +360,9 @@ def _rows(ev: _Accel, index: int | np.ndarray) -> _Accel:
     def pick(a):
         if isinstance(a, list):
             return [x[index] for x in a]
-        return a if a is None or np.ndim(a) == 0 else a[index]  # NaN scalars stay whole
+        return a if a is None or np.ndim(a) == 0 else a[index]  # p, kind and NaN scalars stay whole
 
-    names = ("u_hat", "v_hat", "acc", "rem_hat", "acc_sup", "lap_sup", "fnu", "grad_u", "grad_v")
-    return replace(ev, **{name: pick(getattr(ev, name)) for name in names})
+    return replace(ev, **{f.name: pick(getattr(ev, f.name)) for f in fields(ev)})
 
 
 def _evaluate(
@@ -368,15 +370,19 @@ def _evaluate(
     p: PhysicalParams, kind: ModelKind, scheme: Scheme, eps: float | FloatArray,
     full: bool = True,
 ) -> _Accel:
-    """The evaluation a step of scheme starts from, full unless a run without
-    records asks for it lean. An IMEX step reads the spectra and the
-    remainder; an RK4 step reads u_tt and, for its stage gradients, grad u
-    and grad v."""
+    """The evaluation a step of scheme starts from, full unless a run without records asks
+    for it lean: the spectra, the form of u_tt _reads gives and RK4's grad u and grad v."""
     imex = scheme is Scheme.IMEX
     ev = _accel_kernel(
         grid, u_hat, v_hat, v, p, kind, t, eps=eps, gradients=not imex, full=full, remainder=imex
     )
-    return replace(ev, acc=None) if imex else ev
+    return ev if _reads(ev, scheme) is ev.acc else replace(ev, acc=None)
+
+
+def _reads(ev: _Accel, scheme: Scheme) -> FloatArray | ComplexArray | None:
+    """The one form of u_tt a step of scheme reads from its start and _evaluate keeps;
+    None in a carry that lacks it, which the step evaluates afresh."""
+    return ev.rem_hat if scheme is Scheme.IMEX else ev.acc
 
 
 def acceleration(state: SimState, p: PhysicalParams, kind: ModelKind) -> Field:
@@ -503,6 +509,22 @@ def _propagator(
     return index, e00, e01, e10, e11
 
 
+def _flow(
+    flow: tuple, u_hat: ComplexArray, v_hat: ComplexArray, h: float, n_hat: ComplexArray,
+    n2_hat: ComplexArray | None,
+) -> tuple[ComplexArray, ComplexArray]:
+    """exp(dt L)(u_hat, v_hat + h*n_hat), flow _propagator's entry for dt, plus h*n2_hat
+    added last to v unless None: the one update of the exact linear flow. It gathers
+    each block where it reads it, so that one gathered block is held at a time."""
+    index, e00, e01, e10, e11 = flow
+    base = v_hat + h * n_hat
+    u_new = e00[..., index] * u_hat + e01[..., index] * base
+    v_new = e10[..., index] * u_hat + e11[..., index] * base
+    if n2_hat is not None:
+        v_new += h * n2_hat
+    return u_new, v_new
+
+
 def step(
     state: SimState,
     dt: float,
@@ -527,10 +549,9 @@ def step(
     grid = state.grid
     # A horizon of the admissible step is one step of the step rule, guarded under RK4.
     _, dt = _resolve_step(grid, p, kind, _admissible_dt(grid, p.c, dt, scheme, cfl), dt, scheme, cfl)
-    # The carried evaluation, if it is the one this step reads; a fresh one
-    # starts from the same transforms, so the two agree bitwise.
+    # A fresh evaluation starts from the carry's transforms: the two agree bitwise.
     start = _carried(state, p, kind)
-    if start is None or (start.rem_hat if scheme is Scheme.IMEX else start.acc) is None:
+    if start is None or _reads(start, scheme) is None:
         start = _evaluate(grid, *_spectra(state), state.v.values, state.t, p, kind, scheme, p.eps)
     u1, v1, end = _advance(
         grid, state.u.values, state.v.values, state.t, start, dt, p, kind, scheme, p.eps
@@ -553,9 +574,11 @@ def _trapezoid(fnu: FloatArray, div: FloatArray, start: _Accel, end: _Accel, dt:
 
 
 # Steps taken since import: one per call of the one stepper, _advance,
-# whatever the number of members the step carries, and one per step of
-# solve_linear_forced, which steps the linear flow on its own.
+# whatever the number of members it carries, and one per forced linear step.
 advance_calls = 0
+# Steps planned since import: the count _resolve_step gives each run of
+# experiments' run loop and each forced linear solve, taken in full at the horizon.
+planned_steps = 0
 
 
 def _advance(
@@ -598,7 +621,7 @@ def _advance(
         # The sums v0 + 2k2u + 2k3u + k4u and a1 + 2a2 + 2a3 + a4 grow as
         # each stage ends, left to right as written, so a stage's velocity
         # and u_tt are dropped once added.
-        a1 = start.acc
+        a1 = _reads(start, scheme)
         k2u = v0 + 0.5 * dt * a1
         a2, w_hat, grad_w = stage(0.5 * dt, v_hat, start.grad_v, k2u, True)
         vel_sum = v0 + 2.0 * k2u
@@ -624,28 +647,15 @@ def _advance(
         del acc_sum
     else:
         nu_eps = _damping(p, kind, eps)
-        index, *tables = _propagator(
-            grid, dt, p.c, nu_eps if np.ndim(nu_eps) == 0 else tuple(nu_eps.tolist())
-        )
-        # Each block is gathered from its table where it is read, and dropped.
-        e00, e01, e10, e11 = (lambda t=t: t[..., index] for t in tables)
-        n1_hat = start.rem_hat
-        base = v_hat + dt * n1_hat
-        up_hat = e00() * u_hat + e01() * base
-        vp_hat = e10() * u_hat + e11() * base
-        del base
+        flow = _propagator(grid, dt, p.c, nu_eps if np.ndim(nu_eps) == 0 else tuple(nu_eps.tolist()))
+        up_hat, vp_hat = _flow(flow, u_hat, v_hat, dt, _reads(start, scheme), None)
         vp = _to_physical(grid, vp_hat)
-        n2_hat = _accel_kernel(
-            grid, up_hat, vp_hat, vp, p, kind, t0 + dt, eps=eps, remainder=True
-        ).rem_hat
+        n2_hat = _accel_kernel(grid, up_hat, vp_hat, vp, p, kind, t0 + dt, eps=eps, remainder=True).rem_hat
         del up_hat, vp_hat, vp
-        half = 0.5 * dt
-        base = v_hat + half * n1_hat
-        u1_hat = e00() * u_hat + e01() * base
-        v1_hat = e10() * u_hat + e11() * base + half * n2_hat
+        u1_hat, v1_hat = _flow(flow, u_hat, v_hat, 0.5 * dt, _reads(start, scheme), n2_hat)
         # Nothing but the end-of-step evaluation reads on: it takes the spectra
         # as they are, and v1 for the kernel's factor.
-        del base, n1_hat, n2_hat
+        del n2_hat
         u1, v1 = None, _to_physical(grid, v1_hat)
 
     finite = np.isfinite(u1_hat if u1 is None else u1).all(axis=grid.axes)
@@ -777,7 +787,7 @@ def solve_linear_forced(
     ValueError
         If nu == 0 (the inequality needs dissipation) or horizon <= 0.
     """
-    global advance_calls
+    global advance_calls, planned_steps
     if p.nu <= 0.0:
         raise ValueError("solve_linear_forced requires nu > 0")
     grid = u0.grid
@@ -785,9 +795,9 @@ def solve_linear_forced(
         raise ValueError("u0 and u1 must share one grid")
     kind = ModelKind.DAMPED_WAVE
     steps, dt = _resolve_step(grid, p, kind, horizon, dt, Scheme.IMEX, cfl)
+    planned_steps += steps
     nu_eps = _damping(p, kind, p.eps)
-    index, *tables = _propagator(grid, dt, p.c, nu_eps)
-    e00, e01, e10, e11 = (t[..., index] for t in tables)
+    flow = _propagator(grid, dt, p.c, nu_eps)
     k_fourth = grid.k_squared**2
 
     def grad_sq(spec: ComplexArray) -> float:
@@ -817,11 +827,7 @@ def solve_linear_forced(
         t_next = (i + 1) * dt
         f_next = f(t_next)
         f2_hat = _to_spectral(grid, f_next.values)
-        base_v = v_hat + half * f1_hat
-        u_hat, v_hat = (
-            e00 * u_hat + e01 * base_v,
-            e10 * u_hat + e11 * base_v + half * f2_hat,
-        )
+        u_hat, v_hat = _flow(flow, u_hat, v_hat, half, f1_hat, f2_hat)
         lap_sq_now = lap_sq(u_hat)
         f_sq_now = _l2_sq(grid, f_next.values)
         diss_int += half * (lap_sq_prev + lap_sq_now)

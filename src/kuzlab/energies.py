@@ -28,6 +28,7 @@ from .dynamics import (
     ModelKind,
     PhysicalParams,
     SimState,
+    _factor,
     damps,
     effective_coefficients,
     hyperbolicity_factor,
@@ -455,7 +456,7 @@ def theorem_45_energy(
     jet.require(half_m_jet_order(m), f"theorem energy at m = {m}")
     grid = jet.grid
     alpha_eff, _, _ = effective_coefficients(p, kind)
-    weight = 1.0 - alpha_eff * p.eps * jet.layers[1].values
+    weight = _factor(alpha_eff, p.eps, jet.layers[1].values)
     total = 0.0
     for A in _theorem_45_index_set(m, grid.n):
         da_u_hat = jet.spectrum(A.time_order) * _derivative_multiplier(grid, A.spatial_orders)

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (
     DEFAULT_CFL,
     ModelKind,
@@ -187,6 +188,7 @@ def _run(
             raise GuardViolation(f"||u_1||_inf = {sup_u1:.6g} violates the strict bound {guard:.6g}")
         # The step size depends on c, not on eps: every member gets the same.
         steps, dt_step = _resolve_step(grid, p_i, kind, horizon, dt, scheme, cfl)
+    dynamics.planned_steps += steps
     check_report_every(report_every)
     # A single member's data is viewed, not copied: the run writes into neither.
     u, v = ((f.values[None] for f in members[0]) if len(members) == 1

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState, experiments
+from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState, config, experiments
 from kuzlab.cli import main
 from kuzlab.dynamics import cfl_dt, solve_linear_forced
 from kuzlab.config import (
@@ -489,6 +489,18 @@ class TestPresets:
             materialize_preset(SineMode(mode=(1,)), grid)
 
 
+# 1-d sine data scaled to the viscous threshold near the floor, where the
+# scaling's fixed-point iteration converges slowly.
+_SLOW_SCALING = {
+    "params": {"nu": 1.0, "eps": 0.5},
+    "grid": {"n": 1, "points": 64},
+    "preset": {"kind": "sine_mode", "mode": [1], "amplitude": 1.0},
+    "relative_to_threshold": True,
+    "decay": {"m": 2},
+    "envelope": {"C_m": 0.05},
+}
+
+
 class TestThresholdRelativeScaling:
     def test_inviscid_scaling_is_exact(self) -> None:
         cfg = parse_config(
@@ -542,6 +554,27 @@ class TestThresholdRelativeScaling:
         jet = build_jet(SimState(u0, u1), cfg.params, m0 + 1, cfg.model)
         target = 0.5 * thresholds(cfg.params, cfg.envelope).sqrt_e_m0_max
         assert math.sqrt(energy_m(jet, m0)) == pytest.approx(target, rel=1e-10)
+
+    def test_slow_fixed_point_meets_its_target(self) -> None:
+        """Near the floor each tower shrinks the scaling's miss only by about
+        0.6 (56 towers here); the data still meet the target to 1e-12."""
+        cfg = parse_config(json.dumps(_SLOW_SCALING))
+        u0, u1 = initial_data(cfg)
+        jet = build_jet(SimState(u0, u1), cfg.params, 2, cfg.model)
+        target = thresholds(cfg.params, cfg.envelope).sqrt_e_half_max
+        assert math.sqrt(energy_half_m(jet, 2)) == pytest.approx(target, rel=1e-11)
+
+    def test_unmet_target_is_a_guard_violation(self, tmp_path, capsys, monkeypatch) -> None:
+        """A scaling that has not met its target when its towers run out exits 3
+        naming the miss; it never hands on data scaled to a missed target."""
+        monkeypatch.setattr(config, "_SCALING_ITERATIONS", 8)
+        cfg = _write_config(tmp_path, "slow.json", {**_SLOW_SCALING, "horizon": 0.5})
+        assert main(["decay", "--config", cfg, "--out", str(tmp_path / "res")]) == 3
+        assert capsys.readouterr().err == (
+            "guard violation: threshold-relative scaling missed its target after 8 towers: "
+            "the last gives sqrt(E(0)) = 9.11999 against 8.94427\n"
+        )
+        assert not (tmp_path / "res").exists()
 
     def test_absolute_amplitudes_without_flag(self) -> None:
         cfg = parse_config('{"preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.125}}')
@@ -1247,8 +1280,8 @@ class TestOneWriter:
     )
     def test_telemetry_counts_the_run(self, tmp_path, monkeypatch, capsys, command, payload) -> None:
         """telemetry.json holds the transforms count_ffts counts over the same
-        main call and one stepper call per step, ceil(horizon / dt), and stays
-        out of the verdict."""
+        main call and one stepper call per step, ceil(horizon / dt), as many
+        as the run planned, and stays out of the verdict."""
         cfg = _write_config(tmp_path, "cfg.json", payload)
         counts = count_ffts(monkeypatch)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "res")]) == 0
@@ -1260,11 +1293,29 @@ class TestOneWriter:
             "forward_transforms": counts["forward"],
             "inverse_transforms": counts["inverse"],
             "stepper_calls": steps,
+            "planned_steps": steps,
         }
         # linreg steps on spectra and keeps no final state, so it inverts nothing.
         assert counts["forward"] > 0 and (counts["inverse"] == 0) == (command == "linreg")
         verdict = json.loads((directory / "verdict.json").read_text())
         assert not set(telemetry) & set(verdict)
+
+    def test_telemetry_plans_the_run(self, tmp_path, capsys) -> None:
+        """planned_steps is the count the step rule gave the run: a sweep whose
+        members all break down takes fewer steps, a decay run to its horizon all."""
+        runs = (
+            ("sweep", {**_BREAKING, "sweep": {"eps_list": [0.9, 0.2]}}),
+            ("decay", {**_TINY, "params": {"nu": 0.5}, "scheme": "imex"}),
+        )
+        for command, payload in runs:
+            cfg = _write_config(tmp_path, f"{command}.json", payload)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+            telemetry = json.loads((tmp_path / "res" / command / "telemetry.json").read_text())
+            grid = Grid.cube(1, payload["grid"]["points"])
+            planned = math.ceil(payload["horizon"] / cfl_dt(grid, PhysicalParams().c) - 1e-12)
+            assert telemetry["planned_steps"] == planned
+            taken = telemetry["stepper_calls"]
+            assert taken < planned if command == "sweep" else taken == planned
 
     def test_written_json_is_strict(self, tmp_path, capsys) -> None:
         """verdict.json, telemetry.json and thresholds.json parse as strict JSON,
