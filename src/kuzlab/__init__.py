@@ -60,8 +60,6 @@ from .energies import (
     f_nu,
     gronwall_envelope,
     initial_data_bound_check,
-    klainerman_energies,
-    klainerman_ratio,
     klainerman_record,
     lifespan_T0,
     make_report,

@@ -81,8 +81,7 @@ def _counts() -> dict[str, int]:
     return {
         "forward_transforms": fields.transform_counts["forward"],
         "inverse_transforms": fields.transform_counts["inverse"],
-        "stepper_calls": dynamics.advance_calls,
-        "planned_steps": dynamics.planned_steps,
+        **dynamics.step_counts,
     }
 
 

@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .dynamics import DEFAULT_CFL, ModelKind, PhysicalParams, Scheme, SimState
+from .dynamics import DEFAULT_CFL, ModelKind, PhysicalParams, Scheme, SimState, check_report_every
 from .energies import (
     EnvelopeParams,
     data_tower,
@@ -50,7 +50,6 @@ from .experiments import (
     DEFAULT_SUPPORT_FRACTION,
     DEFAULT_TAIL_THRESHOLD,
     check_eps_list,
-    check_report_every,
     check_support_fraction,
 )
 from .fields import Field, FloatArray, Grid, dealias_values

@@ -21,7 +21,8 @@ From them _propagator forms the exact flow exp(dt L) and _rk4_amplification
 RK4's largest amplification. The one step rule, _resolve_step, takes
 horizon/steps, steps the fewest that keep the step within the requested dt
 (the CFL step by default), and refuses an RK4 step that amplifies a mode of
-L; the run loop, the forced linear solver and step all step by it.
+L; the run loop, the forced linear solver and step all step by it. The time
+loop's other rules live beside it: _trapezoid, _reported and step_counts.
 
 Two integrators are provided: classic explicit RK4 under a CFL restriction,
 and an exponential integrating-factor Heun scheme (IMEX) that advances L by
@@ -176,6 +177,11 @@ class _Accel:
     def full(self) -> bool:
         """Whether the scalars were formed; a lean evaluation leaves them NaN."""
         return not (np.ndim(self.lap_sup) == 0 and math.isnan(self.lap_sup))
+
+    @property
+    def div_rate(self) -> float | FloatArray:
+        """The divergence integrand ||u_tt||_inf + ||Lap u||_inf, div_accum's rate."""
+        return self.acc_sup + self.lap_sup
 
 
 @dataclass(frozen=True)
@@ -472,6 +478,24 @@ def _resolve_step(
     return steps, dt
 
 
+def check_report_every(report_every: int) -> None:
+    """Raise ValueError unless a run records at least every report_every >= 1 steps."""
+    if report_every < 1:
+        raise ValueError("report_every must be >= 1")
+
+
+def _reported(k: int, steps: int, report_every: int) -> bool:
+    """The record cadence: whether a run of that many steps records after step k,
+    which it does every report_every steps from the data (k = 0) and after the last."""
+    return k % report_every == 0 or k == steps
+
+
+def _trapezoid(total: FloatArray, before: FloatArray, after: FloatArray, dt: float) -> FloatArray:
+    """A running integral (one per member when stacked) advanced over one step dt
+    by the trapezoid rule from its integrand before and after: the one such rule."""
+    return total + 0.5 * dt * (before + after)
+
+
 @lru_cache(maxsize=64)
 def _propagator(
     grid: Grid, dt: float, c: float, nu_eps: float | tuple[float, ...]
@@ -560,25 +584,16 @@ def step(
         u1 = _to_physical(grid, end.u_hat)
     # The end-of-step evaluation closes the trapezoid rule for both running
     # integrals and, carried on the new state, is the next step's first stage.
-    fnu, div = _trapezoid(state.fnu_accum, state.div_accum, start, end, dt)
+    fnu = _trapezoid(state.fnu_accum, start.fnu, end.fnu, dt)
+    div = _trapezoid(state.div_accum, start.div_rate, end.div_rate, dt)
     return _state(Field(grid, u1), Field(grid, v1), state.t + dt, float(fnu), float(div), end)
 
 
-def _trapezoid(fnu: FloatArray, div: FloatArray, start: _Accel, end: _Accel, dt: float) -> tuple:
-    """fnu_accum and div_accum, one per member when stacked, advanced over one
-    step by the trapezoid rule from the full evaluations at its two ends."""
-    return (
-        fnu + 0.5 * dt * (start.fnu + end.fnu),
-        div + 0.5 * dt * ((start.acc_sup + start.lap_sup) + (end.acc_sup + end.lap_sup)),
-    )
-
-
-# Steps taken since import: one per call of the one stepper, _advance,
-# whatever the number of members it carries, and one per forced linear step.
-advance_calls = 0
-# Steps planned since import: the count _resolve_step gives each run of
-# experiments' run loop and each forced linear solve, taken in full at the horizon.
-planned_steps = 0
+# Steps since import, as telemetry.json names them: stepper_calls, one per call
+# of the one stepper, _advance, whatever the number of members it carries, and
+# one per forced linear step; planned_steps, the count _resolve_step gives each
+# run of experiments' run loop and each forced linear solve.
+step_counts = {"stepper_calls": 0, "planned_steps": 0}
 
 
 def _advance(
@@ -595,8 +610,7 @@ def _advance(
     step's start. Raises StepRejected on non-finite fields and
     HyperbolicityBreakdown from any evaluation, each marking its members.
     """
-    global advance_calls
-    advance_calls += 1
+    step_counts["stepper_calls"] += 1
     u_hat, v_hat = start.u_hat, start.v_hat
 
     if scheme is Scheme.EXPLICIT_RK4:
@@ -775,9 +789,9 @@ def solve_linear_forced(
     linear flow uses the exact per-mode propagator; the forcing enters by the
     exponential trapezoidal rule (the integrating-factor Heun update, which
     needs no predictor because the source does not depend on the state).
-    The step is _resolve_step's for dt and cfl, as in the run loop, and the
-    steps count in advance_calls. Both sides are recorded at every reported
-    time and are the whole result (the final spectra are not transformed
+    The step is _resolve_step's for dt and cfl, and both sides are recorded
+    at the run loop's cadence, _reported; the steps count in step_counts.
+    The records are the whole result (the final spectra are not transformed
     back); its holds(tol) is the check.  The right-hand side is taken as
     written, with a bare (1/2)||Lap u_0||^2 term, so the inequality is
     calibrated for unit sound speed c <= 1.
@@ -785,17 +799,18 @@ def solve_linear_forced(
     Raises
     ------
     ValueError
-        If nu == 0 (the inequality needs dissipation) or horizon <= 0.
+        If nu == 0 (the inequality needs dissipation), horizon <= 0 or
+        report_every < 1.
     """
-    global advance_calls, planned_steps
     if p.nu <= 0.0:
         raise ValueError("solve_linear_forced requires nu > 0")
+    check_report_every(report_every)
     grid = u0.grid
     if u1.grid != grid:
         raise ValueError("u0 and u1 must share one grid")
     kind = ModelKind.DAMPED_WAVE
     steps, dt = _resolve_step(grid, p, kind, horizon, dt, Scheme.IMEX, cfl)
-    planned_steps += steps
+    step_counts["planned_steps"] += steps
     nu_eps = _damping(p, kind, p.eps)
     flow = _propagator(grid, dt, p.c, nu_eps)
     k_fourth = grid.k_squared**2
@@ -822,20 +837,19 @@ def solve_linear_forced(
     times = [0.0]
     lhs_series = [lhs_now(u_hat, v_hat, 0.0)]
     rhs_series = [rhs0]
-    half = 0.5 * dt
-    for i in range(steps):
-        t_next = (i + 1) * dt
+    for k in range(1, steps + 1):
+        t_next = k * dt
         f_next = f(t_next)
         f2_hat = _to_spectral(grid, f_next.values)
-        u_hat, v_hat = _flow(flow, u_hat, v_hat, half, f1_hat, f2_hat)
+        u_hat, v_hat = _flow(flow, u_hat, v_hat, 0.5 * dt, f1_hat, f2_hat)
         lap_sq_now = lap_sq(u_hat)
         f_sq_now = _l2_sq(grid, f_next.values)
-        diss_int += half * (lap_sq_prev + lap_sq_now)
-        force_int += half * (f_sq_prev + f_sq_now)
+        diss_int = _trapezoid(diss_int, lap_sq_prev, lap_sq_now, dt)
+        force_int = _trapezoid(force_int, f_sq_prev, f_sq_now, dt)
         lap_sq_prev, f_sq_prev, f1_hat = lap_sq_now, f_sq_now, f2_hat
-        if (i + 1) % report_every == 0 or i == steps - 1:
+        if _reported(k, steps, report_every):
             times.append(t_next)
             lhs_series.append(lhs_now(u_hat, v_hat, diss_int))
             rhs_series.append(rhs0 + force_int / (2.0 * nu_eps))
-    advance_calls += steps
+    step_counts["stepper_calls"] += steps
     return LinearForcedResult(tuple(times), tuple(lhs_series), tuple(rhs_series))

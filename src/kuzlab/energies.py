@@ -142,8 +142,10 @@ def half_m_jet_order(m: int, name: str = "m", low: int = 0) -> int:
 
 
 def ratio_jet_order(n: int, m: int) -> int:
-    """The jet order the ratio at m on an n-d grid needs, m + n* + 1 (n* = [n/2 + 1]):
+    """The jet order the ratio at m >= 0 on an n-d grid needs, m + n* + 1 (n* = [n/2 + 1]):
     E_{1,m+n*} sweeps words of length m + n*, at most MAX_WORD_LENGTH, else ValueError."""
+    if m < 0:
+        raise ValueError(f"the ratio's order m must be >= 0, got {m}")
     length = m + n // 2 + 1
     if length > MAX_WORD_LENGTH:
         raise ValueError(
@@ -194,11 +196,9 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
     buffers; its square-sum is added to the word's energy and must be
     finite, else NonFiniteFieldError. Words of length <= m_sup also keep
     their pointwise density, summed over the sources in order. Like
-    apply_gamma, needs an origin-centered grid.
+    apply_gamma, needs an origin-centered grid (_term_factors checks it).
     """
     grid = jet.grid
-    if not grid.origin_centered:
-        raise ValueError("gamma application needs an origin-centered grid")
     n = grid.n
     words = gamma_words(n, m_sum)
     # gamma_words lists words by length, so those of length <= m_sup come first.
@@ -237,20 +237,17 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
     return e_1, e_1_sup, max(float(np.max(density)) for density in densities)
 
 
-def klainerman_energies(jet: Jet, t: float, m: int) -> tuple[float, float]:
-    """(E_{1,m}, E_{inf,m}) summed over all words of length <= m.
-
-    E_{1,m} sums ||Gamma^A u_t||^2 + ||Gamma^A grad u||^2; E_{inf,m} takes
-    the grid sup of the pointwise sup over words of the same density.
-    """
-    if m < 0 or m > 2:
-        raise ValueError("klainerman energies support m = 0, 1, 2")
-    _, e_1, e_inf = _klainerman_sweep(jet, t, m, m)
-    return e_1, e_inf
-
-
 def klainerman_record(jet: Jet, t: float, m: int) -> tuple[float, float, float]:
-    """(ratio, E_{1,m}, E_{inf,m}) from one word sweep; see klainerman_ratio."""
+    """(ratio, E_{1,m}, E_{inf,m}) from one word sweep over words of length <= m + n*.
+
+    E_{1,m} sums ||Gamma^A u_t||^2 + ||Gamma^A grad u||^2 over the words of
+    length <= m; E_{inf,m} takes the grid sup of the pointwise sup over those
+    words of the same density. The ratio is
+    sqrt(E_{inf,m}) / [(1+t)^{(1-n)/2} sqrt(E_{1,m+n*})], n* = [n/2 + 1]:
+    0 for identically zero fields, and ZeroDivisionError in the ill-posed
+    case of a vanishing E_{1,m+n*} with a nonvanishing E_{inf,m}. A negative
+    m, or words longer than MAX_WORD_LENGTH, are ValueError (ratio_jet_order).
+    """
     n = jet.grid.n
     e_1, e_1m, e_inf = _klainerman_sweep(jet, t, ratio_jet_order(n, m) - 1, m)  # m + n*
     weight = (1.0 + t) ** ((1 - n) / 2.0)
@@ -259,15 +256,6 @@ def klainerman_record(jet: Jet, t: float, m: int) -> tuple[float, float, float]:
             return 0.0, e_1m, e_inf
         raise ZeroDivisionError("E_{1,m+n*} vanished while E_{inf,m} did not")
     return math.sqrt(e_inf) / (weight * math.sqrt(e_1)), e_1m, e_inf
-
-
-def klainerman_ratio(jet: Jet, t: float, m: int) -> float:
-    """sqrt(E_{inf,m}) / [(1+t)^{(1-n)/2} sqrt(E_{1,m+n*})], n* = [n/2 + 1].
-
-    Returns 0 for identically zero fields; raises on the ill-posed case of a
-    vanishing right side with a nonvanishing left side.
-    """
-    return klainerman_record(jet, t, m)[0]
 
 
 @dataclass(frozen=True)

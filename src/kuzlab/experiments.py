@@ -37,12 +37,14 @@ from .dynamics import (
     _Accel,
     _advance,
     _evaluate,
+    _reported,
     _resolve_step,
     _rows,
     _state,
     _support_radius,
     _tail_fraction,
     _trapezoid,
+    check_report_every,
     damps,
     hyperbolicity_guard,
 )
@@ -143,12 +145,6 @@ def check_support_fraction(support_fraction: float) -> None:
         raise ValueError(f"support_fraction must lie in (0, 0.5), got {support_fraction}")
 
 
-def check_report_every(report_every: int) -> None:
-    """Raise ValueError unless a run records at least every report_every >= 1 steps."""
-    if report_every < 1:
-        raise ValueError("report_every must be >= 1")
-
-
 def _run(
     members: Sequence[tuple[Field, Field]], eps: Sequence[float], p: PhysicalParams,
     kind: ModelKind, scheme: Scheme, horizon: float, dt: float | None, cfl: float,
@@ -188,8 +184,8 @@ def _run(
             raise GuardViolation(f"||u_1||_inf = {sup_u1:.6g} violates the strict bound {guard:.6g}")
         # The step size depends on c, not on eps: every member gets the same.
         steps, dt_step = _resolve_step(grid, p_i, kind, horizon, dt, scheme, cfl)
-    dynamics.planned_steps += steps
     check_report_every(report_every)
+    dynamics.step_counts["planned_steps"] += steps
     # A single member's data is viewed, not copied: the run writes into neither.
     u, v = ((f.values[None] for f in members[0]) if len(members) == 1
             else (np.stack([m[i].values for m in members]) for i in (0, 1)))
@@ -245,7 +241,8 @@ def _run(
                 # A step that raises leaves (u, v) as they were.
                 u, v, ev_next = _advance(grid, u, v, t, ev, dt_step, p, kind, scheme, eps)
                 if full:
-                    fnu, div = _trapezoid(fnu, div, ev, ev_next, dt_step)
+                    fnu = _trapezoid(fnu, ev.fnu, ev_next.fnu, dt_step)
+                    div = _trapezoid(div, ev.div_rate, ev_next.div_rate, dt_step)
                 ev, t, k = ev_next, t + dt_step, k + 1
         except HyperbolicityBreakdown as exc:
             end([BreakdownCause.HYPERBOLICITY if m else None for m in exc.members])
@@ -255,7 +252,7 @@ def _run(
             continue
         if monitor is not None:
             end(monitor(fields, ev, div, dt_step))
-        if record is not None and live.size and (k % report_every == 0 or k == steps):
+        if record is not None and live.size and _reported(k, steps, report_every):
             record(states(range(live.size)))
             recorded = k
     return ends
@@ -473,7 +470,7 @@ def stability_experiment(
         nonlocal a_accum, g_prev
         g_now = max(ev.acc_sup[0], ev.lap_sup[0])
         if g_prev is not None:
-            a_accum += 0.5 * dt * (g_prev + g_now)
+            a_accum = _trapezoid(a_accum, g_prev, g_now, dt)
         g_prev = g_now
         return tail(fields, ev, div, dt)
 

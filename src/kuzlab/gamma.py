@@ -216,7 +216,10 @@ def expand_gamma(index: GammaIndex) -> tuple[GammaTerm, ...]:
 
 def _term_factors(grid: Grid, t: float, terms: tuple[GammaTerm, ...]) -> list[tuple[tuple[int, ...], list]]:
     """Per term, the orders of its D^A and the factors that weight it: thin
-    per-axis coordinate powers with the term's weight folded into the first."""
+    per-axis coordinate powers with the term's weight folded into the first.
+    ValueError off an origin-centered grid, where the powers of x_i mean nothing."""
+    if not grid.origin_centered:
+        raise ValueError("gamma application needs an origin-centered grid")
     coords = [grid._axis_view(grid.axis_coordinates(axis), axis) for axis in range(grid.n)]
     plan = []
     for term in terms:
@@ -255,8 +258,6 @@ def apply_gamma(jet: Jet, t: float, index: GammaIndex) -> Field:
     loop is _word_values, which the Klainerman sweep also runs.
     """
     grid = jet.grid
-    if not grid.origin_centered:
-        raise ValueError("gamma application needs an origin-centered grid")
     if index.n != grid.n:
         raise ValueError(f"word dimension {index.n} != grid dimension {grid.n}")
     terms = expand_gamma(index)

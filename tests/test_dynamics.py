@@ -718,6 +718,15 @@ class TestSolveLinearForced:
         with pytest.raises(ValueError):
             solve_linear_forced(z, z, lambda t: z, 1.0, PhysicalParams(nu=0.0))
 
+    @pytest.mark.parametrize("report_every", [0, -1])
+    def test_refuses_a_record_cadence_below_one(self, report_every: int) -> None:
+        """The solver checks its cadence as the run loop does: 0 would divide
+        by zero, and -1 would record every step."""
+        grid = Grid.cube(1, 64)
+        z = Field.zeros(grid)
+        with pytest.raises(ValueError, match="report_every must be >= 1"):
+            solve_linear_forced(z, z, lambda t: z, 0.5, PhysicalParams(nu=0.5), report_every=report_every)
+
     def test_unforced_inequality_with_margins(self) -> None:
         grid = Grid.cube(1, 64)
         p = PhysicalParams(nu=1.0, eps=0.1)

@@ -34,8 +34,6 @@ from kuzlab import (
     f_nu,
     gronwall_envelope,
     initial_data_bound_check,
-    klainerman_energies,
-    klainerman_ratio,
     klainerman_record,
     lifespan_T0,
     make_report,
@@ -312,11 +310,12 @@ def _swept_word_fields(monkeypatch, jet: Jet, t: float, m_sum: int, m_sup: int):
 
 class TestKlainerman:
     def test_m0_equals_unit_speed_wave_energy(self) -> None:
+        """The record's jet is of order 2, as the ratio also sweeps words of length m + n* = 1."""
         grid = Grid.cube(1, 64, origin_centered=True)
         p = PhysicalParams(c=1.0)
         state = _wave_state(grid, 2, 0.3, 0.4)
-        jet = build_jet(state, p, 1, ModelKind.WAVE)
-        e1, einf = klainerman_energies(jet, 0.0, 0)
+        jet = build_jet(state, p, 2, ModelKind.WAVE)
+        _, e1, einf = klainerman_record(jet, 0.0, 0)
         assert e1 == pytest.approx(energy_wave(state, p), rel=1e-12)
         from kuzlab.fields import gradient_values
 
@@ -359,14 +358,14 @@ class TestKlainerman:
         e1_manual = grid.cell_volume * float(np.sum(density_total))
         einf_manual = float(np.max(density_sup))
 
-        e1, einf = klainerman_energies(jet, t, 1)
+        _, e1, einf = klainerman_record(jet, t, 1)
         assert e1 == pytest.approx(e1_manual, rel=1e-12)
         assert einf == pytest.approx(einf_manual, rel=1e-12)
 
     def test_ratio_zero_for_zero_jet(self) -> None:
         grid = Grid.cube(1, 16, origin_centered=True)
         jet = Jet(grid, (Field.zeros(grid),) * 4)
-        assert klainerman_ratio(jet, 1.0, 0) == 0.0
+        assert klainerman_record(jet, 1.0, 0)[0] == 0.0
 
     def test_ratio_weight_dimension_dependence(self) -> None:
         """For n = 1 the weight is (1+t)^0, so the ratio is sqrt(Einf/E1) with E1
@@ -379,12 +378,14 @@ class TestKlainerman:
         from kuzlab.energies import _klainerman_sweep
 
         e1, _, einf = _klainerman_sweep(jet, t, 1, 0)
-        assert klainerman_ratio(jet, t, 0) == pytest.approx(
+        assert klainerman_record(jet, t, 0)[0] == pytest.approx(
             math.sqrt(einf) / math.sqrt(e1), rel=1e-12
         )
 
     def test_record_matches_ratio_and_energies_bitwise(self) -> None:
-        """One sweep yields the ratio and the report's E_{1,m}, E_{inf,m} exactly."""
+        """One sweep yields the ratio and the report's E_{1,m}, E_{inf,m} exactly:
+        those of a sweep over words of length <= m, and the ratio's formula on
+        a sweep over words of length <= m + n*."""
         grid = Grid.cube(2, 32, length=8.0, origin_centered=True)
         p = PhysicalParams(eps=0.1)
         rng = np.random.default_rng(17)
@@ -392,8 +393,9 @@ class TestKlainerman:
         jet = build_jet(state, p, 3, ModelKind.KUZNETSOV)
         t = 0.7
         ratio, e_1m, e_inf_m = klainerman_record(jet, t, 0)
-        assert ratio == klainerman_ratio(jet, t, 0)
-        assert (e_1m, e_inf_m) == klainerman_energies(jet, t, 0)
+        assert (e_1m, e_inf_m) == _klainerman_sweep(jet, t, 0, 0)[1:]
+        e_1, _, e_inf = _klainerman_sweep(jet, t, 2, 0)
+        assert ratio == math.sqrt(e_inf) / ((1.0 + t) ** -0.5 * math.sqrt(e_1))
 
     @pytest.mark.parametrize("n,points", [(1, 64), (2, 32), (3, 16)])
     def test_sweep_matches_independent_word_sum(self, n: int, points: int) -> None:
@@ -533,17 +535,18 @@ class TestKlainerman:
         grid; on any other the record refuses, as apply_gamma does."""
         grid = Grid.cube(2, 16)
         jet = Jet(grid, (Field.zeros(grid),) * 4)
-        for evaluate in (klainerman_ratio, klainerman_record, klainerman_energies):
-            with pytest.raises(ValueError, match="origin-centered"):
-                evaluate(jet, 0.5, 0)
+        with pytest.raises(ValueError, match="origin-centered"):
+            klainerman_record(jet, 0.5, 0)
 
     def test_ratio_validation(self) -> None:
         grid = Grid.cube(2, 16, origin_centered=True)
         jet = Jet(grid, (Field.zeros(grid),) * 4)
         with pytest.raises(ValueError):
-            klainerman_ratio(jet, 0.0, 1)  # m + n* = 1 + 2 > 2
+            klainerman_record(jet, 0.0, 1)  # m + n* = 1 + 2 > 2
         with pytest.raises(ValueError):
-            klainerman_energies(jet, 0.0, 3)
+            klainerman_record(jet, 0.0, 3)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            klainerman_record(jet, 0.0, -1)
 
 
 class TestAppendixDensities:
