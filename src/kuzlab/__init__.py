@@ -36,12 +36,10 @@ from .dynamics import (
     PhysicalParams,
     Scheme,
     SimState,
-    acceleration,
     cfl_dt,
     effective_coefficients,
     hyperbolicity_factor,
     solve_linear_forced,
-    spectral_tail_fraction,
     step,
     support_radius,
 )
@@ -91,18 +89,8 @@ from .experiments import (
     stability_experiment,
     viscous_decay_experiment,
 )
-from .fields import (
-    Field,
-    Grid,
-    dealias,
-    gradient,
-    l2_norm,
-    laplacian,
-    linf_norm,
-    sobolev_norm,
-    spatial_derivative,
-)
-from .gamma import GammaIndex, apply_gamma, expand_gamma, gamma_words, generalized_derivatives
+from .fields import Field, Grid, linf_norm
+from .gamma import GammaIndex, expand_gamma, gamma_words, generalized_derivatives
 from .io import read_reports_csv, write_experiment_dir, write_reports_csv
 from .jets import Jet, MultiIndex, apply_multi_derivative, build_jet
 

@@ -435,12 +435,13 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
     """Materialize the configured preset, applying threshold-relative scaling.
 
     With relative_to_threshold set, the data are rescaled so the relevant
-    tower at t = 0 satisfies sqrt(E(0)) = amplitude * threshold; the scaling
+    tower at t = 0 satisfies sqrt(E(0)) = |amplitude| * threshold, keeping
+    the preset's sign (a negative amplitude is a depression); the scaling
     is solved by a fixed-point iteration because the towers are not exactly
     quadratic in the data for nonlinear models. Scaled data that reach the
     hyperbolicity floor have no tower, and an iteration that has not met the
-    target to 1e-12 after _SCALING_ITERATIONS towers names its miss: both
-    GuardViolation.
+    target to 1e-12 when a tower fails to shrink its miss, or after
+    _SCALING_ITERATIONS towers, names its miss: both GuardViolation.
     """
     u0, u1 = materialize_preset(cfg.preset, cfg.grid)
     if not cfg.relative_to_threshold:
@@ -448,13 +449,16 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
     threshold, m = smallness_target(cfg.params, cfg.model, cfg.envelope, cfg.decay.m)
     if not math.isfinite(threshold):
         raise ConfigError("relative_to_threshold", "threshold is not finite for these parameters")
-    target = cfg.preset.amplitude * threshold
+    # The preset's values carry its sign and the scale stays positive, so the
+    # target is a norm: |amplitude| times the threshold.
+    target = abs(cfg.preset.amplitude) * threshold
     values0, values1 = u0.values, u1.values
     amp = cfg.preset.amplitude
     if amp == 0.0:
         return Field(cfg.grid, 0.0 * values0), Field(cfg.grid, 0.0 * values1)
     scale = 1e-6 / max(np.max(np.abs(values0)), np.max(np.abs(values1)), 1e-300)
-    for _ in range(_SCALING_ITERATIONS):
+    last_miss = math.inf
+    for towers in range(1, _SCALING_ITERATIONS + 1):
         state = SimState(Field(cfg.grid, scale * values0), Field(cfg.grid, scale * values1))
         try:
             tower = data_tower(state, cfg.params, cfg.model, m)
@@ -465,10 +469,15 @@ def initial_data(cfg: RunConfig) -> tuple[Field, Field]:
             raise ConfigError("preset", "zero data cannot be scaled to a threshold")
         ratio = target / current
         scale *= ratio
-        if abs(ratio - 1.0) < 1e-12:
+        miss = abs(ratio - 1.0)
+        if miss < 1e-12:
             return Field(cfg.grid, scale * values0), Field(cfg.grid, scale * values1)
+        if miss >= last_miss:
+            break
+        last_miss = miss
+    stalled = " (the last did not shrink its miss)" if towers < _SCALING_ITERATIONS else ""
     raise GuardViolation(
-        f"threshold-relative scaling missed its target after {_SCALING_ITERATIONS} towers: "
+        f"threshold-relative scaling missed its target after {towers} towers{stalled}: "
         f"the last gives sqrt(E(0)) = {current:.6g} against {target:.6g}"
     )
 

@@ -29,13 +29,17 @@ and an exponential integrating-factor Heun scheme (IMEX) that advances L by
 its exact flow and treats the quasilinear remainder explicitly. The flow
 depends on |k|^2 alone, so it is cached as four tables over the grid's
 distinct |k|^2; _flow, its one update, gathers each block where it reads
-it, for the IMEX step and the forced linear solver alike. Both call
-one spectral acceleration kernel and start each step from the previous
-step's end-of-step evaluation (FSAL), which a state rebuilt from its carried
-spectra reproduces bitwise. The kernel and the stepper also take ensembles:
-fields stacked along a leading member axis, transformed over the trailing
-grid axes, with one perturbation scale per member and every check and
-reduction per member, so each member's row is its own step bitwise.
+it, for the IMEX step and the forced linear solver alike. Both start each
+step from the previous step's end-of-step evaluation (FSAL), which a state
+rebuilt from its carried spectra reproduces bitwise.
+
+u_tt has one kernel, _accel_kernel, and two readers of it: _evaluate, the
+evaluation a step starts from, and _acceleration, a state's u_tt, which
+layer 2 of jets.build_jet exposes. The tail monitor has one reader too,
+_tail_fraction. The kernel and the stepper also take ensembles: fields
+stacked along a leading member axis, transformed over the trailing grid
+axes, with one perturbation scale per member and every check and reduction
+per member, so each member's row is its own step bitwise.
 
 Transform counts per warm step, n the dimension, for models with the
 gradient coupling: RK4 makes 5n+14. Each of its three later stages takes
@@ -391,17 +395,6 @@ def _reads(ev: _Accel, scheme: Scheme) -> FloatArray | ComplexArray | None:
     return ev.rem_hat if scheme is Scheme.IMEX else ev.acc
 
 
-def acceleration(state: SimState, p: PhysicalParams, kind: ModelKind) -> Field:
-    """u_tt solved from the quasilinear form, quadratic products dealiased.
-
-    A state carrying a step's evaluation under (p, kind), under either
-    scheme, returns the carried u_tt: the same bits as layer 2 of its jet.
-    Raises HyperbolicityBreakdown if the factor 1 - alpha*eps*v reaches
-    the configured floor anywhere on the grid.
-    """
-    return Field(state.grid, _acceleration(state, p, kind).acc)
-
-
 def _acceleration(
     state: SimState, p: PhysicalParams, kind: ModelKind, gradients: bool = False
 ) -> _Accel:
@@ -692,18 +685,8 @@ def _tail_constants(grid: Grid, c: float) -> tuple[FloatArray, FloatArray, np.nd
 
 
 def _tail_fraction(grid: Grid, c: float, u_hat: ComplexArray, v_hat: ComplexArray) -> float | FloatArray:
-    """spectral_tail_fraction from the spectra; one value per member when stacked."""
-    weight, c2k2, band_idx, tail_idx = _tail_constants(grid, c)
-    density = weight * (c2k2 * np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2)
-    # Taken rows are contiguous and sum in the order one member's masked sum takes.
-    density = density.reshape(density.shape[: density.ndim - grid.n] + (-1,))
-    total = density.take(band_idx, axis=-1).sum(axis=-1)
-    tail = density.take(tail_idx, axis=-1).sum(axis=-1)
-    return np.divide(tail, total, out=np.zeros_like(tail), where=~(total <= 0.0))
-
-
-def spectral_tail_fraction(state: SimState, p: PhysicalParams) -> float:
-    """Fraction of gradient-energy density in the top third of the resolved band.
+    """Fraction of gradient-energy density in the top third of the resolved band,
+    from the spectra of (u, v); one value per member when they are stacked.
 
     The monitored density is |k|^2 (c^2 |k|^2 |u_hat|^2 + |v_hat|^2), the
     wave-energy density of the differentiated pair (Lap u, grad u_t), with
@@ -714,7 +697,13 @@ def spectral_tail_fraction(state: SimState, p: PhysicalParams) -> float:
     Values above ~0.01 flag spectral under-resolution of the breakdown
     quantities.
     """
-    return float(_tail_fraction(state.grid, p.c, *_spectra(state)))
+    weight, c2k2, band_idx, tail_idx = _tail_constants(grid, c)
+    density = weight * (c2k2 * np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2)
+    # Taken rows are contiguous and sum in the order one member's masked sum takes.
+    density = density.reshape(density.shape[: density.ndim - grid.n] + (-1,))
+    total = density.take(band_idx, axis=-1).sum(axis=-1)
+    tail = density.take(tail_idx, axis=-1).sum(axis=-1)
+    return np.divide(tail, total, out=np.zeros_like(tail), where=~(total <= 0.0))
 
 
 def support_radius(state: SimState) -> float:

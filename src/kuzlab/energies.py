@@ -192,11 +192,11 @@ def _klainerman_sweep(jet: Jet, t: float, m_sum: int, m_sup: int) -> tuple[float
     memo holds the mixed derivatives D^A the words take of it (one inverse
     transform of a held spectrum per distinct A, or none for a held layer
     or gradient) and is released before the next source's is filled. Each
-    word field is formed by the term loop apply_gamma runs, in two reused
+    word field is formed by the term loop gamma._word_values, in two reused
     buffers; its square-sum is added to the word's energy and must be
     finite, else NonFiniteFieldError. Words of length <= m_sup also keep
-    their pointwise density, summed over the sources in order. Like
-    apply_gamma, needs an origin-centered grid (_term_factors checks it).
+    their pointwise density, summed over the sources in order. Needs an
+    origin-centered grid (gamma._term_factors checks it).
     """
     grid = jet.grid
     n = grid.n

@@ -21,12 +21,13 @@ presets are placed and the support monitor measures.
 
 Functions
 ---------
-spatial_derivative, laplacian, gradient
-    Spectral differentiation (odd orders zero the Nyquist mode).
-sobolev_norm, l2_norm, linf_norm
-    Norms with box-measure weighting.
-dealias
+laplacian_values, gradient_values
+    Spectral Laplacian and gradient of grid values (the gradient zeroes
+    each axis Nyquist mode).
+dealias_values
     2/3-rule truncation for quadratic nonlinearities.
+linf_norm
+    Grid maximum of |f|.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ from .errors import NonFiniteFieldError
 
 FloatArray = npt.NDArray[np.float64]
 ComplexArray = npt.NDArray[np.complex128]
-
-MAX_SOBOLEV_ORDER = 12.0
-MAX_DERIVATIVE_ORDER = 4
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -270,8 +268,8 @@ class Field:
         return cls(grid, np.zeros(grid.shape))
 
 
-# Array-level kernels.  Public Field operations and the time integrators share
-# these so that cross-module consistency is exact, not merely approximate.
+# Array-level kernels.  Every module that differentiates shares these, so
+# that cross-module consistency is exact, not merely approximate.
 # The transform pair acts on the trailing grid axes, so it also takes fields
 # stacked along leading member axes, each row transformed on its own.
 
@@ -330,25 +328,13 @@ def _axis_multiplier(grid: Grid, axis: int, order: int) -> ComplexArray:
 
 def _derivative_multiplier(grid: Grid, orders: tuple[int, ...]) -> ComplexArray | float:
     """Multiplier of the mixed derivative prod_i d_i^orders[i]: the product of the
-    per-axis multipliers, so one inverse transform gives what the per-axis chain
-    of derivative_values gives."""
+    per-axis multipliers (odd orders zero the axis Nyquist mode, even orders keep
+    it), so one inverse transform gives what a per-axis chain of derivatives gives."""
     mult: ComplexArray | float = 1.0
     for axis, order in enumerate(orders):
         if order > 0:
             mult = mult * _axis_multiplier(grid, axis, order)
     return mult
-
-
-def derivative_values(grid: Grid, values: FloatArray, axis: int, order: int) -> FloatArray:
-    if not 0 <= axis < grid.n:
-        raise IndexError(f"axis {axis} out of range for dimension {grid.n}")
-    if not 0 <= order <= MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order must be 0..{MAX_DERIVATIVE_ORDER}, got {order}")
-    if order == 0:
-        return np.array(values, dtype=np.float64)
-    spec = _to_spectral(grid, values)
-    spec *= _axis_multiplier(grid, axis, order)
-    return _to_physical(grid, spec, consume=True)
 
 
 def laplacian_values(grid: Grid, values: FloatArray) -> FloatArray:
@@ -394,56 +380,6 @@ def _grad_sq(grid: Grid, values: FloatArray) -> float:
     return _quadrature(grid, _to_spectral(grid, values), weight=grid.gradient_weight)
 
 
-def sobolev_norm_values(grid: Grid, values: FloatArray, s: float) -> float:
-    return math.sqrt(_quadrature(grid, _to_spectral(grid, values), s))
-
-
-# Public Field-level operations.
-
-
-def spatial_derivative(f: Field, axis: int, order: int = 1) -> Field:
-    """Exact spectral derivative d^order/dx_axis^order of f.
-
-    Fourier coefficients are multiplied by (i k_axis)^order; for odd orders
-    the axis Nyquist mode is zeroed so the result is real.
-    """
-    return Field(f.grid, derivative_values(f.grid, f.values, axis, order))
-
-
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian: multiplier -|k|^2."""
-    return Field(f.grid, laplacian_values(f.grid, f.values))
-
-
-def gradient(f: Field) -> list[Field]:
-    """All first spatial derivatives of f, one Field per axis."""
-    return [Field(f.grid, g) for g in gradient_values(f.grid, f.values)]
-
-
-def sobolev_norm(f: Field, s: float) -> float:
-    """Discrete H^s norm with multiplier (1 + |k|^2)^(s/2) and box measure.
-
-    Equals the quadrature L^2 norm at s = 0 (Parseval) and is monotone
-    nondecreasing in s. The order must lie in [0, MAX_SOBOLEV_ORDER].
-    """
-    if not 0.0 <= s <= MAX_SOBOLEV_ORDER:
-        raise ValueError(f"Sobolev order must lie in [0, {MAX_SOBOLEV_ORDER}], got {s}")
-    return sobolev_norm_values(f.grid, f.values, float(s))
-
-
-def l2_norm(f: Field) -> float:
-    """Quadrature L^2 norm: sqrt(cell volume * sum of f^2)."""
-    return math.sqrt(_l2_sq(f.grid, f.values))
-
-
 def linf_norm(f: Field) -> float:
     """Grid maximum of |f|."""
     return float(np.max(np.abs(f.values)))
-
-
-def dealias(f: Field) -> Field:
-    """2/3-rule truncation: zero all modes with any |index| > N_i/3.
-
-    Idempotent and L^2-contractive.
-    """
-    return Field(f.grid, dealias_values(f.grid, f.values))

@@ -11,8 +11,9 @@ Products Gamma^A are ordered words over this alphabet (length <= 2 here).
 ``expand_gamma`` rewrites a word as an exact finite sum of terms
 coeff * t^a * x^b * D^A by the product rule, applying factors right to left,
 so e.g. the word (d_t, L0) expands to d_t + t d_t^2 + sum_i x_i d_{x_i} d_t.
-``apply_gamma`` evaluates such an expansion on a jet at a given time, by the
-term loop ``_word_values`` that the Klainerman sweep also runs.
+The Klainerman sweep evaluates such an expansion on a jet at a given time:
+``_term_factors`` weights each term, and the term loop ``_word_values`` sums
+them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, Grid
-from .jets import Jet, MultiIndex, apply_multi_derivative
+from .fields import Grid
+from .jets import MultiIndex
 
 MAX_WORD_LENGTH = 2
 
@@ -247,27 +248,3 @@ def _word_values(plan, memo: dict, buf: np.ndarray, total: np.ndarray) -> np.nda
         elif piece is not total:
             np.copyto(total, piece)
     return total
-
-
-def apply_gamma(jet: Jet, t: float, index: GammaIndex) -> Field:
-    """Evaluate Gamma^word u termwise on the jet at time t, as a checked Field.
-
-    Requires an origin-centered grid (the coordinate weights x_i are
-    meaningful only there) and sufficient jet order for every d_t power in
-    the expansion. Each distinct D^A u of the word is formed once. The term
-    loop is _word_values, which the Klainerman sweep also runs.
-    """
-    grid = jet.grid
-    if index.n != grid.n:
-        raise ValueError(f"word dimension {index.n} != grid dimension {grid.n}")
-    terms = expand_gamma(index)
-    needed = max((term.derivative.time_order for term in terms), default=0)
-    if needed > jet.order:
-        raise ValueError(f"word {index} needs jet order {needed}, jet has {jet.order}")
-    plan = _term_factors(grid, t, terms)
-    keys = {key for key, _ in plan}
-    memo = {key: apply_multi_derivative(jet, MultiIndex(key)).values for key in keys}
-    # The buffer first: the other order ran a 2-d record half again slower.
-    buf = np.empty(grid.shape)
-    total = np.empty(grid.shape)
-    return Field(grid, _word_values(plan, memo, buf, total))

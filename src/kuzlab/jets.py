@@ -9,7 +9,8 @@ Leibniz rule isolates the highest layer:
 
 so every layer above the first is computable from the two evolved fields.
 The cascade is exact for the linear models and shares its kernels with the
-dynamics right-hand side; layer 2 is the state's u_tt (see acceleration).
+dynamics right-hand side; layer 2 is the state's u_tt, the one public reading
+of it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .fields import (
     _gradient_from_spectrum,
     _to_physical,
     _to_spectral,
-    derivative_values,
 )
 
 MAX_JET_ORDER = 6
@@ -84,22 +84,6 @@ class Jet:
             spec = self._spectra[k] = _to_spectral(self.grid, self.layer(k).values)
         return spec
 
-    def shift_time(self) -> Jet:
-        """Jet of w = d_t u: drops the lowest layer."""
-        self.require(1, "a shift in time")
-        shifted = Jet(self.grid, self.layers[1:])
-        shifted._spectra.update((i - 1, s) for i, s in self._spectra.items() if i >= 1)
-        shifted._gradients.update((i - 1, g) for i, g in self._gradients.items() if i >= 1)
-        return shifted
-
-    def shift_space(self, axis: int) -> Jet:
-        """Jet of w = d_{x_axis} u: differentiates every layer."""
-        shifted = tuple(
-            Field(self.grid, derivative_values(self.grid, layer.values, axis, 1))
-            for layer in self.layers
-        )
-        return Jet(self.grid, shifted)
-
 
 @dataclass(frozen=True)
 class MultiIndex:
@@ -139,8 +123,8 @@ def build_jet(
     kernel: assembled in spectral space, its quadratic Leibniz sums
     dealiased, brought back by one inverse transform and divided by
     1 - alpha*eps u^(1), which raises HyperbolicityBreakdown at the floor.
-    Layer 2 is the state's u_tt as acceleration() gives it, read from a
-    carried evaluation where there is one. The jet keeps the layer
+    Layer 2 is the state's u_tt as dynamics._acceleration gives it, read
+    from a carried evaluation where there is one. The jet keeps the layer
     transforms and gradients the cascade forms, starting from those the
     state carries.
     """

@@ -18,7 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kuzlab import ConfigError, Grid, ModelKind, PhysicalParams, Scheme, SimState, config, experiments
+from kuzlab import (
+    ConfigError,
+    Grid,
+    GuardViolation,
+    ModelKind,
+    PhysicalParams,
+    Scheme,
+    SimState,
+    config,
+    experiments,
+)
 from kuzlab.cli import main
 from kuzlab.dynamics import cfl_dt, solve_linear_forced
 from kuzlab.config import (
@@ -575,6 +585,37 @@ class TestThresholdRelativeScaling:
             "the last gives sqrt(E(0)) = 9.11999 against 8.94427\n"
         )
         assert not (tmp_path / "res").exists()
+
+    def test_negative_amplitude_scales_to_its_magnitude(self, tmp_path, capsys) -> None:
+        """A negative amplitude is a depression: the data scale to sqrt(E(0)) =
+        |A| * threshold and keep the preset's sign, and the run exits 0."""
+        payload = {
+            "grid": {"n": 1, "points": 64},
+            "preset": {"kind": "sine_mode", "mode": [1], "amplitude": -0.5},
+            "relative_to_threshold": True,
+            "horizon": 0.5,
+        }
+        path = _write_config(tmp_path, "depression.json", payload)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "res")]) == 0
+        assert capsys.readouterr().err == ""
+        cfg = parse_config(json.dumps(payload))
+        u0, u1 = initial_data(cfg)
+        m0 = cfg.grid.n // 2 + 2
+        jet = build_jet(SimState(u0, u1), cfg.params, m0 + 1, cfg.model)
+        target = 0.5 * thresholds(cfg.params, cfg.envelope).sqrt_e_m0_max
+        assert math.sqrt(energy_m(jet, m0)) == pytest.approx(target, rel=1e-10)
+        preset_u0, preset_u1 = materialize_preset(cfg.preset, cfg.grid)
+        np.testing.assert_array_equal(np.sign(u0.values), np.sign(preset_u0.values))
+        np.testing.assert_array_equal(np.sign(u1.values), np.sign(preset_u1.values))
+        assert u0.values[cfg.grid.shape[0] // 4] < 0.0
+
+    def test_stalled_scaling_is_a_guard_violation(self, monkeypatch) -> None:
+        """A tower that does not shrink the miss ends the iteration at once:
+        with towers that ignore the scale, the second repeats the first's miss."""
+        monkeypatch.setattr(config, "data_tower", lambda state, p, kind, m: 4.0)
+        cfg = parse_config(json.dumps(_SLOW_SCALING))
+        with pytest.raises(GuardViolation, match=r"after 2 towers \(the last did not shrink its miss\)"):
+            initial_data(cfg)
 
     def test_absolute_amplitudes_without_flag(self) -> None:
         cfg = parse_config('{"preset": {"kind": "sine_mode", "mode": [1], "amplitude": 0.125}}')

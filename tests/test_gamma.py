@@ -20,14 +20,13 @@ from kuzlab.gamma import (
     GammaIndex,
     GammaTerm,
     Generator,
-    apply_gamma,
     expand_gamma,
     gamma_words,
     generalized_derivatives,
 )
 from kuzlab.jets import Jet, MultiIndex, build_jet
 
-from helpers import single_mode
+from helpers import apply_gamma, single_mode, spatial_derivative
 
 
 def _sympy_generator(g: Generator, expr: sp.Expr, t: sp.Symbol, xs: list[sp.Symbol]) -> sp.Expr:
@@ -211,8 +210,6 @@ class TestApplyGamma:
         jet = self._jet(grid)
         t = 1.3
         out = apply_gamma(jet, t, GammaIndex((Generator("L0"),), 2))
-        from kuzlab import spatial_derivative
-
         manual = t * jet.layer(1).values
         for axis in range(2):
             manual = manual + grid.coordinate_mesh(axis) * spatial_derivative(
@@ -236,8 +233,6 @@ class TestApplyGamma:
         intermediate field stays periodic to machine precision and its
         spectral derivative is trustworthy.
         """
-        from kuzlab import spatial_derivative
-
         grid = Grid.cube(2, 64, origin_centered=True)
         x0, x1 = grid.coordinate_mesh(0), grid.coordinate_mesh(1)
         bump = np.exp(-(x0**2 + x1**2) / (2 * 0.35**2))

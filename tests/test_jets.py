@@ -15,7 +15,6 @@ from kuzlab import (
     PhysicalParams,
     Scheme,
     SimState,
-    acceleration,
     apply_multi_derivative,
     build_jet,
     cfl_dt,
@@ -23,13 +22,20 @@ from kuzlab import (
     energy_m,
     klainerman_record,
     s_half_m,
-    spatial_derivative,
     step,
     theorem_45_energy,
 )
-from kuzlab.fields import derivative_values
+from kuzlab.dynamics import _accel_kernel, _acceleration
+from kuzlab.fields import _to_spectral
 from kuzlab.jets import MAX_JET_ORDER
-from helpers import band_limited_field, count_ffts, single_mode
+from helpers import (
+    band_limited_field,
+    count_ffts,
+    shift_space,
+    shift_time,
+    single_mode,
+    spatial_derivative,
+)
 
 
 class TestJetContainer:
@@ -50,18 +56,26 @@ class TestJetContainer:
         grid = Grid.cube(1, 16)
         a, b, c = (Field(grid, np.full(16, float(i))) for i in range(3))
         jet = Jet(grid, (a, b, c))
-        shifted = jet.shift_time()
+        shifted = shift_time(jet)
         assert shifted.order == 1
         np.testing.assert_array_equal(shifted.layer(0).values, b.values)
 
     def test_shift_space_differentiates_every_layer(self) -> None:
+        """Against the closed form: d_x sin(2x) = 2 cos(2x) on the 2 pi box."""
         grid = Grid.cube(1, 64)
         f = single_mode(grid, (2,))
         jet = Jet(grid, (f, f))
-        shifted = jet.shift_space(0)
-        expected = spatial_derivative(f, 0).values
+        shifted = shift_space(jet, 0)
+        expected = 2.0 * np.cos(2.0 * grid.coordinate_mesh(0))
         for k in range(2):
-            np.testing.assert_allclose(shifted.layer(k).values, expected)
+            np.testing.assert_allclose(shifted.layer(k).values, expected, rtol=0, atol=1e-13)
+
+
+def _kernel_acc(state: SimState, p: PhysicalParams, kind: ModelKind) -> np.ndarray:
+    """u_tt by the acceleration kernel on the transforms of the state's fields."""
+    grid = state.grid
+    u_hat, v_hat = (_to_spectral(grid, f.values) for f in (state.u, state.v))
+    return _accel_kernel(grid, u_hat, v_hat, state.v.values, p, kind).acc
 
 
 class TestMultiIndex:
@@ -118,8 +132,8 @@ class TestCascadeNonlinear:
         rng = np.random.default_rng(3)
         state = SimState(band_limited_field(grid, rng, 0.3), band_limited_field(grid, rng, 0.3))
         jet = build_jet(state, p, 2, ModelKind.KUZNETSOV)
-        acc = acceleration(state, p, ModelKind.KUZNETSOV)
-        np.testing.assert_array_equal(jet.layer(2).values, acc.values)
+        acc = _kernel_acc(state, p, ModelKind.KUZNETSOV)
+        np.testing.assert_array_equal(jet.layer(2).values, acc)
 
     @pytest.mark.parametrize("scheme", [None, *Scheme])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -127,7 +141,7 @@ class TestCascadeNonlinear:
         self, n: int, scheme: Scheme | None
     ) -> None:
         """One u_tt per state: on a cold state and on one carrying an RK4 or
-        an IMEX step's evaluation, acceleration() is the jet's layer 2."""
+        an IMEX step's evaluation, the state's u_tt is the jet's layer 2."""
         grid = Grid.cube(n, 32 if n < 3 else 16)
         p = PhysicalParams(nu=0.0 if scheme is None else 0.5, eps=0.1)
         rng = np.random.default_rng(3)
@@ -135,8 +149,8 @@ class TestCascadeNonlinear:
         if scheme is not None:
             state = step(state, cfl_dt(grid, p.c), p, ModelKind.KUZNETSOV, scheme)
         jet = build_jet(state, p, 2, ModelKind.KUZNETSOV)
-        acc = acceleration(state, p, ModelKind.KUZNETSOV)
-        np.testing.assert_array_equal(jet.layer(2).values, acc.values)
+        acc = _acceleration(state, p, ModelKind.KUZNETSOV).acc
+        np.testing.assert_array_equal(jet.layer(2).values, acc)
 
     @pytest.mark.parametrize("kind", [ModelKind.WESTERVELT, ModelKind.KUZNETSOV])
     def test_layer3_against_finite_difference(self, kind: ModelKind) -> None:
@@ -171,8 +185,8 @@ class TestCascadeNonlinear:
             mid, last = trajectory[4], trajectory[8]
             jet = build_jet(mid, p, 3, kind)
 
-            acc_0 = acceleration(state, p, kind).values
-            acc_2h = acceleration(last, p, kind).values
+            acc_0 = build_jet(state, p, 2, kind).layers[2].values
+            acc_2h = build_jet(last, p, 2, kind).layers[2].values
             fd = (acc_2h - acc_0) / (2.0 * h)
             scale = max(1.0, float(np.max(np.abs(jet.layer(3).values))))
             errors.append(np.max(np.abs(fd - jet.layer(3).values)) / scale)
@@ -240,8 +254,8 @@ class TestCarriedSpectra:
     """Jets keep the layer transforms and gradients their cascade forms."""
 
     def test_layer_two_from_imex_carry(self, monkeypatch) -> None:
-        """On a 16^3 IMEX-carried state, layer 2 and acceleration() are each one
-        inverse transform of the carried remainder plus linear part, the
+        """On a 16^3 IMEX-carried state, layer 2 and the state's u_tt are each
+        one inverse transform of the carried remainder plus linear part, the
         kernel's up to roundoff."""
         grid = Grid.cube(3, 16)
         p = PhysicalParams(nu=0.5, eps=0.1)
@@ -253,7 +267,7 @@ class TestCarriedSpectra:
         monkeypatch.undo()
         assert counts == {"forward": 0, "inverse": 1}
         counts = count_ffts(monkeypatch)
-        acceleration(state, p, ModelKind.KUZNETSOV)
+        _acceleration(state, p, ModelKind.KUZNETSOV)
         monkeypatch.undo()
         assert counts == {"forward": 0, "inverse": 1}
         fresh = SimState(Field(grid, state.u.values.copy()), Field(grid, state.v.values.copy()), state.t)
@@ -274,7 +288,7 @@ class TestCarriedSpectra:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_apply_multi_derivative_matches_per_axis_chain(self, monkeypatch, n: int) -> None:
         """One inverse of the carried spectrum times the mixed multiplier gives
-        the per-axis chain of derivative_values, Nyquist modes included."""
+        the per-axis chain of numpy.fft derivatives, Nyquist modes included."""
         grid = Grid.cube(n, 16)
         rng = np.random.default_rng(29)
         # Raw noise keeps every mode, the Nyquist ones on each axis among them.
@@ -287,9 +301,11 @@ class TestCarriedSpectra:
             if sum(spatial) == 0 or sum(spatial) > 4:
                 continue
             for k in (0, 1):
-                chain = jet.layer(k).values
+                chain = jet.layer(k)
                 for axis, order in enumerate(spatial):
-                    chain = derivative_values(grid, chain, axis, order)
+                    if order:
+                        chain = spatial_derivative(chain, axis, order)
+                chain = chain.values
                 counts = count_ffts(monkeypatch)
                 out = apply_multi_derivative(jet, MultiIndex((k, *spatial))).values
                 monkeypatch.undo()
