@@ -7,9 +7,9 @@ experiments (lifespan sweeps, stability envelopes, viscous decay, weighted
 decay ratios, maximal regularity) that probe its qualitative claims.
 
 Layering: fields (grids, spectral calculus) -> dynamics (models, steppers,
-monitors) -> jets/gamma (time-derivative cascade, symmetry fields) ->
-energies (functionals, thresholds, envelopes) -> experiments (drivers) ->
-io/config/cli (persistence, schema, entry points).
+the run loop, monitors) -> jets/gamma (time-derivative cascade, symmetry
+fields) -> energies (functionals, thresholds, envelopes) -> experiments
+(drivers) -> io/config/cli (persistence, schema, entry points).
 """
 
 from .config import (
@@ -31,6 +31,7 @@ from .config import (
     serialize_config,
 )
 from .dynamics import (
+    BreakdownCause,
     LinearForcedResult,
     ModelKind,
     PhysicalParams,
@@ -77,7 +78,6 @@ from .errors import (
 )
 from .experiments import (
     BlowupVerdict,
-    BreakdownCause,
     KlainermanResult,
     StabilityResult,
     SweepResult,

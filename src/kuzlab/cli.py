@@ -41,11 +41,10 @@ from .config import (
     stability_perturbation,
     with_overrides,
 )
-from .dynamics import SimState, hyperbolicity_guard
+from .dynamics import BreakdownCause, SimState, hyperbolicity_guard
 from .energies import EnergyReport, data_tower, lifespan_T0, thresholds
 from .errors import ConfigError, GuardViolation, HyperbolicityBreakdown, KuzlabError
 from .experiments import (
-    BreakdownCause,
     klainerman_experiment,
     lifespan_sweep,
     run_until_breakdown,

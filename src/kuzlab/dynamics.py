@@ -22,7 +22,10 @@ RK4's largest amplification. The one step rule, _resolve_step, takes
 horizon/steps, steps the fewest that keep the step within the requested dt
 (the CFL step by default), and refuses an RK4 step that amplifies a mode of
 L; the run loop, the forced linear solver and step all step by it. The time
-loop's other rules live beside it: _trapezoid, _reported and step_counts.
+loop's other rules live beside it: _trapezoid, _reported and step_counts,
+which nothing outside this module writes. The one run loop, _run, steps the
+experiment drivers' members through the stepper and its carry, and ends each
+with a BreakdownCause: the floor, a non-finite step or a monitor's (_tail).
 
 Two integrators are provided: classic explicit RK4 under a CFL restriction,
 and an exponential integrating-factor Heun scheme (IMEX) that advances L by
@@ -62,7 +65,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,6 +79,7 @@ from .fields import (
     _quadrature,
     _to_physical,
     _to_spectral,
+    linf_norm,
 )
 
 DEFAULT_CFL = 0.4
@@ -532,11 +536,12 @@ def _flow(
 ) -> tuple[ComplexArray, ComplexArray]:
     """exp(dt L)(u_hat, v_hat + h*n_hat), flow _propagator's entry for dt, plus h*n2_hat
     added last to v unless None: the one update of the exact linear flow. It gathers
-    each block where it reads it, so that one gathered block is held at a time."""
+    each block where it reads it, so that one gathered block is held at a time, by
+    take on the intp index: bitwise table[..., index], without a cast per gather."""
     index, e00, e01, e10, e11 = flow
     base = v_hat + h * n_hat
-    u_new = e00[..., index] * u_hat + e01[..., index] * base
-    v_new = e10[..., index] * u_hat + e11[..., index] * base
+    u_new = e00.take(index, axis=-1) * u_hat + e01.take(index, axis=-1) * base
+    v_new = e10.take(index, axis=-1) * u_hat + e11.take(index, axis=-1) * base
     if n2_hat is not None:
         v_new += h * n2_hat
     return u_new, v_new
@@ -585,7 +590,7 @@ def step(
 # Steps since import, as telemetry.json names them: stepper_calls, one per call
 # of the one stepper, _advance, whatever the number of members it carries, and
 # one per forced linear step; planned_steps, the count _resolve_step gives each
-# run of experiments' run loop and each forced linear solve.
+# run of the run loop, _run, and each forced linear solve.
 step_counts = {"stepper_calls": 0, "planned_steps": 0}
 
 
@@ -674,6 +679,129 @@ def _advance(
     return u1, v1, _evaluate(grid, u1_hat, v1_hat, v1, t0 + dt, p, kind, scheme, eps, start.full)
 
 
+class BreakdownCause(Enum):
+    """Which monitor ended a run (or none, if the horizon was reached)."""
+
+    HYPERBOLICITY = "hyperbolicity_breakdown"
+    SPECTRAL = "spectral_under_resolution"
+    DIVERGENCE = "divergence_threshold"
+    NUMERICAL = "numerical_instability"
+    SUPPORT = "support_wraparound"
+    HORIZON = "horizon_reached"
+
+
+def _run(
+    members: Sequence[tuple[Field, Field]], eps: Sequence[float], p: PhysicalParams,
+    kind: ModelKind, scheme: Scheme, horizon: float, dt: float | None, cfl: float,
+    monitor: Callable[..., Sequence[BreakdownCause | None]] | None = None,
+    record: Callable[[list[SimState]], None] | None = None,
+    report_every: int = 1, together: bool = False,
+) -> list[tuple[float | None, BreakdownCause]]:
+    """Advance the members' (u, v) to horizon: the one run loop.
+
+    Member i evolves under p with eps[i] in place of p.eps; its u_1 must
+    pass the strict sup-norm guard and its linear part admit the step
+    _resolve_step gives. The fields are stacked along a leading axis and
+    step together through _advance. A member ends at the last accepted time
+    when a step trips the hyperbolicity floor (HYPERBOLICITY) or goes
+    non-finite (NUMERICAL) for it, and the step is redone for the rest. After each accepted state, t = 0 included,
+    monitor(fields, ev, div_accum, dt) sees the live members' evaluation, their
+    running ||u_tt||_inf + ||Lap u||_inf integral, fields() -> (u, v) and the
+    loop's step, and ends those it returns a cause for. With together, the
+    first to end ends all. IMEX steps read only the evaluation's spectra and
+    drop (u, v); fields(), records and ends form them again, bitwise those
+    spectra's inverses.
+
+    record receives live members as states carrying their evaluation: all
+    of them at t = 0 and after every report_every steps, and those that end
+    on their last accepted state if it is not yet recorded. Only records
+    read the report scalars (sup |u_tt|, sup |Lap u|, the F_nu integrand)
+    and their running integrals, so a run without record steps on lean
+    evaluations, whose scalars and div_accum are NaN. Returns (end time,
+    cause) per member in input order, the time None at the horizon.
+    """
+    grid = members[0][0].grid
+    for (_, u1), eps_i in zip(members, eps):
+        p_i = replace(p, eps=eps_i)
+        guard, sup_u1 = hyperbolicity_guard(p_i, kind), linf_norm(u1)
+        if not sup_u1 < guard:
+            raise GuardViolation(f"||u_1||_inf = {sup_u1:.6g} violates the strict bound {guard:.6g}")
+        # The step size depends on c, not on eps: every member gets the same.
+        steps, dt_step = _resolve_step(grid, p_i, kind, horizon, dt, scheme, cfl)
+    check_report_every(report_every)
+    step_counts["planned_steps"] += steps
+    # A single member's data is viewed, not copied: the run writes into neither.
+    u, v = ((f.values[None] for f in members[0]) if len(members) == 1
+            else (np.stack([m[i].values for m in members]) for i in (0, 1)))
+    live, eps = np.arange(len(eps)), np.array(eps, dtype=float)
+    full = record is not None
+    fnu = div = np.full(len(eps), 0.0 if full else math.nan)
+    ends: list[tuple[float | None, BreakdownCause]] = [(None, BreakdownCause.HORIZON)] * len(eps)
+    ev: _Accel | None = None  # the live members' evaluation at t, once made
+    t, k, recorded = 0.0, 0, -1  # recorded: the step of the live members' last record
+
+    def fields() -> tuple[FloatArray, FloatArray]:
+        nonlocal u, v
+        u = _to_physical(grid, ev.u_hat) if u is None else u
+        v = _to_physical(grid, ev.v_hat) if v is None else v
+        return u, v
+
+    def states(rows: Sequence[int]) -> list[SimState]:
+        u, v = fields()
+        return [
+            _state(Field(grid, u[i]), Field(grid, v[i]), t, float(fnu[i]), float(div[i]),
+                   None if ev is None else _rows(ev, i))
+            for i in rows
+        ]
+
+    def end(causes: Sequence[BreakdownCause | None]) -> None:
+        nonlocal live, eps, u, v, fnu, div, ev
+        gone = np.array([c is not None for c in causes])
+        if not gone.any():
+            return
+        if together:
+            causes = [next(c for c in causes if c is not None)] * len(causes)
+            gone[:] = True
+        if record is not None and recorded != k:
+            record(states(np.flatnonzero(gone)))
+        for i, cause in zip(live, causes):
+            if cause is not None:
+                ends[i] = (t, cause)
+        keep = ~gone
+        live, eps, u, v, fnu, div = (None if a is None else a[keep] for a in (live, eps, u, v, fnu, div))
+        ev = None if ev is None else _rows(ev, keep)
+
+    while live.size:
+        try:
+            if ev is None:
+                ev = _evaluate(
+                    grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps, full
+                )
+            elif k == steps:
+                break
+            else:
+                if scheme is Scheme.IMEX:
+                    u = v = None  # read by no IMEX step
+                # A step that raises leaves (u, v) as they were.
+                u, v, ev_next = _advance(grid, u, v, t, ev, dt_step, p, kind, scheme, eps)
+                if full:
+                    fnu = _trapezoid(fnu, ev.fnu, ev_next.fnu, dt_step)
+                    div = _trapezoid(div, ev.div_rate, ev_next.div_rate, dt_step)
+                ev, t, k = ev_next, t + dt_step, k + 1
+        except HyperbolicityBreakdown as exc:
+            end([BreakdownCause.HYPERBOLICITY if m else None for m in exc.members])
+            continue
+        except StepRejected as exc:
+            end([BreakdownCause.NUMERICAL if m else None for m in exc.members])
+            continue
+        if monitor is not None:
+            end(monitor(fields, ev, div, dt_step))
+        if record is not None and live.size and _reported(k, steps, report_every):
+            record(states(range(live.size)))
+            recorded = k
+    return ends
+
+
 @lru_cache(maxsize=8)
 def _tail_constants(grid: Grid, c: float) -> tuple[FloatArray, FloatArray, np.ndarray, np.ndarray]:
     """The tail density's factors |k|^2 times the Hermitian weight and c^2 |k|^2,
@@ -704,6 +832,16 @@ def _tail_fraction(grid: Grid, c: float, u_hat: ComplexArray, v_hat: ComplexArra
     total = density.take(band_idx, axis=-1).sum(axis=-1)
     tail = density.take(tail_idx, axis=-1).sum(axis=-1)
     return np.divide(tail, total, out=np.zeros_like(tail), where=~(total <= 0.0))
+
+
+def _tail(grid: Grid, c: float, threshold: float) -> Callable[..., list[BreakdownCause | None]]:
+    """The spectral tail monitor: SPECTRAL for each member whose tail fraction exceeds threshold."""
+
+    def monitor(fields, ev, div, dt):
+        tail = _tail_fraction(grid, c, ev.u_hat, ev.v_hat) > threshold
+        return [BreakdownCause.SPECTRAL if over else None for over in tail]
+
+    return monitor
 
 
 def support_radius(state: SimState) -> float:

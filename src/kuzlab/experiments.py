@@ -6,11 +6,11 @@ exponential stability envelope for perturbed pairs, global viscous decay
 of the multi-index energy and boundedness of the weighted Klainerman
 ratio. The linear maximal-regularity inequality needs no driver: callers
 run dynamics.solve_linear_forced, whose result's holds(tol) checks it. Each driver is a
-monitor plus a record function on one run loop, _run, which steps its
-members (one run, the sweep's epsilon points or the stability pair) stacked
+monitor plus a record function on the one run loop, dynamics._run, which steps
+its members (one run, the sweep's epsilon points or the stability pair) stacked
 through the stepper a single state uses, so each equals its own serial run
 bit for bit; a run that ends mid-way keeps its records and names its cause.
-The step is dynamics._resolve_step's: nothing here forms the linear part.
+Nothing here forms the linear part, takes a step or counts one.
 A driver takes its data as fields on their own grid; every member's data
 pass the paper's strict sup-norm guard ||u_1||_inf < 1/(2 alpha_eff eps)
 before the first step.
@@ -22,31 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import dynamics
 from .dynamics import (
     DEFAULT_CFL,
+    BreakdownCause,
     ModelKind,
     PhysicalParams,
     Scheme,
     SimState,
-    _Accel,
-    _advance,
-    _evaluate,
-    _reported,
-    _resolve_step,
-    _rows,
-    _state,
+    _run,
     _support_radius,
-    _tail_fraction,
+    _tail,
     _trapezoid,
-    check_report_every,
     damps,
-    hyperbolicity_guard,
 )
 from .energies import (
     EnergyReport,
@@ -58,25 +49,14 @@ from .energies import (
     theorem_45_energy,
     thresholds,
 )
-from .errors import GuardViolation, HyperbolicityBreakdown, StepRejected
-from .fields import Field, FloatArray, Grid, _grad_sq, _l2_sq, _to_physical, _to_spectral, linf_norm
+from .errors import GuardViolation, HyperbolicityBreakdown
+from .fields import Field, _grad_sq, _l2_sq
 from .jets import Jet, build_jet
 
 DEFAULT_TAIL_THRESHOLD = 0.01
 DEFAULT_SUPPORT_FRACTION = 0.4
 DEFAULT_C2_CAP = 100.0
 DEFAULT_SLACK_REL = 1e-8
-
-
-class BreakdownCause(Enum):
-    """Which monitor ended a run (or none, if the horizon was reached)."""
-
-    HYPERBOLICITY = "hyperbolicity_breakdown"
-    SPECTRAL = "spectral_under_resolution"
-    DIVERGENCE = "divergence_threshold"
-    NUMERICAL = "numerical_instability"
-    SUPPORT = "support_wraparound"
-    HORIZON = "horizon_reached"
 
 
 @dataclass(frozen=True)
@@ -143,129 +123,6 @@ def check_support_fraction(support_fraction: float) -> None:
     """Raise ValueError unless support_fraction lies in (0, 1/2), all a support monitor can reach."""
     if not 0.0 < support_fraction < 0.5:
         raise ValueError(f"support_fraction must lie in (0, 0.5), got {support_fraction}")
-
-
-def _run(
-    members: Sequence[tuple[Field, Field]], eps: Sequence[float], p: PhysicalParams,
-    kind: ModelKind, scheme: Scheme, horizon: float, dt: float | None, cfl: float,
-    monitor: Callable[..., Sequence[BreakdownCause | None]] | None = None,
-    record: Callable[[list[SimState]], None] | None = None,
-    report_every: int = 1, together: bool = False,
-) -> list[tuple[float | None, BreakdownCause]]:
-    """Advance the members' (u, v) to horizon: the one run loop.
-
-    Member i evolves under p with eps[i] in place of p.eps; its u_1 must
-    pass the strict sup-norm guard and its linear part admit the step
-    _resolve_step gives. The fields are stacked along a leading axis and
-    step together through dynamics._advance. A member
-    ends at the last accepted time when a step trips the hyperbolicity
-    floor (HYPERBOLICITY) or goes non-finite (NUMERICAL) for it, and the
-    step is redone for the rest. After each accepted state, t = 0 included,
-    monitor(fields, ev, div_accum, dt) sees the live members' evaluation, their
-    running ||u_tt||_inf + ||Lap u||_inf integral, fields() -> (u, v) and the
-    loop's step, and ends those it returns a cause for. With together, the
-    first to end ends all. IMEX steps read only the evaluation's spectra and
-    drop (u, v); fields(), records and ends form them again, bitwise those
-    spectra's inverses.
-
-    record receives live members as states carrying their evaluation: all
-    of them at t = 0 and after every report_every steps, and those that end
-    on their last accepted state if it is not yet recorded. Only records
-    read the report scalars (sup |u_tt|, sup |Lap u|, the F_nu integrand)
-    and their running integrals, so a run without record steps on lean
-    evaluations, whose scalars and div_accum are NaN. Returns (end time,
-    cause) per member in input order, the time None at the horizon.
-    """
-    grid = members[0][0].grid
-    for (_, u1), eps_i in zip(members, eps):
-        p_i = replace(p, eps=eps_i)
-        guard, sup_u1 = hyperbolicity_guard(p_i, kind), linf_norm(u1)
-        if not sup_u1 < guard:
-            raise GuardViolation(f"||u_1||_inf = {sup_u1:.6g} violates the strict bound {guard:.6g}")
-        # The step size depends on c, not on eps: every member gets the same.
-        steps, dt_step = _resolve_step(grid, p_i, kind, horizon, dt, scheme, cfl)
-    check_report_every(report_every)
-    dynamics.step_counts["planned_steps"] += steps
-    # A single member's data is viewed, not copied: the run writes into neither.
-    u, v = ((f.values[None] for f in members[0]) if len(members) == 1
-            else (np.stack([m[i].values for m in members]) for i in (0, 1)))
-    live, eps = np.arange(len(eps)), np.array(eps, dtype=float)
-    full = record is not None
-    fnu = div = np.full(len(eps), 0.0 if full else math.nan)
-    ends: list[tuple[float | None, BreakdownCause]] = [(None, BreakdownCause.HORIZON)] * len(eps)
-    ev: _Accel | None = None  # the live members' evaluation at t, once made
-    t, k, recorded = 0.0, 0, -1  # recorded: the step of the live members' last record
-
-    def fields() -> tuple[FloatArray, FloatArray]:
-        nonlocal u, v
-        u = _to_physical(grid, ev.u_hat) if u is None else u
-        v = _to_physical(grid, ev.v_hat) if v is None else v
-        return u, v
-
-    def states(rows: Sequence[int]) -> list[SimState]:
-        u, v = fields()
-        return [
-            _state(Field(grid, u[i]), Field(grid, v[i]), t, float(fnu[i]), float(div[i]),
-                   None if ev is None else _rows(ev, i))
-            for i in rows
-        ]
-
-    def end(causes: Sequence[BreakdownCause | None]) -> None:
-        nonlocal live, eps, u, v, fnu, div, ev
-        gone = np.array([c is not None for c in causes])
-        if not gone.any():
-            return
-        if together:
-            causes = [next(c for c in causes if c is not None)] * len(causes)
-            gone[:] = True
-        if record is not None and recorded != k:
-            record(states(np.flatnonzero(gone)))
-        for i, cause in zip(live, causes):
-            if cause is not None:
-                ends[i] = (t, cause)
-        keep = ~gone
-        live, eps, u, v, fnu, div = (None if a is None else a[keep] for a in (live, eps, u, v, fnu, div))
-        ev = None if ev is None else _rows(ev, keep)
-
-    while live.size:
-        try:
-            if ev is None:
-                ev = _evaluate(
-                    grid, _to_spectral(grid, u), _to_spectral(grid, v), v, t, p, kind, scheme, eps, full
-                )
-            elif k == steps:
-                break
-            else:
-                if scheme is Scheme.IMEX:
-                    u = v = None  # read by no IMEX step
-                # A step that raises leaves (u, v) as they were.
-                u, v, ev_next = _advance(grid, u, v, t, ev, dt_step, p, kind, scheme, eps)
-                if full:
-                    fnu = _trapezoid(fnu, ev.fnu, ev_next.fnu, dt_step)
-                    div = _trapezoid(div, ev.div_rate, ev_next.div_rate, dt_step)
-                ev, t, k = ev_next, t + dt_step, k + 1
-        except HyperbolicityBreakdown as exc:
-            end([BreakdownCause.HYPERBOLICITY if m else None for m in exc.members])
-            continue
-        except StepRejected as exc:
-            end([BreakdownCause.NUMERICAL if m else None for m in exc.members])
-            continue
-        if monitor is not None:
-            end(monitor(fields, ev, div, dt_step))
-        if record is not None and live.size and _reported(k, steps, report_every):
-            record(states(range(live.size)))
-            recorded = k
-    return ends
-
-
-def _tail(grid: Grid, c: float, threshold: float) -> Callable[..., list[BreakdownCause | None]]:
-    """The spectral tail monitor: SPECTRAL for each member whose tail fraction exceeds threshold."""
-
-    def monitor(fields, ev, div, dt):
-        tail = _tail_fraction(grid, c, ev.u_hat, ev.v_hat) > threshold
-        return [BreakdownCause.SPECTRAL if over else None for over in tail]
-
-    return monitor
 
 
 def _jet_unless_floor(s: SimState, p: PhysicalParams, order: int, kind: ModelKind) -> Jet | None:

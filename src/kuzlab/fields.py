@@ -179,11 +179,12 @@ class Grid:
         return total
 
     @cached_property
-    def k_squared_table(self) -> tuple[FloatArray, npt.NDArray[np.int32]]:
-        """|k|^2's distinct values, and the int32 index of each mode's value on
-        the transform layout: values[index] is k_squared bit for bit."""
+    def k_squared_table(self) -> tuple[FloatArray, npt.NDArray[np.intp]]:
+        """|k|^2's distinct values, and the intp index of each mode's value on
+        the transform layout, which take reads without a cast: values[index]
+        is k_squared bit for bit."""
         values, index = np.unique(self.k_squared, return_inverse=True)
-        return values, index.reshape(self.spectral_shape).astype(np.int32)
+        return values, index.reshape(self.spectral_shape).astype(np.intp, copy=False)
 
     @cached_property
     def hermitian_weight(self) -> FloatArray:

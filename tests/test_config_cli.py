@@ -27,6 +27,7 @@ from kuzlab import (
     Scheme,
     SimState,
     config,
+    dynamics,
     experiments,
 )
 from kuzlab.cli import main
@@ -1403,7 +1404,7 @@ class TestOneWriter:
         cfg = _write_config(tmp_path, "decay3.json", payload)
         counts = count_ffts(monkeypatch)
         in_steps = dict.fromkeys(counts, 0)
-        real_advance = experiments._advance
+        real_advance = dynamics._advance
 
         def advance(*args):
             before = dict(counts)
@@ -1412,7 +1413,7 @@ class TestOneWriter:
                 in_steps[key] += counts[key] - before[key]
             return out
 
-        monkeypatch.setattr(experiments, "_advance", advance)
+        monkeypatch.setattr(dynamics, "_advance", advance)
         assert main(["decay", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
         monkeypatch.undo()
         capsys.readouterr()

@@ -36,6 +36,7 @@ from kuzlab.dynamics import (
     _accel_kernel,
     _advance,
     _evaluate,
+    _flow,
     _propagator,
     _resolve_step,
     _rk4_amplification,
@@ -202,7 +203,7 @@ class TestPropagatorOracle:
         """A cold call keeps the grid's index and distinct |k|^2 and the four
         real tables, each an array of its own: none of the complex arrays the
         tables were taken from, and nothing of the transform layout's size
-        beyond the int32 index."""
+        beyond the intp index."""
         grid = Grid.cube(3, 32)
         grid.k_squared  # built and kept by the grid before tracing
         tracemalloc.start()
@@ -214,11 +215,29 @@ class TestPropagatorOracle:
             tracemalloc.stop()
         index, *tables = entry
         k2_values, grid_index = grid.k_squared_table
-        assert index is grid_index and index.dtype == np.int32 and index.shape == grid.spectral_shape
+        assert index is grid_index and index.dtype == np.intp and index.shape == grid.spectral_shape
         assert all(t.base is None and t.flags.c_contiguous for t in tables)
         assert all(t.shape == ((1,) if stacked else ()) + k2_values.shape for t in tables)
         kept = index.nbytes + k2_values.nbytes + sum(t.nbytes for t in tables)
         assert retained <= 1.05 * kept
+
+    @pytest.mark.parametrize("nu_eps", [0.05, (0.05, 0.3)])
+    def test_flow_gathers_as_the_fancy_index(self, nu_eps) -> None:
+        """_flow's update is the one written with table[..., index], bit for
+        bit, on one member or stacked."""
+        grid = Grid.cube(3, 16)
+        flow = _propagator(grid, 0.05, 1.0, nu_eps)
+        index, e00, e01, e10, e11 = flow
+        shape = ((len(nu_eps),) if isinstance(nu_eps, tuple) else ()) + grid.spectral_shape
+        rng = np.random.default_rng(11)
+        u_hat, v_hat, n_hat, n2_hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4))
+        h = 0.025
+        base = v_hat + h * n_hat
+        want_u = e00[..., index] * u_hat + e01[..., index] * base
+        want_v = e10[..., index] * u_hat + e11[..., index] * base + h * n2_hat
+        got_u, got_v = _flow(flow, u_hat, v_hat, h, n_hat, n2_hat)
+        assert got_u.shape == got_v.shape == shape
+        assert got_u.tobytes() == want_u.tobytes() and got_v.tobytes() == want_v.tobytes()
 
     def test_stiff_modes_match_high_precision_expm(self) -> None:
         """Modes with nu eps |k|^2 dt / 2 far past exp's range keep finite,

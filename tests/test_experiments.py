@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from kuzlab import (
+    BreakdownCause,
     Field,
     GuardViolation,
     HyperbolicityBreakdown,
@@ -30,7 +31,6 @@ from kuzlab import (
 from kuzlab import dynamics, energies, experiments
 from kuzlab.experiments import (
     BlowupVerdict,
-    BreakdownCause,
     SweepResult,
     SweepRow,
     klainerman_experiment,
@@ -153,7 +153,7 @@ class TestRunUntilBreakdown:
 
     def test_rejected_step_is_a_numerical_instability(self, monkeypatch) -> None:
         grid = Grid.cube(1, 32)
-        real_advance = experiments._advance
+        real_advance = dynamics._advance
         calls = []
 
         def advance(grid, u0, v0, t0, *args):
@@ -162,7 +162,7 @@ class TestRunUntilBreakdown:
                 raise StepRejected("forced", np.ones(len(u0), dtype=bool))
             return real_advance(grid, u0, v0, t0, *args)
 
-        monkeypatch.setattr(experiments, "_advance", advance)
+        monkeypatch.setattr(dynamics, "_advance", advance)
         _, verdict = run_until_breakdown(_smooth_pair(grid), PhysicalParams(), 1.0)
         assert verdict.cause is BreakdownCause.NUMERICAL
         assert verdict.cause.value == "numerical_instability"
@@ -295,7 +295,7 @@ class TestLifespanSweep:
         p = PhysicalParams(alpha=1.0, beta=3.0)
         eps = [0.3, 0.6]
         clean = lifespan_sweep(self._travelling_sine(grid), eps, p, horizon=4.0)
-        real_advance = experiments._advance
+        real_advance = dynamics._advance
 
         def advance(grid, u0, v0, t0, start, dt, p, kind, scheme, eps):
             out = real_advance(grid, u0, v0, t0, start, dt, p, kind, scheme, eps)
@@ -303,7 +303,7 @@ class TestLifespanSweep:
                 raise StepRejected("forced", eps == 0.6)
             return out
 
-        monkeypatch.setattr(experiments, "_advance", advance)
+        monkeypatch.setattr(dynamics, "_advance", advance)
         result = lifespan_sweep(self._travelling_sine(grid), eps, p, horizon=4.0)
         assert result.rows[0] == clean.rows[0]
         row = result.rows[1]
@@ -484,8 +484,9 @@ class TestViscousDecay:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(energies, name, counting)
-            # Also count a call made through the experiments module's own import.
-            monkeypatch.setattr(experiments, name, counting, raising=False)
+            # Also count a call made through the drivers' or the run loop's own import.
+            for module in (experiments, dynamics):
+                monkeypatch.setattr(module, name, counting, raising=False)
         grid = Grid.cube(1, 64)
         u0, u1 = _smooth_pair(grid, 1e-3)
         result = viscous_decay_experiment(u0, u1, PhysicalParams(nu=1.0), 2, 1.0, report_every=10)
@@ -510,11 +511,13 @@ class TestViscousDecay:
 
         carried = run()
         # Records of states carrying the kernel's evaluation take layer 2 from it.
+        real_state = dynamics._state
+
         def kernel_state(u, v, t, fnu, div, carry):
             ev = dynamics._accel_kernel(grid, carry.u_hat, carry.v_hat, v.values, p, carry.kind, t)
-            return dynamics._state(u, v, t, fnu, div, ev)
+            return real_state(u, v, t, fnu, div, ev)
 
-        monkeypatch.setattr(experiments, "_state", kernel_state)
+        monkeypatch.setattr(dynamics, "_state", kernel_state)
         kernel = run()
         assert carried.times == kernel.times and len(carried.times) > 2
         for name in ("e_theorem", "e_half", "s_half"):
@@ -593,7 +596,9 @@ class TestKlainerman:
             return original(state)
 
         monkeypatch.setattr(energies, "support_radius", counting)
-        # Also count a call made through the experiments module's own import.
+        # Also count a call the run loop makes (dynamics defines support_radius)
+        # or a driver makes through its own import.
+        monkeypatch.setattr(dynamics, "support_radius", counting)
         monkeypatch.setattr(experiments, "support_radius", counting, raising=False)
         grid = Grid.cube(1, 128, length=self._BOX, origin_centered=True)
         u0, u1 = self._bump_data(grid)
@@ -634,16 +639,18 @@ class TestOneStepper:
         def refuse(*args, **kwargs):
             raise AssertionError("stepped outside the run loop")
 
+        # The run loop reads step from dynamics, which defines it; a driver
+        # would read it through its own import.
         monkeypatch.setattr(dynamics, "step", refuse)
         monkeypatch.setattr(experiments, "step", refuse, raising=False)
         calls = []
-        real_advance = experiments._advance
+        real_advance = dynamics._advance
 
         def advance(*args):
             calls.append(args[3])
             return real_advance(*args)
 
-        monkeypatch.setattr(experiments, "_advance", advance)
+        monkeypatch.setattr(dynamics, "_advance", advance)
         grid = Grid.cube(1, 32)
         box = Grid.cube(1, 128, length=4.0 * math.pi, origin_centered=True)
         p = PhysicalParams(eps=0.1)
@@ -673,7 +680,7 @@ class TestLeanRuns:
         """Transform calls of every step the run loop takes during run()."""
         counts = count_ffts(monkeypatch)
         per_step = []
-        real_advance = experiments._advance
+        real_advance = dynamics._advance
 
         def advance(*args):
             before = sum(counts.values())
@@ -681,7 +688,7 @@ class TestLeanRuns:
             per_step.append(sum(counts.values()) - before)
             return out
 
-        monkeypatch.setattr(experiments, "_advance", advance)
+        monkeypatch.setattr(dynamics, "_advance", advance)
         run()
         monkeypatch.undo()
         return per_step
@@ -712,7 +719,7 @@ class TestLeanRuns:
             seen.append((ev.acc_sup, ev.lap_sup, ev.fnu, *div))
             return [None]
 
-        experiments._run(
+        dynamics._run(
             [_smooth_pair(grid)], [p.eps], p, ModelKind.KUZNETSOV, Scheme.EXPLICIT_RK4,
             3.0 * cfl_dt(grid, p.c), None, dynamics.DEFAULT_CFL, monitor,
         )
@@ -738,7 +745,7 @@ class TestSpectralState:
     @staticmethod
     def _run(members, eps, p) -> tuple[list, list[list[SimState]]]:
         calls: list[list[SimState]] = []
-        ends = experiments._run(
+        ends = dynamics._run(
             members, eps, p, ModelKind.KUZNETSOV, Scheme.IMEX, 1.0, 0.1, dynamics.DEFAULT_CFL,
             record=calls.append, report_every=4,
         )
